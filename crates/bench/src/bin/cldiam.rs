@@ -62,8 +62,8 @@ use std::time::{Duration, Instant};
 use cldiam_bench::json::Value;
 use cldiam_bench::report::{render_table, to_json};
 use cldiam_bench::runner::{
-    baseline_source, reference_lower_bound_with_split, run_bounds_cancel,
-    run_bounds_directed_cancel, run_cldiam_with, run_delta_stepping_best, run_delta_stepping_with,
+    baseline_source, reference_lower_bound_with_split, run_bounds, run_bounds_directed,
+    run_cldiam_with, run_delta_stepping_best, run_delta_stepping_with,
 };
 use cldiam_bench::{ResultRow, RunResult};
 use cldiam_core::{AnytimeConfig, ClusterConfig};
@@ -517,8 +517,8 @@ fn run_undirected<G: NeighborSource>(graph: &G, options: &Options) -> Vec<RunRes
         .with_tolerance(options.tolerance);
 
     let mut results = Vec::new();
-    // One connectivity pass serves the reference lower bound and the bounds
-    // engine alike.
+    // One connectivity pass serves the reference lower bound, the Δ-stepping
+    // baseline and the bounds engine alike.
     let split = ComponentSplit::compute(graph);
     if options.algo != Algo::Bounds {
         let lower = reference_lower_bound_with_split(graph, options.seed, &split);
@@ -529,17 +529,18 @@ fn run_undirected<G: NeighborSource>(graph: &G, options: &Options) -> Vec<RunRes
             results.push(match options.delta {
                 Some(delta) => run_delta_stepping_with(
                     graph,
-                    baseline_source(graph, options.seed),
+                    baseline_source(graph, options.seed, &split),
                     delta,
                     lower,
+                    &split,
                 ),
-                None => run_delta_stepping_best(graph, lower, options.seed),
+                None => run_delta_stepping_best(graph, lower, options.seed, &split),
             });
         }
     } else {
         let cluster = if options.no_quotient { None } else { Some(config.clone()) };
         let anytime = AnytimeConfig { bounds: bounds_config, cluster };
-        let result = run_bounds_cancel(graph, &anytime, &split, &cancel_token(options));
+        let result = run_bounds(graph, &anytime, &split, &cancel_token(options));
         print_bounds_progress(&result);
         results.push(result);
     }
@@ -591,7 +592,7 @@ fn run(options: &Options) {
                 .with_max_sssp(options.bounds_budget)
                 .with_tolerance(options.tolerance);
             let anytime = AnytimeConfig { bounds: bounds_config, cluster: None };
-            let result = run_bounds_directed_cancel(graph, &anytime, &cancel_token(options));
+            let result = run_bounds_directed(graph, &anytime, &cancel_token(options));
             print_bounds_progress(&result);
             vec![result]
         }

@@ -27,12 +27,14 @@
 use std::time::Instant;
 
 use cldiam_bench::report::{render_figure, render_table, to_json};
-use cldiam_bench::runner::{reference_lower_bound, run_cldiam, run_delta_stepping_best};
+use cldiam_bench::runner::{
+    reference_lower_bound, reference_lower_bound_with_split, run_cldiam, run_delta_stepping_best,
+};
 use cldiam_bench::workloads::{Workload, WorkloadSet};
 use cldiam_bench::ResultRow;
 use cldiam_core::{approximate_diameter, ClDiam, ClusterConfig, InitialDelta};
 use cldiam_graph::stats::GraphStats;
-use cldiam_sssp::{diameter_lower_bound, unweighted_diameter};
+use cldiam_sssp::{diameter_lower_bound, unweighted_diameter, ComponentSplit};
 
 struct Options {
     experiment: String,
@@ -98,10 +100,11 @@ fn table2_rows(options: &Options) -> Vec<ResultRow> {
             "[table2] {} ({}): {} nodes, {} edges",
             workload.paper_name, workload.proxy, stats.nodes, stats.edges
         );
-        let lower = reference_lower_bound(&graph, options.seed);
+        let split = ComponentSplit::compute(&graph);
+        let lower = reference_lower_bound_with_split(&graph, options.seed, &split);
         let target = quotient_target(stats.nodes, options.target_quotient);
         let cl = run_cldiam(&graph, lower, target, options.seed);
-        let ds = run_delta_stepping_best(&graph, lower, options.seed);
+        let ds = run_delta_stepping_best(&graph, lower, options.seed, &split);
         rows.push(ResultRow {
             graph: workload.paper_name.to_string(),
             proxy: workload.proxy.clone(),

@@ -1,15 +1,16 @@
-//! Benchmark harness for the CL-DIAM reproduction.
+//! Reproduction of the CL-DIAM paper's experiments.
 //!
 //! The [`workloads`] module maps every graph of the paper's Table 1 to a
-//! laptop-scale synthetic proxy; the [`runner`] module executes `CL-DIAM` and
-//! the Δ-stepping baseline with the paper's instrumentation (approximation
-//! ratio against an SSSP lower bound, wall-clock time, MapReduce rounds,
-//! work); the [`report`] module renders the rows as text tables and JSON.
+//! laptop-scale synthetic proxy; the [`runner`] module executes `CL-DIAM`,
+//! the Δ-stepping baseline and the anytime bounds engine with the paper's
+//! instrumentation (approximation ratio against an SSSP lower bound,
+//! wall-clock time, MapReduce rounds, work); the [`report`] module renders
+//! the rows as text tables and JSON.
 //!
 //! The `reproduce` binary regenerates every table and figure of the paper's
-//! evaluation section (see `EXPERIMENTS.md` at the workspace root); the
-//! Criterion benches under `benches/` provide statistically sound timings of
-//! the individual pipeline stages.
+//! evaluation section, and the `cldiam` binary runs the same instrumented
+//! algorithms on a graph file or a generator spec. Performance is measured
+//! by `perfbench/`, a package of its own at the repository root.
 
 #![forbid(unsafe_code)]
 

@@ -11,7 +11,8 @@ use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId, INFINITY};
 use cldiam_mr::CostTracker;
 use cldiam_sssp::{
     delta_stepping_with_scratch, diameter_lower_bound, diameter_lower_bound_with_split,
-    suggest_delta, BoundsOutcome, ComponentSplit, SsspScratch,
+    sssp_diameter_upper_bound_with_split, suggest_delta, BoundsOutcome, ComponentSplit,
+    SsspScratch,
 };
 
 use crate::json::{object, Value};
@@ -119,20 +120,11 @@ fn iterations_to_value(outcome: &BoundsOutcome) -> Value {
 
 /// Runs the anytime bounds engine (`--algo bounds`) on an undirected graph,
 /// reusing the caller's [`ComponentSplit`]. Works on any [`NeighborSource`]
-/// (dense or compressed CSR).
+/// (dense or compressed CSR). The cooperative [`CancelToken`]
+/// (`--timeout-ms` / `--timeout-checks`) stops the engine at the next SSSP
+/// boundary once expired, and the result then reports the best-so-far
+/// `[lb, ub]` bracket with `interrupted=true`.
 pub fn run_bounds<G: NeighborSource>(
-    graph: &G,
-    config: &AnytimeConfig,
-    split: &ComponentSplit,
-) -> RunResult {
-    run_bounds_cancel(graph, config, split, &CancelToken::never())
-}
-
-/// [`run_bounds`] under a cooperative [`CancelToken`] (`--timeout-ms` /
-/// `--timeout-checks`): an expired deadline stops the engine at the next
-/// SSSP boundary and the result reports the best-so-far `[lb, ub]` bracket
-/// with `interrupted=true`.
-pub fn run_bounds_cancel<G: NeighborSource>(
     graph: &G,
     config: &AnytimeConfig,
     split: &ComponentSplit,
@@ -144,13 +136,9 @@ pub fn run_bounds_cancel<G: NeighborSource>(
 }
 
 /// Runs the anytime bounds engine on a directed graph, which goes whole
-/// through the forward/backward engine (dense only: it needs in-arcs).
-pub fn run_bounds_directed(graph: &Graph, config: &AnytimeConfig) -> RunResult {
-    run_bounds_directed_cancel(graph, config, &CancelToken::never())
-}
-
-/// [`run_bounds_directed`] under a cooperative [`CancelToken`].
-pub fn run_bounds_directed_cancel(
+/// through the forward/backward engine (dense only: it needs in-arcs), under
+/// a cooperative [`CancelToken`] as in [`run_bounds`].
+pub fn run_bounds_directed(
     graph: &Graph,
     config: &AnytimeConfig,
     cancel: &CancelToken,
@@ -243,20 +231,24 @@ pub fn run_cldiam<G: NeighborSource>(
 
 /// Runs the Δ-stepping baseline from `source` with an explicit bucket width
 /// and converts the eccentricity into the 2-approximation of the diameter.
+/// On a disconnected graph the estimate covers every component of `split`.
 pub fn run_delta_stepping_with<G: NeighborSource>(
     graph: &G,
     source: NodeId,
     delta: u32,
     lower_bound: Dist,
+    split: &ComponentSplit,
 ) -> RunResult {
     let mut scratch = SsspScratch::with_capacity(graph.num_nodes());
-    run_delta_stepping_scratch(graph, source, delta, lower_bound, &mut scratch)
+    let result = run_delta_stepping_scratch(graph, source, delta, lower_bound, &mut scratch);
+    cover_all_components(result, graph, source, split)
 }
 
-/// [`run_delta_stepping_with`] over a caller-provided [`SsspScratch`], so
-/// grid sweeps reuse the engine state (distances, bucket ring, touched list)
-/// across every Δ candidate instead of re-allocating per run.
-pub fn run_delta_stepping_scratch<G: NeighborSource>(
+/// One Δ-stepping run over a caller-provided [`SsspScratch`], so grid sweeps
+/// reuse the engine state (distances, bucket ring, touched list) across
+/// every Δ candidate instead of re-allocating per run. Its estimate covers
+/// `source`'s component only.
+fn run_delta_stepping_scratch<G: NeighborSource>(
     graph: &G,
     source: NodeId,
     delta: u32,
@@ -272,7 +264,7 @@ pub fn run_delta_stepping_scratch<G: NeighborSource>(
         algorithm: "Δ-stepping".to_string(),
         estimate,
         lower_bound,
-        approximation: if lower_bound == 0 { 1.0 } else { estimate as f64 / lower_bound as f64 },
+        approximation: delta_ratio(estimate, lower_bound),
         time_s,
         rounds: outcome.phases,
         work: outcome.work(),
@@ -283,24 +275,71 @@ pub fn run_delta_stepping_scratch<G: NeighborSource>(
     }
 }
 
-/// Runs the Δ-stepping baseline over a grid of `Δ` values and keeps the
-/// best-performing configuration (fewest rounds, the criterion the paper used
-/// to pick `Δ` on its Spark platform).
+fn delta_ratio(estimate: Dist, lower_bound: Dist) -> f64 {
+    if lower_bound == 0 {
+        1.0
+    } else {
+        estimate as f64 / lower_bound as f64
+    }
+}
+
+/// Makes a Δ-stepping row an upper bound on a disconnected graph. A run
+/// from `source` only sees `source`'s component, so the estimate takes the
+/// max with one sweep per non-singleton component
+/// ([`sssp_diameter_upper_bound_with_split`]), and the row's time includes
+/// those sweeps. Rounds and work stay Δ-stepping's own.
+fn cover_all_components<G: NeighborSource>(
+    mut result: RunResult,
+    graph: &G,
+    source: NodeId,
+    split: &ComponentSplit,
+) -> RunResult {
+    if split.is_connected() {
+        return result;
+    }
+    let started = Instant::now();
+    let bound = sssp_diameter_upper_bound_with_split(graph, source, split);
+    result.time_s += started.elapsed().as_secs_f64();
+    result.estimate = result.estimate.max(bound);
+    result.approximation = delta_ratio(result.estimate, result.lower_bound);
+    result
+}
+
 /// Source node used by the Δ-stepping baseline: a pseudo-random node derived
 /// from the seed (the paper starts Δ-stepping from a random node; hashing
 /// avoids always landing on node 0, which on lattice-like graphs is a corner
-/// with worst-case eccentricity).
-pub fn baseline_source<G: NeighborSource>(graph: &G, seed: u64) -> NodeId {
-    ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % graph.num_nodes().max(1) as u64) as NodeId
+/// with worst-case eccentricity). A draw outside the largest component of
+/// `split` moves to that component's smallest member, the relocation rule of
+/// [`diameter_lower_bound_with_split`], so the baseline never starts on an
+/// isolated node.
+pub fn baseline_source<G: NeighborSource>(graph: &G, seed: u64, split: &ComponentSplit) -> NodeId {
+    let drawn = ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % graph.num_nodes().max(1) as u64)
+        as NodeId;
+    if split.is_connected() {
+        return drawn;
+    }
+    let labels = &split.labels.labels;
+    let largest = split.labels.largest().expect("a disconnected graph has a largest component");
+    if labels[drawn as usize] == largest {
+        drawn
+    } else {
+        labels.iter().position(|&l| l == largest).expect("the largest component has a member")
+            as NodeId
+    }
 }
 
+/// Runs the Δ-stepping baseline over a grid of `Δ` values and keeps the
+/// best-performing configuration (fewest rounds, the criterion the paper used
+/// to pick `Δ` on its Spark platform). The source is [`baseline_source`],
+/// and the estimate covers every component of `split`.
 pub fn run_delta_stepping_best<G: NeighborSource>(
     graph: &G,
     lower_bound: Dist,
     seed: u64,
+    split: &ComponentSplit,
 ) -> RunResult {
     let base = suggest_delta(graph);
-    let source = baseline_source(graph, seed);
+    let source = baseline_source(graph, seed, split);
     let candidates =
         [base, base.saturating_mul(4), base.saturating_mul(16), base.saturating_mul(64)];
     // One engine scratch serves the whole grid: each candidate run resets in
@@ -318,7 +357,8 @@ pub fn run_delta_stepping_best<G: NeighborSource>(
             best = Some(result);
         }
     }
-    best.expect("at least one delta candidate was evaluated")
+    let best = best.expect("at least one delta candidate was evaluated");
+    cover_all_components(best, graph, source, split)
 }
 
 #[cfg(test)]
@@ -342,7 +382,7 @@ mod tests {
     fn delta_stepping_run_produces_conservative_estimate() {
         let g = mesh(20, WeightModel::UniformUnit, 3);
         let lower = reference_lower_bound(&g, 3);
-        let result = run_delta_stepping_best(&g, lower, 3);
+        let result = run_delta_stepping_best(&g, lower, 3, &ComponentSplit::compute(&g));
         assert!(result.estimate >= lower);
         assert!(result.approximation >= 1.0);
         assert!(
@@ -357,9 +397,10 @@ mod tests {
     fn delta_sweep_picks_fewest_rounds() {
         let g = mesh(16, WeightModel::UniformUnit, 5);
         let lower = reference_lower_bound(&g, 5);
-        let best = run_delta_stepping_best(&g, lower, 5);
+        let split = ComponentSplit::compute(&g);
+        let best = run_delta_stepping_best(&g, lower, 5, &split);
         let base = suggest_delta(&g);
-        let fine = run_delta_stepping_with(&g, baseline_source(&g, 5), base, lower);
+        let fine = run_delta_stepping_with(&g, baseline_source(&g, 5, &split), base, lower, &split);
         assert!(best.rounds <= fine.rounds);
     }
 
@@ -371,7 +412,7 @@ mod tests {
         let g = mesh(32, WeightModel::UniformUnit, 9);
         let lower = reference_lower_bound(&g, 9);
         let cl = run_cldiam(&g, lower, 500, 9);
-        let ds = run_delta_stepping_best(&g, lower, 9);
+        let ds = run_delta_stepping_best(&g, lower, 9, &ComponentSplit::compute(&g));
         assert!(
             cl.rounds < ds.rounds,
             "CL-DIAM rounds {} not below Δ-stepping rounds {}",

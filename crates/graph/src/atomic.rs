@@ -392,7 +392,9 @@ mod tests {
     fn seq_min_cells_read_coherent_is_never_torn_under_contention() {
         let mut cells = SeqMinCells::new();
         cells.resize(1);
-        cells.set(0, i64::MAX, u32::MAX, 0, u64::MAX);
+        // The initial cell keeps key1 == payload too, for readers that run
+        // before any writer.
+        cells.set(0, i64::MAX, u32::MAX, 0, i64::MAX as u64);
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let cells = &cells;

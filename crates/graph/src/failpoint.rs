@@ -286,33 +286,36 @@ impl Drop for FailpointGuard {
 mod tests {
     use super::*;
 
+    // Each test arms sites of its own: the checks made without a guard
+    // would otherwise see a site another test has armed meanwhile.
+
     #[test]
     fn disabled_failpoints_are_inert() {
-        assert!(inject("io::read").is_ok());
+        assert!(inject("inert::read").is_ok());
         let mut buf = vec![1, 2, 3];
-        assert!(mutate_buffer("io::read", &mut buf).is_ok());
+        assert!(mutate_buffer("inert::read", &mut buf).is_ok());
         assert_eq!(buf, vec![1, 2, 3]);
-        assert!(matches!(on_write("cache::write", &buf), WriteFault::None));
+        assert!(matches!(on_write("inert::write", &buf), WriteFault::None));
     }
 
     #[test]
     fn scoped_guard_arms_and_disarms() {
         {
-            let _guard = scoped(&["io::read=eio"]);
-            let err = inject("io::read").unwrap_err();
-            assert!(err.to_string().contains("failpoint io::read"));
+            let _guard = scoped(&["guard::read=eio"]);
+            let err = inject("guard::read").unwrap_err();
+            assert!(err.to_string().contains("failpoint guard::read"));
             // Other sites stay clean.
-            assert!(inject("cache::write").is_ok());
+            assert!(inject("guard::write").is_ok());
         }
-        assert!(inject("io::read").is_ok());
+        assert!(inject("guard::read").is_ok());
     }
 
     #[test]
     fn shot_counts_expire() {
-        let _guard = scoped(&["io::read=interrupted*2"]);
-        assert_eq!(inject("io::read").unwrap_err().kind(), std::io::ErrorKind::Interrupted);
-        assert_eq!(inject("io::read").unwrap_err().kind(), std::io::ErrorKind::Interrupted);
-        assert!(inject("io::read").is_ok());
+        let _guard = scoped(&["shots::read=interrupted*2"]);
+        assert_eq!(inject("shots::read").unwrap_err().kind(), std::io::ErrorKind::Interrupted);
+        assert_eq!(inject("shots::read").unwrap_err().kind(), std::io::ErrorKind::Interrupted);
+        assert!(inject("shots::read").is_ok());
     }
 
     #[test]

@@ -106,8 +106,9 @@ mod tests {
     use std::fs::File;
     use std::io::Write;
 
-    fn mapped_file(contents: &[u8]) -> Arc<Mmap> {
-        let path = std::env::temp_dir().join(format!("cldiam-storage-{}.bin", std::process::id()));
+    fn mapped_file(name: &str, contents: &[u8]) -> Arc<Mmap> {
+        let path =
+            std::env::temp_dir().join(format!("cldiam-storage-{}-{name}.bin", std::process::id()));
         File::create(&path).unwrap().write_all(contents).unwrap();
         let map = Arc::new(Mmap::map(&File::open(&path).unwrap()).unwrap());
         std::fs::remove_file(&path).ok();
@@ -117,7 +118,7 @@ mod tests {
     #[test]
     fn owned_and_mapped_compare_equal() {
         let bytes: Vec<u8> = (1u8..=16).collect();
-        let map = mapped_file(&bytes);
+        let map = mapped_file("equal", &bytes);
         let mapped: Storage<u32> = Storage::mapped(Arc::clone(&map), 0, 4).unwrap();
         let expected: Vec<u32> =
             bytes.chunks(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
@@ -132,7 +133,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_windows_are_rejected() {
-        let map = mapped_file(&[0u8; 16]);
+        let map = mapped_file("bounds", &[0u8; 16]);
         assert!(Storage::<u32>::mapped(Arc::clone(&map), 0, 5).is_none());
         assert!(Storage::<u32>::mapped(Arc::clone(&map), 8, 3).is_none());
         assert!(Storage::<u8>::mapped(Arc::clone(&map), 16, 1).is_none());
@@ -141,7 +142,7 @@ mod tests {
 
     #[test]
     fn misaligned_windows_are_rejected() {
-        let map = mapped_file(&[0u8; 16]);
+        let map = mapped_file("aligned", &[0u8; 16]);
         // The mapping is page-aligned, so offset 2 is misaligned for u32.
         assert!(Storage::<u32>::mapped(Arc::clone(&map), 2, 1).is_none());
         assert!(Storage::<u8>::mapped(map, 2, 1).is_some());

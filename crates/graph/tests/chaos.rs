@@ -5,7 +5,8 @@
 //! Each scenario arms failpoints through [`cldiam_graph::failpoint::scoped`],
 //! which serializes scenarios across test threads (the registry is
 //! process-global), and runs the public loaders against a scenario-private
-//! temp directory.
+//! temp directory. Fault-free phases hold `scoped(&[])`, so no other
+//! scenario's faults can fire while they load.
 
 use std::path::{Path, PathBuf};
 
@@ -126,6 +127,7 @@ fn torn_cache_write_is_quarantined_on_the_next_load() {
             assert_eq!(graph.clone().into_dense(), expected);
         }
         assert!(cache_path(&path).exists(), "torn image reaches the final path");
+        let _quiet = scoped(&[]);
         // Next run: the corrupt cache must be detected, quarantined, and
         // transparently regenerated from the text source.
         let (graph, cached) = load_graph_cached_with(&path, options).expect("recovery");
@@ -147,6 +149,7 @@ fn bit_rot_in_the_cache_is_detected_and_quarantined() {
         let _guard = scoped(&["cache::write=bitflip:150"]);
         load_graph_cached_with(&path, &CacheOptions::default()).expect("load survives");
     }
+    let _quiet = scoped(&[]);
     let (graph, cached) =
         load_graph_cached_with(&path, &CacheOptions::default()).expect("recovery");
     // The hard invariant: whatever the checksums caught or missed, the
@@ -162,7 +165,10 @@ fn bit_rot_in_the_cache_is_detected_and_quarantined() {
 fn cache_read_io_error_falls_back_without_quarantining() {
     let dir = scenario_dir("cache-read-eio");
     let (path, expected) = sample_input(&dir);
-    load_graph_cached_with(&path, &CacheOptions::default()).expect("prime the cache");
+    {
+        let _quiet = scoped(&[]);
+        load_graph_cached_with(&path, &CacheOptions::default()).expect("prime the cache");
+    }
     assert!(cache_path(&path).exists());
     let _guard = scoped(&["snapshot::read=eio"]);
     // Only the cache read goes through `snapshot::read`; the fallback
@@ -180,7 +186,10 @@ fn cache_read_io_error_falls_back_without_quarantining() {
 fn truncated_cache_read_recovers_via_quarantine() {
     let dir = scenario_dir("cache-read-truncated");
     let (path, expected) = sample_input(&dir);
-    load_graph_cached_with(&path, &CacheOptions::default()).expect("prime the cache");
+    {
+        let _quiet = scoped(&[]);
+        load_graph_cached_with(&path, &CacheOptions::default()).expect("prime the cache");
+    }
     let _guard = scoped(&["snapshot::read=truncate:32"]);
     let (graph, cached) =
         load_graph_cached_with(&path, &CacheOptions::default()).expect("recovery");

@@ -8,7 +8,7 @@
 //! | `safety-comment`   | every `unsafe` keyword carries a `// SAFETY:` (or `# Safety`) comment immediately above or on the same line |
 //! | `io-panic`         | no `.unwrap()` / `.expect(` / `panic!(` on the library load/IO paths (`crates/graph/src/io/`) — they must surface `IoError` |
 //! | `fs-choke-point`   | no direct `std::fs` / `File::open` / `File::create` … outside the `io/mod.rs` failpoint choke points, so every byte of file IO can be failure-injected |
-//! | `clock-discipline` | no `Instant::now` / `SystemTime::now` outside the approved timing modules (deadline handling in `cancel.rs`, bench, criterion), so `--timeout-checks` determinism can't regress |
+//! | `clock-discipline` | no `Instant::now` / `SystemTime::now` outside the approved timing modules (deadline handling in `cancel.rs`, bench), so `--timeout-checks` determinism can't regress |
 //! | `hash-determinism` | no std-hasher `HashMap::new` / `HashSet::new` (& friends) in library crates — use the fixed-seed hasher, sort before emitting, or justify with an allow tag |
 //!
 //! A finding is silenced by a justification tag on the same line or the
@@ -91,8 +91,7 @@ impl RuleSet {
 ///   points) is banned in library crates; `xtask` itself, benches and
 ///   examples are tools and exempt;
 /// * wall-clock reads are approved only in `crates/graph/src/cancel.rs`
-///   (cooperative deadlines), `crates/bench/`, examples and the vendored
-///   `criterion` shim;
+///   (cooperative deadlines), `crates/bench/` and examples;
 /// * the std-hasher rule covers `crates/*/src` only (vendored shims do not
 ///   feed ordered output).
 pub fn rules_for_path(rel: &str) -> RuleSet {
@@ -117,9 +116,8 @@ pub fn rules_for_path(rel: &str) -> RuleSet {
     // files on explicit request); the choke-point discipline protects the
     // library load/store paths.
     rules.fs_choke_point = rel != "crates/graph/src/io/mod.rs" && !rel.starts_with("crates/bench/");
-    rules.clock_discipline = rel != "crates/graph/src/cancel.rs"
-        && !rel.starts_with("crates/bench/")
-        && !rel.starts_with("vendor/criterion/");
+    rules.clock_discipline =
+        rel != "crates/graph/src/cancel.rs" && !rel.starts_with("crates/bench/");
     rules.hash_determinism = rel.starts_with("crates/");
     rules
 }
@@ -528,8 +526,7 @@ pub fn scan_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
                     "clock-discipline",
                     format!(
                         "`{pat}` outside the approved timing modules (cancel.rs deadlines, \
-                         bench, criterion); ambient clock reads break `--timeout-checks` \
-                         determinism"
+                         bench); ambient clock reads break `--timeout-checks` determinism"
                     ),
                 );
             }
