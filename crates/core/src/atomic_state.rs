@@ -30,16 +30,20 @@
 //! Δ-stepping SSSP engine relaxes through (with its single-word
 //! [`cldiam_graph::atomic::MinDistCells`] flavour). This type is the
 //! `GrowState`-aware wrapper: it maps `(eff, center, src, true_dist)` onto
-//! the generic `(key1, key2, key3, payload)` cell, loads/stores whole states
-//! around a growth, and carries the frozen flags that make covered nodes
-//! source-only.
+//! the generic `(key1, key2, key3, payload)` cell and carries the frozen
+//! flags that make covered nodes source-only. A decomposition keeps its
+//! whole grow state here from the first stage to the last: the cells are
+//! reset once, edited node by node between growths (new centers, source
+//! credits, freezing), and exported to a [`GrowState`] once at the end.
+//! Callers holding a `GrowState` of their own load it in and store it back
+//! around a growth instead.
 
 use rayon::prelude::*;
 
 use cldiam_graph::atomic::SeqMinCells;
 use cldiam_graph::{Dist, NodeId};
 
-use crate::state::GrowState;
+use crate::state::{GrowState, EFF_INFINITY, NO_CENTER};
 
 /// Result of [`AtomicGrowCells::propose`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +73,8 @@ pub struct AtomicGrowCells {
 }
 
 impl AtomicGrowCells {
-    /// Empty cell block; sized lazily by [`AtomicGrowCells::load_from`].
+    /// Empty cell block; sized when a state is reset or loaded in
+    /// ([`AtomicGrowCells::load_from`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -84,9 +89,20 @@ impl AtomicGrowCells {
         self.cells.is_empty()
     }
 
+    /// Resets the cells to an untouched, unfrozen state of `n` nodes — the
+    /// in-place equivalent of loading `GrowState::new(n)`.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.cells.resize(n);
+        self.frozen.clear();
+        self.frozen.resize(n, false);
+        let cells = &self.cells;
+        (0..n).into_par_iter().with_min_len(2048).for_each(|u| {
+            cells.set(u, EFF_INFINITY, NO_CENTER, 0, Dist::MAX);
+        });
+    }
+
     /// Loads a [`GrowState`] into the cells, resetting every sequence word and
-    /// marking every value as settled. Called once per `PartialGrowth`, not
-    /// per wave.
+    /// marking every value as settled.
     pub fn load_from(&mut self, state: &GrowState) {
         let n = state.len();
         self.cells.resize(n);
@@ -129,6 +145,46 @@ impl AtomicGrowCells {
         });
     }
 
+    /// The cells and frozen flags as a fresh [`GrowState`] (no wave in
+    /// flight).
+    pub(crate) fn export(&self) -> GrowState {
+        let n = self.len();
+        let mut state = GrowState {
+            center: vec![0; n],
+            eff: vec![0; n],
+            true_dist: vec![0; n],
+            frozen: self.frozen.clone(),
+        };
+        self.store_into(&mut state);
+        state
+    }
+
+    /// Quiescent write of node `v`'s `(eff, center, true_dist)`, settled (no
+    /// wave in flight): a new center, or a covered node's source credit.
+    #[inline]
+    pub(crate) fn set(&self, v: usize, eff: i64, center: NodeId, true_d: Dist) {
+        self.cells.set(v, eff, center, 0, true_d);
+    }
+
+    /// `true` if node `v` has been reached by some cluster (no wave in
+    /// flight).
+    #[inline]
+    pub(crate) fn is_reached(&self, v: usize) -> bool {
+        self.cells.read_key2(v) != NO_CENTER
+    }
+
+    /// Quiescent read of node `v`'s effective distance alone.
+    #[inline]
+    pub(crate) fn eff(&self, v: usize) -> i64 {
+        self.cells.read_key1(v)
+    }
+
+    /// Freezes node `v`: from now on it is a source only, never a target.
+    #[inline]
+    pub(crate) fn freeze(&mut self, v: usize) {
+        self.frozen[v] = true;
+    }
+
     /// Quiescent read of `(eff, center, true_dist)` for node `v` (no wave in
     /// flight). Used to snapshot the frontier's pre-wave state.
     #[inline]
@@ -136,7 +192,7 @@ impl AtomicGrowCells {
         self.cells.read(v)
     }
 
-    /// `true` if `v` was frozen when the cells were loaded.
+    /// `true` if `v` is frozen.
     #[inline]
     pub fn is_frozen(&self, v: usize) -> bool {
         self.frozen[v]
@@ -171,9 +227,7 @@ impl AtomicGrowCells {
     ) -> Proposed {
         match self.cells.propose(v, eff, center, src_plus, true_d) {
             None => Proposed::Rejected,
-            Some(prev_center) => {
-                Proposed::Improved { newly_reached: prev_center == crate::state::NO_CENTER }
-            }
+            Some(prev_center) => Proposed::Improved { newly_reached: prev_center == NO_CENTER },
         }
     }
 }
@@ -181,7 +235,6 @@ impl AtomicGrowCells {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{GrowState, EFF_INFINITY, NO_CENTER};
 
     fn cells_for(n: usize) -> AtomicGrowCells {
         let state = GrowState::new(n);
@@ -202,12 +255,31 @@ mod tests {
         cells.load_from(&state);
         assert!(cells.is_frozen(0));
         assert!(!cells.is_frozen(2));
-        let mut out = GrowState::new(3);
-        out.frozen.copy_from_slice(&state.frozen);
-        cells.store_into(&mut out);
+        let out = cells.export();
         assert_eq!(out.eff, state.eff);
         assert_eq!(out.center, state.center);
         assert_eq!(out.true_dist, state.true_dist);
+        assert_eq!(out.frozen, state.frozen);
+    }
+
+    #[test]
+    fn reset_set_and_freeze_edit_the_resident_state() {
+        let mut cells = cells_for(2);
+        cells.propose(1, 5, 0, 1, 5);
+        cells.reset(3);
+        let untouched = GrowState::new(3);
+        let out = cells.export();
+        assert_eq!(
+            (out.eff, out.center, out.true_dist),
+            (untouched.eff, untouched.center, untouched.true_dist)
+        );
+        assert_eq!(out.frozen, untouched.frozen);
+        cells.set(2, 0, 2, 0);
+        assert!(cells.is_reached(2) && !cells.is_reached(1));
+        // A quiescent write is settled: an equal key from any source loses.
+        assert_eq!(cells.propose(2, 0, 2, 1, 0), Proposed::Rejected);
+        cells.freeze(2);
+        assert!(cells.is_frozen(2) && !cells.is_frozen(1));
     }
 
     #[test]

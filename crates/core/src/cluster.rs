@@ -23,7 +23,7 @@ use cldiam_graph::{CancelToken, Dist, NeighborSource, NodeId};
 
 use crate::clustering::Clustering;
 use crate::config::ClusterConfig;
-use crate::growing::{partial_growth_cancel, GrowScratch};
+use crate::growing::GrowScratch;
 use crate::state::GrowState;
 
 /// The paper's constant `γ = 4 ln 2` used in the center-selection probability.
@@ -58,8 +58,9 @@ pub fn cluster_cancel<G: NeighborSource>(
 
 /// Internal driver shared with `CLUSTER2`: runs the staged decomposition and
 /// returns the raw grow-state plus bookkeeping. The caller provides the
-/// growing scratch, so every stage and every wave of the decomposition reuses
-/// the same frontier buffers and atomic cells.
+/// growing scratch, which holds the grow state from the first stage to the
+/// last, so every stage and every wave of the decomposition reuses the same
+/// atomic cells and frontier buffers.
 pub(crate) fn cluster_state<G: NeighborSource>(
     graph: &G,
     config: &ClusterConfig,
@@ -69,7 +70,7 @@ pub(crate) fn cluster_state<G: NeighborSource>(
 ) -> ClusterRun {
     let n = graph.num_nodes();
     let mut run = ClusterRun {
-        state: GrowState::new(n),
+        state: GrowState::new(0),
         delta: config.initial_delta.resolve(graph),
         growing_steps: 0,
         stages: 0,
@@ -83,6 +84,7 @@ pub(crate) fn cluster_state<G: NeighborSource>(
     // every node reachable from a source has been reached.
     let delta_cap: Dist = graph.total_weight().saturating_mul(2).max(2);
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(config.seed);
+    scratch.start(n);
 
     loop {
         // Stage boundary: a cancelled run keeps the stages already frozen
@@ -91,7 +93,7 @@ pub(crate) fn cluster_state<G: NeighborSource>(
         if cancel.checkpoint() {
             break;
         }
-        let uncovered = run.state.uncovered_nodes();
+        let uncovered = scratch.uncovered();
         if uncovered.is_empty() || uncovered.len() < stop_threshold {
             break;
         }
@@ -107,37 +109,30 @@ pub(crate) fn cluster_state<G: NeighborSource>(
             // vanishingly unlikely; force one center to guarantee progress.
             new_centers.push(uncovered[rng.gen_range(0..uncovered.len())]);
         }
+        let num_uncovered = uncovered.len();
 
-        // Stage initialization (the pseudocode's re-initialization of the
-        // states): previously covered nodes act as distance-0 sources for
-        // their clusters — the logical form of Contract — and new centers
-        // start their own clusters.
-        run.state.reset_unfrozen();
-        for u in 0..n as NodeId {
-            if run.state.frozen[u as usize] {
-                run.state.set_source(u, 0);
-            }
-        }
+        // Stage initialization: previously covered nodes act as distance-0
+        // sources for their clusters — the logical form of Contract — and
+        // new centers start their own clusters.
+        scratch.credit_sources(|_, _| 0);
         for &c in &new_centers {
-            run.state.set_center(c);
+            scratch.set_center(c);
         }
         // One round for selection + state initialization.
         tracker.add_round();
-        tracker.add_messages(uncovered.len() as u64);
+        tracker.add_messages(num_uncovered as u64);
 
         // Inner loop: grow until at least half of the uncovered nodes are
         // within distance Δ, doubling Δ whenever the goal cannot be met.
-        let target = uncovered.len().div_ceil(2);
+        let target = num_uncovered.div_ceil(2);
         loop {
-            let outcome = partial_growth_cancel(
+            let outcome = scratch.partial_growth(
                 graph,
                 run.delta,
                 run.delta,
-                &mut run.state,
                 Some(target),
                 config.max_growing_steps_per_phase,
                 Some(tracker),
-                scratch,
                 cancel,
             );
             run.growing_steps += outcome.steps;
@@ -159,15 +154,12 @@ pub(crate) fn cluster_state<G: NeighborSource>(
         }
 
         // End of stage: assign reached nodes to their clusters (Contract).
-        run.state.freeze_reached();
+        scratch.freeze_reached();
         tracker.add_round();
     }
 
     // Remaining uncovered nodes become singleton clusters.
-    for u in run.state.uncovered_nodes() {
-        run.state.set_center(u);
-    }
-    run.state.freeze_reached();
+    run.state = scratch.finish();
     tracker.add_round();
     run
 }
@@ -187,15 +179,13 @@ pub(crate) fn finalize<G: NeighborSource>(
     tracker: &CostTracker,
 ) -> Clustering {
     let n = graph.num_nodes();
-    let mut centers: Vec<NodeId> =
+    let centers: Vec<NodeId> =
         (0..n as NodeId).filter(|&u| run.state.center[u as usize] == u).collect();
-    centers.sort_unstable();
-    let assignment = run.state.center.clone();
     let dist: Vec<Dist> =
         run.state.true_dist.iter().map(|&d| if d == Dist::MAX { 0 } else { d }).collect();
     let radius = dist.iter().copied().max().unwrap_or(0);
     Clustering {
-        assignment,
+        assignment: run.state.center,
         dist,
         centers,
         radius,

@@ -33,7 +33,7 @@ use cldiam_graph::{CancelToken, Dist, NeighborSource, NodeId};
 use crate::cluster::{cluster_state, finalize, ClusterRun};
 use crate::clustering::Clustering;
 use crate::config::ClusterConfig;
-use crate::growing::{partial_growth2_cancel, GrowScratch};
+use crate::growing::GrowScratch;
 use crate::state::GrowState;
 
 /// Runs `CLUSTER2(G, τ)` and returns the resulting clustering.
@@ -79,10 +79,11 @@ pub fn cluster2_cancel<G: NeighborSource>(
     tracker.add_messages(preliminary.metrics.messages);
     tracker.add_node_updates(preliminary.metrics.node_updates);
 
-    // Step 2: log n iterations with doubling selection probability.
+    // Step 2: log n iterations with doubling selection probability, on a
+    // fresh resident state.
     let iterations = (n.max(2) as f64).log2().ceil() as u32;
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(config.seed.wrapping_add(0x5EED));
-    let mut state = GrowState::new(n);
+    scratch.start(n);
     // Creation iteration of each center, indexed by center node id.
     let mut creation_iter: Vec<u32> = vec![0; n];
     let mut growing_steps = 0u64;
@@ -93,7 +94,7 @@ pub fn cluster2_cancel<G: NeighborSource>(
         if cancel.checkpoint() {
             break;
         }
-        let uncovered = state.uncovered_nodes();
+        let uncovered = scratch.uncovered();
         if uncovered.is_empty() {
             break;
         }
@@ -103,51 +104,43 @@ pub fn cluster2_cancel<G: NeighborSource>(
         if i == iterations && new_centers.len() < uncovered.len() {
             // The last iteration selects every uncovered node (p ≥ 1); keep
             // that guarantee explicit even under floating-point rounding.
-            new_centers = uncovered.clone();
+            new_centers = uncovered.to_vec();
         }
+        let num_uncovered = uncovered.len();
 
-        state.reset_unfrozen();
         // Covered nodes become growth sources with their rescaled credit.
-        for u in 0..n {
-            if state.frozen[u] {
-                let center = state.center[u];
-                let elapsed = Dist::from(i - 1 - creation_iter[center as usize]);
-                let credit = state.true_dist[u] as i64 - (threshold.saturating_mul(elapsed)) as i64;
-                state.set_source(u as NodeId, credit);
-            }
-        }
+        scratch.credit_sources(|center, true_dist| {
+            let elapsed = Dist::from(i - 1 - creation_iter[center as usize]);
+            true_dist as i64 - (threshold.saturating_mul(elapsed)) as i64
+        });
         for &c in &new_centers {
-            state.set_center(c);
+            scratch.set_center(c);
             creation_iter[c as usize] = i - 1;
         }
         tracker.add_round();
-        tracker.add_messages(uncovered.len() as u64);
+        tracker.add_messages(num_uncovered as u64);
 
         // PartialGrowth2: grow until no state is updated.
-        let outcome = partial_growth2_cancel(
+        let outcome = scratch.partial_growth(
             graph,
             threshold,
             threshold,
-            &mut state,
+            None,
             config.max_growing_steps_per_phase,
             Some(&tracker),
-            &mut scratch,
             cancel,
         );
         growing_steps += outcome.steps;
 
         // Contract2 (logical): freeze everything reached in this iteration.
-        state.freeze_reached();
+        scratch.freeze_reached();
         tracker.add_round();
     }
 
     // Any node still uncovered (unreachable from every center within the
     // light-edge constraint, e.g. separated by edges heavier than 2·R_CL)
     // becomes a singleton cluster.
-    for u in state.uncovered_nodes() {
-        state.set_center(u);
-    }
-    state.freeze_reached();
+    let state = scratch.finish();
 
     let run = ClusterRun {
         state,

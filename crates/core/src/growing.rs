@@ -1,4 +1,4 @@
-//! The Δ-growing step and the `PartialGrowth` procedures (Section 3).
+//! The Δ-growing step and the `PartialGrowth` procedure (Section 3).
 //!
 //! A Δ-growing step performs, in parallel, one wave of Bellman-Ford-style
 //! relaxations restricted to *light* edges and to tentative distances that
@@ -11,22 +11,38 @@
 //!
 //! `PartialGrowth` repeats Δ-growing steps until no state changes or until a
 //! caller-provided coverage goal is reached (half of the uncovered nodes for
-//! `CLUSTER`); [`partial_growth2`] is the same procedure without the coverage
-//! goal, as used by `CLUSTER2`. The optional step cap implements the `O(n/τ)`
-//! limit of §4.1.
+//! `CLUSTER`; `CLUSTER2`'s `PartialGrowth2` is the same procedure without the
+//! goal). The optional step cap implements the `O(n/τ)` limit of §4.1.
 //!
-//! # The in-place hot path
+//! # The resident hot path
 //!
-//! Earlier revisions materialized every wave as a `Vec` of proposal tuples
-//! (the MapReduce shuffle, executed literally in shared memory) and applied
-//! it in a second pass. The fast path now relaxes edges *in place*: each
-//! admissible relaxation is CAS-applied against the target's cell in
-//! [`AtomicGrowCells`], which converges to the same deterministic winner the
-//! literal MR reducer picks (see `atomic_state.rs` for the protocol), and a
-//! reusable [`GrowScratch`] carries the frontier double-buffer, the pre-wave
-//! frontier snapshot and the touched-bitmap across waves. A full
-//! decomposition therefore performs O(1) amortized heap allocations per wave
-//! instead of O(frontier + proposals).
+//! Every admissible relaxation is CAS-applied in place against the target's
+//! cell in [`AtomicGrowCells`], which converges to the same deterministic
+//! winner the literal MR reducer picks (see `atomic_state.rs` for the
+//! protocol). A decomposition keeps its whole grow state in the cells of one
+//! [`GrowScratch`] from its first stage to its last: the cells are reset
+//! once and exported to a [`GrowState`] once. In between, the stage
+//! bookkeeping runs over two sorted lists instead of scanning all `n` nodes:
+//! the uncovered nodes, where new centers are drawn and where the nodes first
+//! reached in a stage are found and frozen, and the *live sources*, the
+//! covered nodes that still act as growth sources.
+//!
+//! This is the paper's `Contract`, done lazily. A covered node stays a
+//! source, but a frozen source leaves the live list the first time a wave
+//! scans it and finds no unfrozen neighbour: every arc of such a node hits a
+//! frozen target, which a wave skips before charging a message, and frozen
+//! nodes never thaw. A stage therefore pays for the uncovered nodes and the
+//! cluster-boundary edges only, while its rounds, messages, node updates,
+//! growing steps and cancel checkpoints stay exactly those of the unpruned
+//! growth.
+//!
+//! A wave collects its updated nodes and interior sources in per-chunk
+//! buffers ([`ChunkBuffers`]) instead of through one shared cursor. The
+//! scratch reuses them, together with the frontier double-buffer, the
+//! pre-wave snapshot and the touched bitmap, so a decomposition performs
+//! O(1) amortized heap allocations per wave. [`partial_growth`] and
+//! [`delta_growing_step`] run the same wave over a caller's [`GrowState`],
+//! which they load into the cells and store back around the growth.
 //!
 //! The cost model is charged exactly as before — one round per wave, one
 //! message per relaxation proposal, one node update per node whose state
@@ -36,11 +52,12 @@
 //! ([`delta_growing_step_materialized`]) and the literal MR execution
 //! (`mr_impl`) to identical states *and* identical counters.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cldiam_mr::CostTracker;
 use rayon::prelude::*;
 
+use cldiam_graph::atomic::ChunkBuffers;
 use cldiam_graph::{CancelToken, Dist, NeighborSource, NodeId};
 
 use crate::atomic_state::{AtomicGrowCells, Proposed};
@@ -69,38 +86,42 @@ pub struct GrowthOutcome {
     pub reached_unfrozen: usize,
 }
 
-/// Per-wave tallies reduced over the frontier scan.
-#[derive(Clone, Copy, Debug, Default)]
-struct WaveTally {
+/// Minimum frontier nodes per chunk of a wave: waves are numerous and often
+/// tiny, and below this many nodes per chunk splitting costs more than it
+/// buys.
+const PAR_MIN_FRONTIER: usize = 32;
+
+/// Minimum list entries per chunk of a bookkeeping scan.
+const PAR_MIN_LIST: usize = 4096;
+
+/// What one chunk of a wave collects, in a buffer reused across waves.
+#[derive(Debug, Default)]
+struct WaveChunk {
+    /// Nodes this chunk was the first in the wave to improve.
+    updated: Vec<NodeId>,
+    /// Frozen sources this chunk scanned without finding an unfrozen
+    /// neighbour.
+    interior: Vec<NodeId>,
     proposals: u64,
     newly_reached: u64,
 }
 
-impl WaveTally {
-    fn merge(a: WaveTally, b: WaveTally) -> WaveTally {
-        WaveTally {
-            proposals: a.proposals + b.proposals,
-            newly_reached: a.newly_reached + b.newly_reached,
-        }
-    }
-}
-
-/// Reusable buffers for the in-place Δ-growing hot path.
+/// Reusable state of the in-place Δ-growing hot path.
 ///
 /// One `GrowScratch` serves an entire decomposition: `CLUSTER` / `CLUSTER2`
-/// allocate it once and thread it through every `PartialGrowth` invocation,
-/// so waves reuse the frontier double-buffer, the pre-wave snapshot, the
-/// touched-bitmap and the atomic cells instead of allocating per wave.
+/// allocate it once and keep the grow state resident in its atomic cells
+/// from the first stage until the final export, so every growth and every
+/// wave reuses the same cells, frontier buffers and per-chunk buffers.
 #[derive(Debug, Default)]
 pub struct GrowScratch {
-    /// The atomic mirror of the grow state, loaded once per growth.
+    /// The grow state, in atomic cells.
     cells: AtomicGrowCells,
     /// Per-node "already collected into the next frontier this wave" marks.
     touched: Vec<AtomicBool>,
-    /// Collection buffer for the next frontier (filled through `slot_len`).
-    slots: Vec<AtomicU32>,
-    /// Number of valid entries in `slots` for the current wave.
-    slot_len: AtomicUsize,
+    /// Per-chunk wave outputs.
+    chunks: ChunkBuffers<WaveChunk>,
+    /// Per-chunk outputs of the frontier-seeding scans.
+    picks: ChunkBuffers<Vec<NodeId>>,
     /// Current wave's frontier (always sorted ascending between waves).
     frontier: Vec<NodeId>,
     /// Updated nodes of the last executed wave (sorted ascending).
@@ -109,6 +130,16 @@ pub struct GrowScratch {
     /// every proposal of a wave reads the state the wave started from even
     /// while targets are being updated concurrently.
     snap: Vec<(i64, NodeId, Dist)>,
+    /// Interior sources found by the current growth's waves, ascending.
+    interior: Vec<NodeId>,
+    /// Nodes not covered by a finished stage, ascending.
+    uncovered: Vec<NodeId>,
+    /// Covered nodes not yet found interior, ascending.
+    live: Vec<NodeId>,
+    /// Unfrozen nodes reached so far in the current stage.
+    reached: usize,
+    /// Whether any source has left the live list in this decomposition.
+    pruned: bool,
 }
 
 impl GrowScratch {
@@ -127,12 +158,191 @@ impl GrowScratch {
     fn ensure(&mut self, n: usize) {
         if self.touched.len() != n {
             self.touched = (0..n).map(|_| AtomicBool::new(false)).collect();
-            self.slots = (0..n).map(|_| AtomicU32::new(0)).collect();
         }
     }
 
+    /// Starts a decomposition of an `n`-node graph: every node untouched and
+    /// uncovered, and no sources.
+    pub(crate) fn start(&mut self, n: usize) {
+        self.ensure(n);
+        self.cells.reset(n);
+        self.uncovered.clear();
+        self.uncovered.extend(0..n as NodeId);
+        self.live.clear();
+        self.reached = 0;
+        self.pruned = false;
+    }
+
+    /// The nodes no finished stage has covered, ascending.
+    pub(crate) fn uncovered(&self) -> &[NodeId] {
+        &self.uncovered
+    }
+
+    /// Makes the unreached node `u` a cluster center: its own center at
+    /// distance zero.
+    pub(crate) fn set_center(&mut self, u: NodeId) {
+        debug_assert!(!self.cells.is_reached(u as usize), "centers must be unreached");
+        self.cells.set(u as usize, 0, u, 0);
+        self.reached += 1;
+    }
+
+    /// Gives every live source its effective credit for the coming stage,
+    /// `credit(center, true_dist)`, keeping its assignment and true distance
+    /// (0 in `CLUSTER`; possibly negative in `CLUSTER2`).
+    pub(crate) fn credit_sources(&self, credit: impl Fn(NodeId, Dist) -> i64) {
+        for &u in &self.live {
+            let (_, center, true_dist) = self.cells.read(u as usize);
+            self.cells.set(u as usize, credit(center, true_dist), center, true_dist);
+        }
+    }
+
+    /// `PartialGrowth` over the resident state: [`partial_growth`]'s contract,
+    /// with the stage's sources and reached nodes as the initial frontier.
+    #[allow(clippy::too_many_arguments)] // mirrors partial_growth_cancel
+    pub(crate) fn partial_growth<G: NeighborSource>(
+        &mut self,
+        graph: &G,
+        threshold: Dist,
+        light_limit: Dist,
+        stop_at_reached: Option<usize>,
+        max_steps: Option<usize>,
+        tracker: Option<&CostTracker>,
+        cancel: &CancelToken,
+    ) -> GrowthOutcome {
+        let idle = GrowthOutcome { reached_unfrozen: self.reached, ..GrowthOutcome::default() };
+        if stop_at_reached.is_some_and(|target| self.reached >= target) {
+            return idle;
+        }
+        // Initial frontier: the live sources and this stage's reached nodes
+        // below the threshold. Both lists are ascending and disjoint, so the
+        // stable sort is one linear merge of two runs.
+        let cells = &self.cells;
+        let active = |u: NodeId| {
+            cells.is_reached(u as usize) && eff_below_threshold(cells.eff(u as usize), threshold)
+        };
+        self.frontier.clear();
+        for list in [&self.live, &self.uncovered] {
+            let picked = self.picks.scan(list.len(), PAR_MIN_LIST, |range, out| {
+                out.extend(list[range].iter().copied().filter(|&u| active(u)));
+            });
+            for out in picked {
+                self.frontier.append(out);
+            }
+        }
+        self.frontier.sort();
+        // A pruned source was below the threshold when a wave found it
+        // interior and stays so (credits only fall, Δ only grows), so the
+        // unpruned frontier is empty only if nothing was ever pruned: an
+        // empty pruned frontier still runs its (empty) wave.
+        if self.frontier.is_empty() && !self.pruned {
+            return idle;
+        }
+        let outcome = self.grow(
+            graph,
+            threshold,
+            light_limit,
+            self.reached,
+            stop_at_reached,
+            max_steps,
+            tracker,
+            cancel,
+        );
+        self.reached = outcome.reached_unfrozen;
+        if !self.interior.is_empty() {
+            self.pruned = true;
+            let interior = &self.interior;
+            debug_assert!(interior.windows(2).all(|pair| pair[0] < pair[1]));
+            let mut k = 0;
+            self.live.retain(|&u| {
+                while k < interior.len() && interior[k] < u {
+                    k += 1;
+                }
+                k == interior.len() || interior[k] != u
+            });
+            self.interior.clear();
+        }
+        outcome
+    }
+
+    /// End of a stage (`Contract`): freezes every node the stage reached and
+    /// turns it into a live source for the following stages.
+    pub(crate) fn freeze_reached(&mut self) {
+        let (cells, reached) = (&self.cells, &mut self.next);
+        reached.clear();
+        self.uncovered.retain(|&u| {
+            let hit = cells.is_reached(u as usize);
+            if hit {
+                reached.push(u);
+            }
+            !hit
+        });
+        for &u in &self.next {
+            self.cells.freeze(u as usize);
+        }
+        self.live.extend_from_slice(&self.next);
+        self.live.sort();
+        self.reached = 0;
+    }
+
+    /// Ends the decomposition: every still-uncovered node becomes a
+    /// singleton cluster, and the resident state is exported.
+    pub(crate) fn finish(&mut self) -> GrowState {
+        for &u in &self.uncovered {
+            self.cells.set(u as usize, 0, u, 0);
+        }
+        self.freeze_reached();
+        self.cells.export()
+    }
+
+    /// Repeats waves from `self.frontier` — the `PartialGrowth` loop shared
+    /// by every entry point. `reached` is the unfrozen reached count the
+    /// growth starts from.
+    #[allow(clippy::too_many_arguments)] // mirrors partial_growth_cancel
+    fn grow<G: NeighborSource>(
+        &mut self,
+        graph: &G,
+        threshold: Dist,
+        light_limit: Dist,
+        mut reached: usize,
+        stop_at_reached: Option<usize>,
+        max_steps: Option<usize>,
+        tracker: Option<&CostTracker>,
+        cancel: &CancelToken,
+    ) -> GrowthOutcome {
+        let mut outcome = GrowthOutcome::default();
+        loop {
+            if max_steps.is_some_and(|cap| outcome.steps as usize >= cap) {
+                break;
+            }
+            // Wave boundary: every relaxation of the previous wave is committed.
+            if cancel.checkpoint() {
+                break;
+            }
+            let (stats, newly_reached) = self.wave(graph, threshold, light_limit);
+            outcome.steps += 1;
+            outcome.proposals += stats.proposals;
+            outcome.updates += stats.updates;
+            reached += newly_reached as usize;
+            if let Some(t) = tracker {
+                t.add_round();
+                t.add_messages(stats.proposals);
+                t.add_node_updates(stats.updates);
+            }
+            if self.next.is_empty() {
+                break;
+            }
+            if stop_at_reached.is_some_and(|target| reached >= target) {
+                break;
+            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
+        }
+        outcome.reached_unfrozen = reached;
+        outcome
+    }
+
     /// Executes one wave from `self.frontier`, leaving the sorted updated
-    /// nodes in `self.next`. Returns the step counters and how many
+    /// nodes in `self.next` and appending the interior sources it found to
+    /// `self.interior`. Returns the step counters and how many
     /// previously-unreached nodes were assigned for the first time.
     fn wave<G: NeighborSource>(
         &mut self,
@@ -147,61 +357,68 @@ impl GrowScratch {
         snap.clear();
         snap.extend(frontier.iter().map(|&u| cells.read(u as usize)));
 
-        let touched = &self.touched;
-        let slots = &self.slots;
-        let slot_len = &self.slot_len;
-        let snap = &self.snap;
-
-        let tally = (0..frontier.len())
-            .into_par_iter()
-            .with_min_len(32)
-            .map(|i| {
-                let mut tally = WaveTally::default();
+        let (snap, touched) = (&self.snap, &self.touched);
+        let chunks = self.chunks.scan(frontier.len(), PAR_MIN_FRONTIER, |range, out| {
+            for i in range {
                 let (eff_u, center_u, true_u) = snap[i];
                 if !eff_below_threshold(eff_u, threshold) || center_u == NO_CENTER {
-                    return tally;
+                    continue;
                 }
                 let u = frontier[i];
                 let src_plus = u + 1;
-                for (v, w) in graph.neighbors(u) {
+                let mut open = false;
+                graph.neighbors(u).for_each(|(v, w)| {
+                    if cells.is_frozen(v as usize) {
+                        return;
+                    }
+                    open = true;
                     let wd = Dist::from(w);
-                    if wd > light_limit || cells.is_frozen(v as usize) {
-                        continue;
+                    if wd > light_limit {
+                        return;
                     }
                     let cand = eff_u.saturating_add(wd as i64);
                     if !eff_within_threshold(cand, threshold) {
-                        continue;
+                        return;
                     }
-                    tally.proposals += 1;
+                    out.proposals += 1;
                     let true_v = true_u.saturating_add(wd);
                     if let Proposed::Improved { newly_reached } =
                         cells.propose(v as usize, cand, center_u, src_plus, true_v)
                     {
-                        if newly_reached {
-                            tally.newly_reached += 1;
-                        }
+                        out.newly_reached += u64::from(newly_reached);
                         if !touched[v as usize].swap(true, Ordering::Relaxed) {
-                            let slot = slot_len.fetch_add(1, Ordering::Relaxed);
-                            slots[slot].store(v, Ordering::Relaxed);
+                            out.updated.push(v);
                         }
                     }
+                });
+                // Frozen nodes never thaw: a frozen source with no unfrozen
+                // neighbour will never propose again.
+                if !open && cells.is_frozen(u as usize) {
+                    out.interior.push(u);
                 }
-                tally
-            })
-            .reduce(WaveTally::default, WaveTally::merge);
+            }
+        });
 
         // Collect the wave's updated nodes in ascending order (the canonical
         // frontier order every tie-break above relies on), then reset the
-        // per-wave marks — O(updated), never O(n).
-        let updated = self.slot_len.swap(0, Ordering::Relaxed);
+        // per-wave marks — O(updated), never O(n). Chunks cover ascending
+        // frontier ranges, so the interior sources arrive in order.
+        let mut stats = StepStats::default();
+        let mut newly_reached = 0;
         self.next.clear();
-        self.next.extend(self.slots[..updated].iter().map(|slot| slot.load(Ordering::Relaxed)));
+        for chunk in chunks {
+            stats.proposals += std::mem::take(&mut chunk.proposals);
+            newly_reached += std::mem::take(&mut chunk.newly_reached);
+            self.next.append(&mut chunk.updated);
+            self.interior.append(&mut chunk.interior);
+        }
         self.next.sort_unstable();
         for &v in &self.next {
             self.touched[v as usize].store(false, Ordering::Relaxed);
             self.cells.settle(v as usize);
         }
-        (StepStats { proposals: tally.proposals, updates: updated as u64 }, tally.newly_reached)
+        stats.updates = self.next.len() as u64;
+        (stats, newly_reached)
     }
 }
 
@@ -248,6 +465,7 @@ pub fn delta_growing_step<G: NeighborSource>(
     scratch.frontier.clear();
     scratch.frontier.extend_from_slice(frontier);
     let (stats, _) = scratch.wave(graph, threshold, light_limit);
+    scratch.interior.clear();
     scratch.cells.store_into(state);
     (scratch.next.clone(), stats)
 }
@@ -256,8 +474,8 @@ pub fn delta_growing_step<G: NeighborSource>(
 /// reference: generate every relaxation proposal into a `Vec`, then reduce
 /// per target. This is the literal shared-memory transcription of the MR
 /// round and is bit-for-bit equivalent to [`delta_growing_step`] — the
-/// equivalence proptests and the `growing_hotpath` benchmark compare the two.
-/// Production code must use the in-place fast path.
+/// equivalence proptests compare the two. Production code must use the
+/// in-place fast path.
 pub fn delta_growing_step_materialized<G: NeighborSource>(
     graph: &G,
     threshold: Dist,
@@ -321,7 +539,8 @@ pub fn delta_growing_step_materialized<G: NeighborSource>(
 /// The initial frontier is every node with a finite effective distance below
 /// the threshold (centers and, in `CLUSTER2`, rescaled covered sources). The
 /// state is loaded into `scratch`'s atomic cells once, every wave relaxes in
-/// place, and the result is stored back once at the end.
+/// place, and the result is stored back once at the end. `CLUSTER` and
+/// `CLUSTER2` run the same waves over state kept resident in the scratch.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list plus the threaded scratch
 pub fn partial_growth<G: NeighborSource>(
     graph: &G,
@@ -364,15 +583,13 @@ pub fn partial_growth_cancel<G: NeighborSource>(
     scratch: &mut GrowScratch,
     cancel: &CancelToken,
 ) -> GrowthOutcome {
-    let mut outcome = GrowthOutcome::default();
-
-    // Unfrozen nodes already reached (eff ≤ threshold ⇒ reached); kept
-    // incrementally below — a node's first assignment is a unique event, so
-    // the count stays exact without O(n) recounts between waves.
-    let mut reached = state.count_reached_unfrozen();
-    outcome.reached_unfrozen = reached;
+    // Unfrozen nodes already reached (eff ≤ threshold ⇒ reached); the waves
+    // keep the count incrementally — a node's first assignment is a unique
+    // event, so it stays exact without O(n) recounts between waves.
+    let reached = state.count_reached_unfrozen();
+    let idle = GrowthOutcome { reached_unfrozen: reached, ..GrowthOutcome::default() };
     if stop_at_reached.is_some_and(|target| reached >= target) {
-        return outcome;
+        return idle;
     }
 
     // Initial frontier: every potential source, in ascending node order.
@@ -383,80 +600,22 @@ pub fn partial_growth_cancel<G: NeighborSource>(
             && state.center[u as usize] != NO_CENTER
     }));
     if scratch.frontier.is_empty() {
-        return outcome;
+        return idle;
     }
     scratch.cells.load_from(state);
-
-    loop {
-        if max_steps.is_some_and(|cap| outcome.steps as usize >= cap) {
-            break;
-        }
-        // Wave boundary: every relaxation of the previous wave is committed.
-        if cancel.checkpoint() {
-            break;
-        }
-        let (stats, newly_reached) = scratch.wave(graph, threshold, light_limit);
-        outcome.steps += 1;
-        outcome.proposals += stats.proposals;
-        outcome.updates += stats.updates;
-        reached += newly_reached as usize;
-        if let Some(t) = tracker {
-            t.add_round();
-            t.add_messages(stats.proposals);
-            t.add_node_updates(stats.updates);
-        }
-        if scratch.next.is_empty() {
-            break;
-        }
-        if stop_at_reached.is_some_and(|target| reached >= target) {
-            break;
-        }
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-    }
-    scratch.cells.store_into(state);
-    outcome.reached_unfrozen = reached;
-    outcome
-}
-
-/// `PartialGrowth2`: repeats Δ-growing steps until no state is updated (or a
-/// step cap fires), with no coverage goal — the growth procedure of
-/// `CLUSTER2`.
-pub fn partial_growth2<G: NeighborSource>(
-    graph: &G,
-    threshold: Dist,
-    light_limit: Dist,
-    state: &mut GrowState,
-    max_steps: Option<usize>,
-    tracker: Option<&CostTracker>,
-    scratch: &mut GrowScratch,
-) -> GrowthOutcome {
-    partial_growth(graph, threshold, light_limit, state, None, max_steps, tracker, scratch)
-}
-
-/// [`partial_growth2`] with a cooperative [`CancelToken`] (see
-/// [`partial_growth_cancel`] for the consistency contract).
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list plus scratch and token
-pub fn partial_growth2_cancel<G: NeighborSource>(
-    graph: &G,
-    threshold: Dist,
-    light_limit: Dist,
-    state: &mut GrowState,
-    max_steps: Option<usize>,
-    tracker: Option<&CostTracker>,
-    scratch: &mut GrowScratch,
-    cancel: &CancelToken,
-) -> GrowthOutcome {
-    partial_growth_cancel(
+    let outcome = scratch.grow(
         graph,
         threshold,
         light_limit,
-        state,
-        None,
+        reached,
+        stop_at_reached,
         max_steps,
         tracker,
-        scratch,
         cancel,
-    )
+    );
+    scratch.interior.clear();
+    scratch.cells.store_into(state);
+    outcome
 }
 
 #[cfg(test)]
@@ -652,21 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_growth2_reaches_the_same_fixpoint() {
-        let g = cldiam_gen::mesh(5, cldiam_gen::WeightModel::UniformUnit, 2);
-        let mut a = init_state_with_center(g.num_nodes(), 0);
-        let mut b = init_state_with_center(g.num_nodes(), 0);
-        let mut scratch = GrowScratch::new();
-        let threshold = Dist::MAX;
-        let out_a =
-            partial_growth(&g, threshold, Dist::MAX, &mut a, None, None, None, &mut scratch);
-        let out_b = partial_growth2(&g, threshold, Dist::MAX, &mut b, None, None, &mut scratch);
-        assert_eq!(out_a, out_b);
-        assert_eq!(a.eff, b.eff);
-        assert_eq!(a.center, b.center);
-    }
-
-    #[test]
     fn threshold_past_i64_max_still_grows() {
         // Regression for the signed-Δ overflow: Δ-doubling caps at
         // 2·total_weight, which can exceed i64::MAX on massive heavy graphs.
@@ -705,6 +849,118 @@ mod tests {
             assert_eq!(outcome.reached_unfrozen, n);
             assert_eq!(s.true_dist[n - 1], (n - 1) as Dist);
         }
+    }
+
+    #[test]
+    fn cluster2_iteration_without_centers_or_live_sources_runs_its_empty_wave() {
+        // Component {0, 1, 2} is covered in the first iteration; the isolated
+        // node 3 is never drawn as a center.
+        let g = cldiam_graph::Graph::from_edges(4, &[(0, 1, 1), (1, 2, 1)]);
+        let never = CancelToken::never();
+        let mut scratch = GrowScratch::new();
+        scratch.start(4);
+        scratch.set_center(0);
+        let first = scratch.partial_growth(&g, 10, 10, None, None, None, &never);
+        assert_eq!(first.reached_unfrozen, 3);
+        scratch.freeze_reached();
+        // Second iteration: the first wave scans the three sources and finds
+        // them interior.
+        scratch.credit_sources(|_, _| 0);
+        let second = scratch.partial_growth(&g, 10, 10, None, None, None, &never);
+        assert_eq!((second.steps, second.proposals), (1, 0));
+        assert!(scratch.live.is_empty());
+        scratch.freeze_reached();
+        // Third iteration: no new center and no live source, but the unpruned
+        // frontier (the three covered sources) is not empty, so the growth
+        // still runs one empty wave: one round, one step, one checkpoint.
+        scratch.credit_sources(|_, _| 0);
+        let mut unpruned_state = scratch.cells.export();
+        let runs = [true, false].map(|pruned| {
+            let tracker = CostTracker::new();
+            let token = CancelToken::with_check_limit(3);
+            let outcome = if pruned {
+                scratch.partial_growth(&g, 10, 10, None, None, Some(&tracker), &token)
+            } else {
+                partial_growth_cancel(
+                    &g,
+                    10,
+                    10,
+                    &mut unpruned_state,
+                    None,
+                    None,
+                    Some(&tracker),
+                    &mut GrowScratch::new(),
+                    &token,
+                )
+            };
+            // The budget of three trips on the second checkpoint after the
+            // growth: the growth itself used exactly one.
+            let checks = (token.checkpoint(), token.checkpoint());
+            (outcome, tracker.snapshot().rounds, checks)
+        });
+        let expected = GrowthOutcome { steps: 1, proposals: 0, updates: 0, reached_unfrozen: 0 };
+        assert_eq!(runs[0], (expected, 1, (false, true)));
+        assert_eq!(runs[1], runs[0]);
+    }
+
+    #[test]
+    fn a_source_behind_a_heavy_edge_stays_live_until_delta_grows() {
+        // 0 -1- 1 -8- 2 -9- 3: stage 1 covers {0, 1} from center 0 at Δ = 2.
+        let g = cldiam_graph::Graph::from_edges(4, &[(0, 1, 1), (1, 2, 8), (2, 3, 9)]);
+        let never = CancelToken::never();
+        let mut scratch = GrowScratch::new();
+        scratch.start(4);
+        scratch.set_center(0);
+        scratch.partial_growth(&g, 2, 2, None, None, None, &never);
+        scratch.freeze_reached();
+        // Stage 2 at Δ = 2: source 0 is interior, but source 1 still has an
+        // unfrozen neighbour across its (for now heavy) edge.
+        scratch.credit_sources(|_, _| 0);
+        scratch.set_center(3);
+        let stalled = scratch.partial_growth(&g, 2, 2, Some(2), None, None, &never);
+        assert_eq!((stalled.proposals, stalled.reached_unfrozen), (0, 1));
+        assert_eq!(scratch.live, vec![1]);
+        // Once Δ has doubled past the edge, source 1 claims node 2 for
+        // cluster 0 before center 3 can.
+        let grown = scratch.partial_growth(&g, 8, 8, Some(2), None, None, &never);
+        assert_eq!((grown.proposals, grown.reached_unfrozen), (1, 2));
+        assert_eq!(scratch.cells.read(2), (8, 0, 9));
+    }
+
+    #[test]
+    fn live_sources_keep_an_unfrozen_neighbour_after_each_stage_growth() {
+        // CLUSTER-style stages on a mesh: one center per stage, Δ doubled
+        // until half of the uncovered nodes are reached.
+        let g = cldiam_gen::mesh(12, cldiam_gen::WeightModel::UniformUnit, 5);
+        let n = g.num_nodes();
+        let never = CancelToken::never();
+        let mut scratch = GrowScratch::new();
+        scratch.start(n);
+        let mut delta = Dist::from(cldiam_graph::WEIGHT_SCALE);
+        let mut pruned = 0;
+        for stage in 0..4 {
+            let uncovered = scratch.uncovered().to_vec();
+            let covered = n - uncovered.len();
+            let target = uncovered.len().div_ceil(2);
+            scratch.credit_sources(|_, _| 0);
+            scratch.set_center(uncovered[uncovered.len() / 2]);
+            while scratch
+                .partial_growth(&g, delta, delta, Some(target), None, None, &never)
+                .reached_unfrozen
+                < target
+            {
+                delta *= 2;
+            }
+            for &u in &scratch.live {
+                assert!(
+                    g.neighbors(u).any(|(v, _)| !scratch.cells.is_frozen(v as usize)),
+                    "stage {stage}: live source {u} has only frozen neighbours"
+                );
+            }
+            pruned += covered - scratch.live.len();
+            scratch.freeze_reached();
+        }
+        assert!(pruned > 0, "no interior source was pruned");
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub use clustering::Clustering;
 pub use config::{ClusterConfig, InitialDelta};
 pub use diameter::{approximate_diameter, approximate_diameter_cancel, ClDiam, DiameterEstimate};
 pub use growing::{
-    delta_growing_step, delta_growing_step_materialized, partial_growth, partial_growth2,
-    partial_growth2_cancel, partial_growth_cancel, GrowScratch, GrowthOutcome, StepStats,
+    delta_growing_step, delta_growing_step_materialized, partial_growth, partial_growth_cancel,
+    GrowScratch, GrowthOutcome, StepStats,
 };
 pub use quotient::{quotient_graph, QuotientGraph};
 pub use state::{eff_below_threshold, eff_within_threshold, GrowState, EFF_INFINITY, NO_CENTER};

@@ -22,10 +22,12 @@
 //! (see `contract.rs` for the explicit procedure and the equivalence tests)
 //! while avoiding repeated CSR reconstruction.
 //!
-//! `GrowState` itself is the plain, single-owner view of the state. During a
-//! growth the hot path mirrors it into the per-node atomic cells of
-//! [`crate::atomic_state::AtomicGrowCells`], relaxes edges in place, and
-//! writes the result back — see `growing.rs`.
+//! `GrowState` itself is the plain, single-owner view of the state. `CLUSTER`
+//! and `CLUSTER2` keep their state in the per-node atomic cells of
+//! [`crate::atomic_state::AtomicGrowCells`] for the whole decomposition and
+//! export it to a `GrowState` once at the end; [`crate::growing::partial_growth`]
+//! loads a caller's `GrowState` into those cells and stores it back around a
+//! growth — see `growing.rs`.
 
 use cldiam_graph::{Dist, NodeId};
 
@@ -123,19 +125,6 @@ impl GrowState {
         (0..self.len()).filter(|&u| !self.frozen[u] && self.center[u] != NO_CENTER).count()
     }
 
-    /// Resets the per-stage quantities of every *unfrozen* node, keeping
-    /// frozen assignments intact. Used at the start of each stage/iteration,
-    /// mirroring the pseudocode's re-initialization of `(c_u, d_u)`.
-    pub fn reset_unfrozen(&mut self) {
-        for u in 0..self.len() {
-            if !self.frozen[u] {
-                self.center[u] = NO_CENTER;
-                self.eff[u] = EFF_INFINITY;
-                self.true_dist[u] = Dist::MAX;
-            }
-        }
-    }
-
     /// Freezes every currently-reached, unfrozen node (the end-of-stage
     /// "assign `u` to the cluster centered at `c_u`" step). Returns how many
     /// nodes were frozen.
@@ -154,11 +143,6 @@ impl GrowState {
     pub fn covered(&self) -> usize {
         self.frozen.iter().filter(|&&f| f).count()
     }
-
-    /// Nodes not yet definitively covered.
-    pub fn uncovered_nodes(&self) -> Vec<NodeId> {
-        (0..self.len() as NodeId).filter(|&u| !self.frozen[u as usize]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +156,7 @@ mod tests {
         assert!(!s.is_empty());
         assert!(!s.is_reached(0));
         assert_eq!(s.covered(), 0);
-        assert_eq!(s.uncovered_nodes(), vec![0, 1, 2]);
+        assert_eq!(s.count_reached_unfrozen(), 0);
     }
 
     #[test]
@@ -186,21 +170,21 @@ mod tests {
     }
 
     #[test]
-    fn freeze_and_reset_cycle() {
+    fn freeze_reached_freezes_only_reached_nodes() {
         let mut s = GrowState::new(4);
         s.set_center(0);
         s.center[1] = 0;
         s.eff[1] = 5;
         s.true_dist[1] = 5;
+        assert_eq!(s.count_reached_unfrozen(), 2);
         assert_eq!(s.freeze_reached(), 2);
         assert_eq!(s.covered(), 2);
-        // Reset clears only nodes 2 and 3 (unfrozen).
-        s.center[2] = 0;
-        s.reset_unfrozen();
-        assert_eq!(s.center[0], 0);
-        assert_eq!(s.center[1], 0);
-        assert_eq!(s.center[2], NO_CENTER);
-        assert_eq!(s.uncovered_nodes(), vec![2, 3]);
+        assert_eq!(s.frozen, vec![true, true, false, false]);
+        assert_eq!(s.count_reached_unfrozen(), 0);
+        // A second freeze only picks up nodes reached since the first.
+        s.set_center(3);
+        assert_eq!(s.freeze_reached(), 1);
+        assert_eq!(s.frozen, vec![true, true, false, true]);
     }
 
     #[test]

@@ -36,6 +36,10 @@
 //! a cell's value never increases over its lifetime, so any relaxed load
 //! upper-bounds the final value — a proposal already above it can never win
 //! and is dismissed with a single load.
+//!
+//! Both engines also collect, wave by wave, the nodes a parallel scan
+//! improved; [`ChunkBuffers`] gives every chunk of the scan its own reused
+//! output buffer, so the collection needs no shared cursor.
 
 // Behind the `model-check` feature the atomics (and the spin hint) route
 // through the cldiam-modelcheck shims, so the very code below — not a
@@ -52,7 +56,64 @@ use cldiam_modelcheck::hint::spin_loop;
 #[cfg(feature = "model-check")]
 use cldiam_modelcheck::sync::atomic::{fence, AtomicI64, AtomicU32, AtomicU64, Ordering};
 
+use std::ops::Range;
+
+use rayon::prelude::*;
+
 use crate::weight::{Dist, INFINITY};
+
+/// Chunks per pool thread of a [`ChunkBuffers::scan`] — the same
+/// granularity the executor gives any other parallel loop.
+const CHUNKS_PER_THREAD: usize = 4;
+
+/// Reusable per-chunk output buffers for a parallel scan over `0..len`.
+///
+/// A scan is cut into contiguous chunks, in order, and each chunk fills its
+/// own buffer, so collecting the scan's output needs no shared cursor (one
+/// contended `fetch_add` per collected item). A chunk moves its buffer into
+/// a local for the duration of the scan and writes it back once, so no two
+/// threads write to the same cache line while scanning. The buffers, with
+/// their capacity, are reused by the next scan: once they have grown to the
+/// work's size, a scan allocates nothing.
+#[derive(Debug, Default)]
+pub struct ChunkBuffers<T> {
+    bufs: Vec<T>,
+}
+
+impl<T: Default + Send> ChunkBuffers<T> {
+    /// No buffers yet; they are created by the first scan that needs them.
+    pub fn new() -> Self {
+        ChunkBuffers { bufs: Vec::new() }
+    }
+
+    /// Cuts `0..len` into contiguous chunks of at least `min_len` positions
+    /// (a single chunk on a one-thread pool), runs `scan(range, buffer)` for
+    /// every chunk in parallel, and returns the chunks' buffers in chunk
+    /// order. A buffer comes in as the previous caller left it, so drain it
+    /// (`Vec::append`, `std::mem::take`) to keep its capacity and start the
+    /// next scan empty.
+    pub fn scan<F>(&mut self, len: usize, min_len: usize, scan: F) -> &mut [T]
+    where
+        F: Fn(Range<usize>, &mut T) + Sync + Send,
+    {
+        let threads = rayon::current_num_threads();
+        let chunks = if threads <= 1 {
+            1
+        } else {
+            (threads * CHUNKS_PER_THREAD).min(len / min_len.max(1)).max(1)
+        };
+        if self.bufs.len() < chunks {
+            self.bufs.resize_with(chunks, T::default);
+        }
+        let bufs = &mut self.bufs[..chunks];
+        bufs.par_iter_mut().enumerate().for_each(|(chunk, buf)| {
+            let mut local = std::mem::take(buf);
+            scan(len * chunk / chunks..len * (chunk + 1) / chunks, &mut local);
+            *buf = local;
+        });
+        bufs
+    }
+}
 
 /// Per-node atomic tentative distances supporting concurrent fetch-min
 /// relaxation. The cell block is grown lazily and never shrunk, so a single
@@ -356,6 +417,25 @@ mod tests {
             }
         });
         assert_eq!(cells.load(0), 1);
+    }
+
+    #[test]
+    fn chunk_buffers_cover_the_range_in_chunk_order() {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("thread pool");
+        let mut bufs: ChunkBuffers<Vec<usize>> = ChunkBuffers::new();
+        for len in [0usize, 1, 7, 300, 64] {
+            let mut seen = Vec::new();
+            pool.install(|| {
+                for buf in bufs.scan(len, 8, |range, buf| buf.extend(range)) {
+                    seen.append(buf);
+                }
+            });
+            assert_eq!(seen, (0..len).collect::<Vec<_>>(), "len {len}");
+        }
+        // The 300-long scan used every chunk; the drained buffers keep their
+        // capacity for the next scan.
+        assert_eq!(bufs.bufs.len(), 16);
+        assert!(bufs.bufs.iter().all(|buf| buf.is_empty() && buf.capacity() > 0));
     }
 
     #[test]

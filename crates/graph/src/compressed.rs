@@ -39,8 +39,9 @@ use crate::Graph;
 ///
 /// `neighbors(u)` pays `u % GROUP` length-prefix skips, so the group size
 /// trades base-array bytes (4 / `GROUP` per node) against random-access
-/// decode latency; 8 keeps Δ-stepping on compressed R-MAT within 1.5x of the
-/// dense tier (see the `compressed_traversal` bench) at 0.5 B/node of bases.
+/// decode latency; 8 costs 0.5 B/node of bases. The benchmark's
+/// `graph.decode_tax` metric (compressed ÷ dense time) measures what the
+/// remaining skips cost.
 pub(crate) const GROUP: usize = 8;
 
 /// Maximum palette size (one-byte indices).

@@ -37,8 +37,9 @@
 //! nodes, the bucket structure, and every counter below — is a pure function
 //! of the pre-phase state: the output is bit-identical at any thread count
 //! and matches the sequential reference. The per-phase improved set is
-//! collected through a touched-bitmap exactly like the Δ-growing scratch and
-//! re-bucketed sequentially in ascending node order.
+//! collected through a touched-bitmap into per-chunk buffers
+//! ([`cldiam_graph::atomic::ChunkBuffers`]) exactly like the Δ-growing
+//! scratch, and re-bucketed sequentially in ascending node order.
 //!
 //! In the MapReduce cost model adopted by the paper, each light-relaxation
 //! sub-phase and each heavy-relaxation phase is one round; the messages are
@@ -54,11 +55,12 @@
 //! bit-identical between the two by the property tests.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cldiam_mr::CostTracker;
 use rayon::prelude::*;
 
+use cldiam_graph::atomic::ChunkBuffers;
 use cldiam_graph::{CancelToken, Dist, MinDistCells, NeighborSource, NodeId, Weight, INFINITY};
 
 /// Result of a Δ-stepping run.
@@ -139,10 +141,8 @@ pub struct SsspScratch {
     overflow: Vec<NodeId>,
     /// Per-phase "already collected as improved" marks.
     touched: Vec<AtomicBool>,
-    /// Collection buffer for a phase's improved nodes.
-    slots: Vec<AtomicU32>,
-    /// Number of valid entries in `slots` for the current phase.
-    slot_len: AtomicUsize,
+    /// Per-chunk outputs of a relaxation phase.
+    chunks: ChunkBuffers<PhaseChunk>,
     /// Current phase's frontier after lazy deletion.
     active: Vec<NodeId>,
     /// Raw entries drained from the current bucket slot.
@@ -175,13 +175,7 @@ impl SsspScratch {
         if self.seen.len() < n {
             self.seen.resize(n, false);
             self.in_settled.resize(n, false);
-            let grow = n - self.touched.len();
-            self.touched.reserve(grow);
-            self.slots.reserve(grow);
-            while self.touched.len() < n {
-                self.touched.push(AtomicBool::new(false));
-                self.slots.push(AtomicU32::new(0));
-            }
+            self.touched.resize_with(n, || AtomicBool::new(false));
         }
     }
 
@@ -217,13 +211,41 @@ impl SsspScratch {
         (0..n).map(|v| self.dist.load(v)).collect()
     }
 
-    /// Sorts the improved nodes of the finished phase into `improved`, clears
-    /// their phase marks, and registers first-time reaches. Returns how many
-    /// nodes were improved.
-    fn collect_improved(&mut self) -> usize {
-        let count = self.slot_len.swap(0, Ordering::Relaxed);
+    /// One parallel relaxation phase: relaxes the light edges of `active`
+    /// (`heavy == false`) or the heavy edges of `settled` (`heavy == true`)
+    /// from their pre-phase distances in `snap`, fetch-min-ing targets in
+    /// place and collecting first-improvements-of-the-phase through the
+    /// touched bitmap. Leaves the sorted improved nodes in `improved`, clears
+    /// their phase marks, registers first-time reaches, and returns the
+    /// number of relaxation requests generated.
+    fn relax_phase<G: NeighborSource>(&mut self, graph: &G, delta_dist: Dist, heavy: bool) -> u64 {
+        let nodes = if heavy { &self.settled } else { &self.active };
+        let (snap, dist, touched) = (&self.snap, &self.dist, &self.touched);
+        let chunks = self.chunks.scan(nodes.len(), PAR_MIN_FRONTIER, |range, out| {
+            for i in range {
+                let du = snap[i];
+                // Internal iteration: the compressed tier's block decoder
+                // folds this closure into one tight per-coding loop.
+                graph.neighbors(nodes[i]).for_each(|(v, w)| {
+                    let wd = Dist::from(w);
+                    if (wd > delta_dist) != heavy {
+                        return;
+                    }
+                    out.requests += 1;
+                    let cand = du + wd;
+                    let prev = dist.fetch_min(v as usize, cand);
+                    if prev > cand && !touched[v as usize].swap(true, Ordering::Relaxed) {
+                        out.improved.push(v);
+                    }
+                });
+            }
+        });
+        let mut requests = 0;
         self.improved.clear();
-        self.improved.extend(self.slots[..count].iter().map(|slot| slot.load(Ordering::Relaxed)));
+        for chunk in chunks {
+            requests += std::mem::take(&mut chunk.requests);
+            self.improved.append(&mut chunk.improved);
+        }
         self.improved.sort_unstable();
         for &v in &self.improved {
             self.touched[v as usize].store(false, Ordering::Relaxed);
@@ -232,52 +254,17 @@ impl SsspScratch {
                 self.reached.push(v);
             }
         }
-        count
+        requests
     }
 }
 
-/// One parallel relaxation phase: for every frontier index `i`, relax the
-/// light (`heavy == false`) or heavy (`heavy == true`) edges of
-/// `active[i]` from the snapshot distance `snap[i]`, fetch-min-ing targets in
-/// place and collecting first-improvements-of-the-phase through the touched
-/// bitmap. Returns the number of relaxation requests generated.
-#[allow(clippy::too_many_arguments)] // hot loop over destructured scratch fields
-fn relax_phase<G: NeighborSource>(
-    graph: &G,
-    active: &[NodeId],
-    snap: &[Dist],
-    delta_dist: Dist,
-    heavy: bool,
-    dist: &MinDistCells,
-    touched: &[AtomicBool],
-    slots: &[AtomicU32],
-    slot_len: &AtomicUsize,
-) -> u64 {
-    (0..active.len())
-        .into_par_iter()
-        .with_min_len(PAR_MIN_FRONTIER)
-        .map(|i| {
-            let u = active[i];
-            let du = snap[i];
-            let mut requests = 0u64;
-            // Internal iteration: the compressed tier's block decoder folds
-            // this closure into one tight per-coding loop.
-            graph.neighbors(u).for_each(|(v, w)| {
-                let wd = Dist::from(w);
-                if (wd > delta_dist) != heavy {
-                    return;
-                }
-                requests += 1;
-                let cand = du + wd;
-                let prev = dist.fetch_min(v as usize, cand);
-                if prev > cand && !touched[v as usize].swap(true, Ordering::Relaxed) {
-                    let slot = slot_len.fetch_add(1, Ordering::Relaxed);
-                    slots[slot].store(v, Ordering::Relaxed);
-                }
-            });
-            requests
-        })
-        .sum()
+/// What one chunk of a relaxation phase collects, in a buffer reused across
+/// phases.
+#[derive(Debug, Default)]
+struct PhaseChunk {
+    /// Nodes this chunk was the first in the phase to improve.
+    improved: Vec<NodeId>,
+    requests: u64,
 }
 
 /// Runs Δ-stepping from `source` with bucket width `delta` on the cyclic
@@ -463,18 +450,8 @@ pub fn delta_stepping_with_scratch_cancel<G: NeighborSource>(
                     scratch.settled.push(u);
                 }
             }
-            relaxations += relax_phase(
-                graph,
-                &scratch.active,
-                &scratch.snap,
-                delta_dist,
-                false,
-                &scratch.dist,
-                &scratch.touched,
-                &scratch.slots,
-                &scratch.slot_len,
-            );
-            updates += scratch.collect_improved() as u64;
+            relaxations += scratch.relax_phase(graph, delta_dist, false);
+            updates += scratch.improved.len() as u64;
             for i in 0..scratch.improved.len() {
                 let v = scratch.improved[i];
                 rebucket(scratch, v, base, ring_size, delta_dist, &mut overflow_min);
@@ -490,18 +467,8 @@ pub fn delta_stepping_with_scratch_cancel<G: NeighborSource>(
             scratch.snap.clear();
             let (snap, settled, dist) = (&mut scratch.snap, &scratch.settled, &scratch.dist);
             snap.extend(settled.iter().map(|&u| dist.load(u as usize)));
-            relaxations += relax_phase(
-                graph,
-                &scratch.settled,
-                &scratch.snap,
-                delta_dist,
-                true,
-                &scratch.dist,
-                &scratch.touched,
-                &scratch.slots,
-                &scratch.slot_len,
-            );
-            updates += scratch.collect_improved() as u64;
+            relaxations += scratch.relax_phase(graph, delta_dist, true);
+            updates += scratch.improved.len() as u64;
             for i in 0..scratch.improved.len() {
                 let v = scratch.improved[i];
                 rebucket(scratch, v, base + 1, ring_size, delta_dist, &mut overflow_min);
