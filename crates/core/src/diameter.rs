@@ -5,9 +5,11 @@
 //! estimates) the quotient diameter `Φ(G_C)` and returns
 //! `Φ_approx(G) = Φ(G_C) + 2·R`, which is an upper bound on the true weighted
 //! diameter whenever the per-node distances are genuine upper bounds — which
-//! they are by construction in this implementation.
+//! they are by construction in this implementation. A quotient edge weight
+//! too large for a `Weight` would have to be clamped, so such a quotient
+//! reports no bound (`INFINITY`) instead.
 
-use cldiam_graph::{CancelToken, Dist, NeighborSource};
+use cldiam_graph::{CancelToken, Dist, NeighborSource, INFINITY};
 use cldiam_mr::CostMetrics;
 use cldiam_sssp::{diameter_lower_bound, exact_diameter};
 
@@ -20,7 +22,8 @@ use crate::quotient::{quotient_graph, QuotientGraph};
 /// Result of a `CL-DIAM` run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiameterEstimate {
-    /// The diameter estimate `Φ_approx(G) = Φ(G_C) + 2·R` (an upper bound).
+    /// The diameter estimate `Φ_approx(G) = Φ(G_C) + 2·R` (an upper bound),
+    /// or `INFINITY` (no bound) when a quotient edge weight overflowed.
     pub upper_bound: Dist,
     /// Diameter of the quotient graph `Φ(G_C)`.
     pub quotient_diameter: Dist,
@@ -31,7 +34,8 @@ pub struct DiameterEstimate {
     /// Number of edges of the quotient graph.
     pub quotient_edges: usize,
     /// Whether the quotient diameter was computed exactly (all-pairs) or
-    /// estimated with farthest-node sweeps.
+    /// estimated with farthest-node sweeps. Also `false` when a quotient
+    /// edge weight overflowed.
     pub quotient_exact: bool,
     /// Number of Δ-growing steps performed by the decomposition.
     pub growing_steps: u64,
@@ -118,6 +122,11 @@ impl ClDiam {
     /// Builds the quotient of an existing clustering and finishes the
     /// estimate. Exposed so ablations can reuse one decomposition across
     /// several quotient strategies.
+    ///
+    /// A quotient edge whose augmented weight does not fit a `Weight` is
+    /// clamped, which shortens it, so `Φ(G_C) + 2·R` could fall below the
+    /// diameter: such a quotient yields `upper_bound = INFINITY` and
+    /// `quotient_exact = false`.
     pub fn estimate_from_clustering<G: NeighborSource>(
         &self,
         graph: &G,
@@ -125,7 +134,11 @@ impl ClDiam {
     ) -> DiameterEstimate {
         let quotient = quotient_graph(graph, clustering);
         let (quotient_diameter, quotient_exact) = self.quotient_diameter(&quotient);
-        let upper_bound = quotient_diameter.saturating_add(clustering.radius.saturating_mul(2));
+        let (upper_bound, quotient_exact) = if quotient.overflow_edges > 0 {
+            (INFINITY, false)
+        } else {
+            (quotient_diameter.saturating_add(clustering.radius.saturating_mul(2)), quotient_exact)
+        };
         // The quotient construction and its diameter computation are charged
         // as one extra round each, following the paper's observation that the
         // quotient fits in a single reducer's local memory.
@@ -322,6 +335,34 @@ mod tests {
             );
             assert_eq!(estimate, again, "limit {limit}: cancelled run not deterministic");
         }
+    }
+
+    #[test]
+    fn overflowing_quotient_weight_reports_no_upper_bound() {
+        // 0 -1- 1 -MAX- 2 -1- 3 -1- 4 -MAX- 5 -1- 6, clustered {0,1}, {2,3,4}
+        // and {5,6} around 0, 3 and 6. Both heavy edges augment to MAX + 2,
+        // and clamping them to MAX gave Φ(G_C) + 2R = 2·MAX + 2, below the
+        // diameter 2·MAX + 4.
+        let max = cldiam_graph::Weight::MAX;
+        let g = cldiam_graph::Graph::from_edges(
+            7,
+            &[(0, 1, 1), (1, 2, max), (2, 3, 1), (3, 4, 1), (4, 5, max), (5, 6, 1)],
+        );
+        let clustering = Clustering {
+            assignment: vec![0, 0, 3, 3, 3, 6, 6],
+            dist: vec![0, 1, 1, 0, 1, 1, 0],
+            centers: vec![0, 3, 6],
+            radius: 1,
+            delta_end: 1,
+            growing_steps: 1,
+            stages: 1,
+            metrics: CostMetrics::default(),
+        };
+        assert_eq!(quotient_graph(&g, &clustering).overflow_edges, 2);
+        let estimate = ClDiam::default().estimate_from_clustering(&g, &clustering);
+        assert_eq!(exact_diameter(&g), 2 * Dist::from(max) + 4);
+        assert_eq!(estimate.upper_bound, INFINITY);
+        assert!(!estimate.quotient_exact);
     }
 
     #[test]

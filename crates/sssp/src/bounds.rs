@@ -205,16 +205,30 @@ impl Intervals {
     }
 
     /// The open node of maximum interval width (ties: larger degree, then
-    /// smaller id), or `None` when the pool is empty.
+    /// smaller id), or `None` when the pool is empty. Degrees are read only
+    /// to break a width tie: on a compressed graph a degree decodes the
+    /// node's whole adjacency.
     fn widest_open<G: NeighborSource>(&self, graph: &G) -> Option<NodeId> {
-        (0..self.lb.len() as NodeId)
-            .filter(|&v| {
-                self.lb[v as usize] < self.ub[v as usize] && self.ub[v as usize] > self.diam_lb
-            })
-            .max_by_key(|&v| {
-                let width = self.ub[v as usize].saturating_sub(self.lb[v as usize]);
-                (width, graph.degree(v), Reverse(v))
-            })
+        // (width, node, the node's degree once read)
+        let mut best: Option<(Dist, NodeId, Option<usize>)> = None;
+        for v in 0..self.lb.len() as NodeId {
+            let (lb, ub) = (self.lb[v as usize], self.ub[v as usize]);
+            if lb >= ub || ub <= self.diam_lb {
+                continue;
+            }
+            let width = ub - lb;
+            match &mut best {
+                Some((widest, _, _)) if width < *widest => {}
+                Some((widest, node, degree)) if width == *widest => {
+                    let d = graph.degree(v);
+                    if d > *degree.get_or_insert_with(|| graph.degree(*node)) {
+                        best = Some((width, v, Some(d)));
+                    }
+                }
+                _ => best = Some((width, v, None)),
+            }
+        }
+        best.map(|(_, v, _)| v)
     }
 
     /// Caps every upper bound by an oracle-certified diameter bound.
@@ -735,6 +749,29 @@ mod tests {
                 assert!(s < 7);
             }
         }
+    }
+
+    #[test]
+    fn widest_open_breaks_width_ties_by_degree_then_id() {
+        // Degrees: 0 → 3, 1 → 1, 2 → 3, 3 → 3, 4 → 2, 5 → 2.
+        let g = Graph::from_edges(
+            6,
+            &[(0, 1, 1), (0, 2, 1), (0, 3, 1), (2, 4, 1), (3, 4, 1), (2, 5, 1), (3, 5, 1)],
+        );
+        let mut state = Intervals::new(6);
+        state.ub = vec![9; 6];
+        // Open: 1 and 2 tie at width 7, and 2 has the larger degree.
+        state.lb = vec![9, 2, 2, 9, 3, 9];
+        assert_eq!(state.widest_open(&g), Some(2));
+        // Open: 2 and 3 tie at width 7 and at degree 3; the smaller id wins.
+        state.lb = vec![9, 2, 2, 2, 3, 9];
+        assert_eq!(state.widest_open(&g), Some(2));
+        // A strictly wider interval wins whatever its degree.
+        state.lb[5] = 0;
+        assert_eq!(state.widest_open(&g), Some(5));
+        // Upper bounds at the certified diameter close every interval.
+        state.diam_lb = 9;
+        assert_eq!(state.widest_open(&g), None);
     }
 
     #[test]
