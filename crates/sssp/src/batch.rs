@@ -9,12 +9,21 @@
 //!
 //! This module provides the shared engine those drivers batch through:
 //!
-//! * [`DijkstraScratch`] — a reusable distance array + binary heap. Repeated
-//!   runs are allocation-free after warm-up: the distance array is reset via
-//!   the run's reached list (`O(reached)`, never `O(n)`) and the heap keeps
-//!   its capacity. It intentionally tracks distances only — no hop counts or
-//!   parent pointers — because none of the batched consumers need them; use
-//!   [`crate::dijkstra::dijkstra`] for the full shortest-path tree.
+//! * [`DijkstraScratch`] — the one Dijkstra kernel behind every exact SSSP
+//!   of the workspace: a reusable distance array plus a monotone radix heap
+//!   (Ahuja, Mehlhorn, Orlin and Tarjan, 1990). A push is one append to the
+//!   bucket indexed by the highest bit in which the key differs from the
+//!   last popped key; a pop refills bucket 0 by redistributing the lowest
+//!   non-empty bucket around its minimum. Repeated runs are allocation-free
+//!   after warm-up: the distance array is reset via the run's reached list
+//!   (`O(reached)`, never `O(n)`) and the buckets keep their capacity. The
+//!   eccentricity and farthest node are kept as nodes settle, so reading
+//!   them is `O(1)`. Forward, backward and generic [`NeighborSource`] runs
+//!   share one relax loop, which scans neighbours by internal iteration so
+//!   the compressed tier decodes each block in one tight loop. It tracks
+//!   distances only — no hop counts or parent pointers — because none of
+//!   the batched consumers need them; use [`crate::dijkstra::dijkstra`] for
+//!   the full shortest-path tree.
 //! * [`ScratchPool`] — a lock-guarded free list of scratches shared by the
 //!   rayon workers of a batch, so a batch over `k` sources allocates
 //!   `O(min(k, threads))` scratches instead of `k`.
@@ -28,13 +37,11 @@
 //! the graph, so batches are bit-identical at any thread count regardless of
 //! which worker's scratch served which source.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId, INFINITY};
+use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId, Weight, INFINITY};
 
 /// Which adjacency a directed scratch run traverses.
 ///
@@ -51,14 +58,82 @@ pub enum SsspDirection {
     Backward,
 }
 
+/// A monotone radix heap of `(key, node)` entries: every pushed key must be
+/// at least the last popped one, which Dijkstra guarantees. Bucket `i > 0`
+/// holds the keys whose highest bit differing from `last` is bit `i − 1`;
+/// bucket 0 holds the keys equal to `last`.
+#[derive(Debug)]
+struct RadixHeap {
+    buckets: [Vec<(Dist, NodeId)>; 65],
+    /// Bit `i − 1` is set when bucket `i > 0` is non-empty.
+    occupied: u64,
+    last: Dist,
+}
+
+impl Default for RadixHeap {
+    fn default() -> Self {
+        RadixHeap { buckets: std::array::from_fn(|_| Vec::new()), occupied: 0, last: 0 }
+    }
+}
+
+impl RadixHeap {
+    /// Empties the heap and rewinds `last` to 0, keeping bucket capacity.
+    fn clear(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.occupied = 0;
+        self.last = 0;
+    }
+
+    #[inline]
+    fn push(&mut self, key: Dist, node: NodeId) {
+        debug_assert!(key >= self.last, "radix heap key {key} below last pop {}", self.last);
+        let i = 64 - (key ^ self.last).leading_zeros() as usize;
+        if i > 0 {
+            self.occupied |= 1 << (i - 1);
+        }
+        self.buckets[i].push((key, node));
+    }
+
+    /// Pops an entry of minimum key (ties in no particular order).
+    #[inline]
+    fn pop(&mut self) -> Option<(Dist, NodeId)> {
+        if self.buckets[0].is_empty() {
+            if self.occupied == 0 {
+                return None;
+            }
+            let i = self.occupied.trailing_zeros() as usize + 1;
+            self.occupied &= !(1 << (i - 1));
+            let mut from = std::mem::take(&mut self.buckets[i]);
+            self.last = from.iter().map(|&(key, _)| key).min().expect("occupied bucket");
+            // Every key of bucket `i` agrees with the new `last` above bit
+            // `i − 1`, so each lands in a bucket below `i`.
+            for (key, node) in from.drain(..) {
+                self.push(key, node);
+            }
+            self.buckets[i] = from;
+        }
+        self.buckets[0].pop()
+    }
+}
+
 /// Reusable single-source shortest-path state: tentative distances, the
-/// Dijkstra heap, the reached list used for `O(reached)` resets, and a
-/// seen-bitmap for sweep chains (see [`DijkstraScratch::sweep_mark`]).
+/// radix heap, the reached list used for `O(reached)` resets, the farthest
+/// settled node, and a seen-bitmap for sweep chains (see
+/// [`DijkstraScratch::sweep_mark`]).
+///
+/// Every run — [`DijkstraScratch::run`] on any [`NeighborSource`] and both
+/// directions of [`DijkstraScratch::run_directed`] — goes through one relax
+/// loop. A push appends to a radix-heap bucket in `O(1)`; stale entries are
+/// skipped on pop. The eccentricity and farthest node are folded in as
+/// nodes settle, so [`DijkstraScratch::eccentricity`] and
+/// [`DijkstraScratch::farthest_node`] are `O(1)` reads.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<Dist>,
-    heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
+    heap: RadixHeap,
     reached: Vec<NodeId>,
+    /// Lexicographic max of `(distance, node)` over the settled nodes.
+    farthest: (Dist, NodeId),
     swept: Vec<bool>,
     swept_list: Vec<NodeId>,
 }
@@ -67,12 +142,6 @@ impl DijkstraScratch {
     /// Fresh scratch; buffers are sized on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure(&mut self, n: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, INFINITY);
-        }
     }
 
     /// Runs Dijkstra from `source`, leaving the distances resident in the
@@ -85,41 +154,31 @@ impl DijkstraScratch {
     ///
     /// Panics if `source` is not a node of `graph`.
     pub fn run<G: NeighborSource>(&mut self, graph: &G, source: NodeId) {
-        let n = graph.num_nodes();
-        assert!((source as usize) < n, "source {source} out of range (n = {n})");
-        self.ensure(n);
-        for v in self.reached.drain(..) {
-            self.dist[v as usize] = INFINITY;
-        }
-        self.heap.clear();
-
-        self.dist[source as usize] = 0;
-        self.reached.push(source);
-        self.heap.push(Reverse((0, source)));
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.dist[u as usize] {
-                continue; // stale entry
-            }
-            for (v, w) in graph.neighbors(u) {
-                let candidate = d + Dist::from(w);
-                if candidate < self.dist[v as usize] {
-                    if self.dist[v as usize] == INFINITY {
-                        self.reached.push(v);
-                    }
-                    self.dist[v as usize] = candidate;
-                    self.heap.push(Reverse((candidate, v)));
-                }
-            }
-        }
+        self.settle(graph.num_nodes(), source, |u| graph.neighbors(u));
     }
 
     /// [`DijkstraScratch::run`] with an explicit traversal direction. A
     /// backward run relaxes in-arcs, so `distance(v)` afterwards is the
     /// shortest-path weight from `v` *to* the source.
     pub fn run_directed(&mut self, graph: &Graph, source: NodeId, direction: SsspDirection) {
-        let n = graph.num_nodes();
+        match direction {
+            SsspDirection::Forward => self.run(graph, source),
+            SsspDirection::Backward => {
+                self.settle(graph.num_nodes(), source, |u| graph.in_neighbors(u))
+            }
+        }
+    }
+
+    /// The relax loop of every run: Dijkstra from `source` over the arcs
+    /// `neighbors(u)` yields, on a graph of `n` nodes.
+    fn settle<I>(&mut self, n: usize, source: NodeId, neighbors: impl Fn(NodeId) -> I)
+    where
+        I: Iterator<Item = (NodeId, Weight)>,
+    {
         assert!((source as usize) < n, "source {source} out of range (n = {n})");
-        self.ensure(n);
+        if self.dist.len() < n {
+            self.dist.resize(n, INFINITY);
+        }
         for v in self.reached.drain(..) {
             self.dist[v as usize] = INFINITY;
         }
@@ -127,25 +186,25 @@ impl DijkstraScratch {
 
         self.dist[source as usize] = 0;
         self.reached.push(source);
-        self.heap.push(Reverse((0, source)));
-        while let Some(Reverse((d, u))) = self.heap.pop() {
+        self.heap.push(0, source);
+        self.farthest = (0, source);
+        while let Some((d, u)) = self.heap.pop() {
             if d > self.dist[u as usize] {
                 continue; // stale entry
             }
-            let (neighbors, weights) = match direction {
-                SsspDirection::Forward => graph.neighbor_slices(u),
-                SsspDirection::Backward => graph.in_neighbor_slices(u),
-            };
-            for (&v, &w) in neighbors.iter().zip(weights) {
+            self.farthest = self.farthest.max((d, u));
+            let Self { dist, heap, reached, .. } = self;
+            neighbors(u).for_each(|(v, w)| {
                 let candidate = d + Dist::from(w);
-                if candidate < self.dist[v as usize] {
-                    if self.dist[v as usize] == INFINITY {
-                        self.reached.push(v);
+                let slot = &mut dist[v as usize];
+                if candidate < *slot {
+                    if *slot == INFINITY {
+                        reached.push(v);
                     }
-                    self.dist[v as usize] = candidate;
-                    self.heap.push(Reverse((candidate, v)));
+                    *slot = candidate;
+                    heap.push(candidate, v);
                 }
-            }
+            });
         }
     }
 
@@ -162,23 +221,20 @@ impl DijkstraScratch {
     }
 
     /// Largest finite distance of the most recent run — the weighted
-    /// eccentricity of its source within its component. `O(reached)`.
+    /// eccentricity of its source within its component. `O(1)`: kept as
+    /// nodes settle.
     pub fn eccentricity(&self) -> Dist {
-        self.reached.iter().map(|&v| self.dist[v as usize]).max().unwrap_or(0)
+        self.farthest.0
     }
 
     /// The node realizing [`DijkstraScratch::eccentricity`], with the same
     /// tie-break as [`crate::dijkstra::ShortestPaths::farthest_node`] (the
     /// largest node id among equally-far nodes), so sweep chains driven
     /// through a scratch follow the identical node sequence. Returns the
-    /// source itself for a singleton component.
+    /// source itself for a singleton component. `O(1)`.
     pub fn farthest_node(&self) -> NodeId {
-        self.reached
-            .iter()
-            .map(|&v| (self.dist[v as usize], v))
-            .max()
-            .map(|(_, v)| v)
-            .expect("farthest_node requires a completed run")
+        assert!(!self.reached.is_empty(), "farthest_node requires a completed run");
+        self.farthest.1
     }
 
     /// Clears the sweep seen-bitmap in `O(previously marked)`. Call once
@@ -296,6 +352,48 @@ mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
     use cldiam_gen::{mesh, WeightModel};
+
+    /// Pushes `keys` (each at least the last pop) between pops and checks
+    /// every pop against a sorted reference.
+    fn check_radix_pops(heap: &mut RadixHeap, rounds: &[&[Dist]]) {
+        let mut reference: Vec<Dist> = Vec::new();
+        for keys in rounds {
+            for (i, &key) in keys.iter().enumerate() {
+                heap.push(key, i as NodeId);
+            }
+            reference.extend_from_slice(keys);
+            reference.sort_unstable_by(|a, b| b.cmp(a));
+            let expected = reference.pop().expect("a round pushes at least one key");
+            assert_eq!(heap.pop().map(|(key, _)| key), Some(expected));
+        }
+        while let Some(expected) = reference.pop() {
+            assert_eq!(heap.pop().map(|(key, _)| key), Some(expected));
+        }
+        assert_eq!(heap.pop(), None);
+    }
+
+    #[test]
+    fn radix_heap_pops_in_sorted_order() {
+        let top = 1 << 63;
+        let mut heap = RadixHeap::default();
+        check_radix_pops(
+            &mut heap,
+            &[
+                // Equal keys (bucket 0), then keys sharing one bucket in
+                // unsorted order, so the refill must split around the minimum.
+                &[0, 0, 0],
+                &[7, 5, 6, 5],
+                &[9, 6, 12, 8],
+                // XOR with `last` sets bit 63: bucket 64.
+                &[top + 3, top, u64::MAX - 1, 40],
+                &[top + 1, top + 1],
+                &[u64::MAX - 1],
+            ],
+        );
+        // A cleared heap rewinds `last`, so small keys are valid again.
+        heap.clear();
+        check_radix_pops(&mut heap, &[&[3, 1, 2], &[2, 4]]);
+    }
 
     #[test]
     fn scratch_matches_full_dijkstra_across_reused_runs() {

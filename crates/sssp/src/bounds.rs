@@ -172,8 +172,11 @@ impl DiameterOracle for NoOracle {
 pub const NO_ORACLE: Option<&NoOracle> = None;
 
 /// `upper ≤ tolerance · lower`, with the interval closed and finite.
+/// Tolerance 1.0 (the exact diameter) is decided in integers: above 2^53
+/// distinct distances round to the same `f64`.
 fn within_tolerance(lower: Dist, upper: Dist, tolerance: f64) -> bool {
-    upper != INFINITY && (upper == lower || (upper as f64) <= tolerance * (lower as f64))
+    upper != INFINITY
+        && (upper == lower || (tolerance > 1.0 && (upper as f64) <= tolerance * (lower as f64)))
 }
 
 /// Interval state of one engine run, shared by the undirected and
@@ -718,6 +721,17 @@ mod tests {
         assert!(loose.converged);
         assert!(loose.sssp_runs <= tight.sssp_runs);
         assert!((loose.upper as f64) <= 1.5 * (loose.lower as f64));
+    }
+
+    #[test]
+    fn exact_tolerance_is_decided_in_integers() {
+        // Regression: 2^53 and 2^53 + 1 round to the same f64, so the float
+        // test called this open interval converged at tolerance 1.0.
+        let lower: Dist = 1 << 53;
+        assert!(!within_tolerance(lower, lower + 1, 1.0));
+        assert!(within_tolerance(lower + 1, lower + 1, 1.0));
+        assert!(within_tolerance(lower, lower + 1, 1.1));
+        assert!(!within_tolerance(lower, INFINITY, 1.1));
     }
 
     #[test]

@@ -22,11 +22,12 @@ use rand_xoshiro::Xoshiro256PlusPlus;
 use rayon::prelude::*;
 
 use crate::batch::{batched_eccentricities, DijkstraScratch, ScratchPool};
-use crate::dijkstra::dijkstra;
 
 /// Weighted eccentricity of `source`: the largest finite distance from it.
 pub fn eccentricity<G: NeighborSource>(graph: &G, source: NodeId) -> Dist {
-    dijkstra(graph, source).eccentricity()
+    let mut scratch = DijkstraScratch::new();
+    scratch.run(graph, source);
+    scratch.eccentricity()
 }
 
 /// A connected-component split computed once and shared by every bound

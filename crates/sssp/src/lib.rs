@@ -13,10 +13,13 @@
 //!   the shortest-path tree; the exactness oracle for every test in the
 //!   workspace.
 //! * [`batch`] — the batched multi-source engine: a reusable
-//!   [`DijkstraScratch`] (distances only, `O(reached)` resets), a
-//!   [`ScratchPool`] shared by the workers of a batch, and the
-//!   [`multi_source_dijkstra`] / [`batched_eccentricities`] drivers behind
-//!   every iterated-SSSP consumer in the workspace.
+//!   [`DijkstraScratch`], the one Dijkstra kernel of every exact SSSP
+//!   (distances only, a monotone radix heap with `O(1)` pushes,
+//!   `O(reached)` resets, `O(1)` eccentricity and farthest-node reads, one
+//!   relax loop for forward and backward runs), a [`ScratchPool`] shared by
+//!   the workers of a batch, and the [`multi_source_dijkstra`] /
+//!   [`batched_eccentricities`] drivers behind every iterated-SSSP consumer
+//!   in the workspace.
 //! * [`bellman_ford`] — a second independent oracle used in property tests.
 //! * [`delta_stepping`] — the parallel Δ-stepping baseline on a cyclic
 //!   bucket-array engine with atomic fetch-min relaxation and a reusable

@@ -11,13 +11,20 @@
 //! bit-identical on thread pools of 1, 2 and 8 workers, with and without
 //! scratch reuse. The batched eccentricity driver is pinned against the
 //! sequential per-source Dijkstra loop under the same pools.
+//!
+//! The radix-heap kernel behind every exact SSSP, [`DijkstraScratch`], is
+//! pinned against the binary-heap [`dijkstra`] with one scratch reused
+//! across a sequence of graphs that grows and shrinks: every distance, the
+//! eccentricity, the farthest node (largest id among equally far nodes),
+//! the reach count, both directions of a directed run, and the node
+//! sequence of a sweep chain.
 
 use proptest::prelude::*;
 
-use cldiam_graph::{Dist, Graph, GraphBuilder, NodeId, Weight};
+use cldiam_graph::{CompressedGraph, Dist, Graph, GraphBuilder, NodeId, Weight};
 use cldiam_sssp::{
     batched_eccentricities, delta_stepping, delta_stepping_reference, delta_stepping_with_scratch,
-    dijkstra, SsspScratch,
+    dijkstra, sweep_chain_lower_bound, DijkstraScratch, SsspDirection, SsspScratch,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -123,6 +130,141 @@ proptest! {
         for &threads in &THREAD_COUNTS {
             let batched = with_pool(threads, || batched_eccentricities(&graph, &sources));
             prop_assert_eq!(&batched, &sequential, "diverged at {} threads", threads);
+        }
+    }
+}
+
+/// A random graph of 1..=40 nodes for the kernel suite. Unit weights make
+/// many nodes tie on distance, so the farthest-node tie-break is exercised;
+/// the widest family draws weights up to `Weight::MAX`. Without `spine` the
+/// graph is usually disconnected, and each extra edge may come with a twin
+/// of another weight (a multi-edge the builder collapses to its lightest).
+fn kernel_graph(directed: bool) -> impl Strategy<Value = Graph> {
+    (1usize..=40, 0usize..4, 0usize..2).prop_flat_map(move |(n, family, spine)| {
+        let max_w = [1, 30, 4_000_000, Weight::MAX][family];
+        let path_weights = proptest::collection::vec(1..=max_w, if spine == 1 { n - 1 } else { 0 });
+        // (u, v, w, (twin?, twin weight))
+        let extra_edges = proptest::collection::vec(
+            (0..n as u32, 0..n as u32, 1..=max_w, (0usize..2, 1..=max_w)),
+            0..(3 * n),
+        );
+        (path_weights, extra_edges).prop_map(move |(pw, extra)| {
+            let mut builder =
+                if directed { GraphBuilder::new_directed(n) } else { GraphBuilder::new(n) };
+            let mut add = |u: u32, v: u32, w: Weight| {
+                if directed {
+                    builder.add_arc(u, v, w);
+                } else {
+                    builder.add_edge(u, v, w);
+                }
+            };
+            for (i, w) in pw.iter().enumerate() {
+                add(i as u32, (i + 1) as u32, *w);
+            }
+            for (u, v, w, (twin, w2)) in extra {
+                if u != v {
+                    add(u, v, w);
+                    if twin == 1 {
+                        add(u, v, w2);
+                    }
+                }
+            }
+            builder.build()
+        })
+    })
+}
+
+/// Asserts that the scratch's last run from `source` equals `dijkstra` on
+/// `reference` — distances, eccentricity, farthest node and reach count.
+fn assert_scratch_matches(scratch: &DijkstraScratch, reference: &Graph, source: NodeId) {
+    let expected = dijkstra(reference, source);
+    for v in 0..reference.num_nodes() as NodeId {
+        assert_eq!(scratch.distance(v), expected.dist[v as usize], "source {source} node {v}");
+    }
+    assert_eq!(scratch.eccentricity(), expected.eccentricity(), "source {source}");
+    assert_eq!(scratch.farthest_node(), expected.farthest_node(), "source {source}");
+    assert_eq!(scratch.reached(), expected.reached(), "source {source}");
+}
+
+/// The nodes a farthest-node sweep chain visits from `start`, stopping at
+/// the first repeat, with each step supplied by `sweep` as
+/// `(eccentricity, farthest node)`.
+fn sweep_chain_nodes(
+    start: NodeId,
+    budget: usize,
+    mut sweep: impl FnMut(NodeId) -> (Dist, NodeId),
+) -> (Vec<NodeId>, Dist) {
+    let mut visited = vec![start];
+    let mut best = 0;
+    while visited.len() <= budget {
+        let (ecc, farthest) = sweep(*visited.last().expect("chain has a start"));
+        best = best.max(ecc);
+        if visited.contains(&farthest) {
+            break;
+        }
+        visited.push(farthest);
+    }
+    visited.truncate(budget);
+    (visited, best)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn reused_scratch_matches_dijkstra_on_undirected_graphs(
+        graphs in proptest::collection::vec(kernel_graph(false), 1..6),
+    ) {
+        let mut scratch = DijkstraScratch::new();
+        // Forward then backward through the sequence: the scratch sees the
+        // node count both grow and shrink.
+        for graph in graphs.iter().chain(graphs.iter().rev()) {
+            let compressed = CompressedGraph::from_graph(graph, 1);
+            for source in 0..graph.num_nodes() as NodeId {
+                scratch.run(graph, source);
+                assert_scratch_matches(&scratch, graph, source);
+                scratch.run(&compressed, source);
+                assert_scratch_matches(&scratch, graph, source);
+            }
+        }
+    }
+
+    #[test]
+    fn directed_runs_match_dijkstra_on_the_graph_and_its_reverse(
+        graphs in proptest::collection::vec(kernel_graph(true), 1..6),
+    ) {
+        let mut scratch = DijkstraScratch::new();
+        for graph in graphs.iter().chain(graphs.iter().rev()) {
+            let reversed = graph.reversed();
+            for source in 0..graph.num_nodes() as NodeId {
+                scratch.run_directed(graph, source, SsspDirection::Forward);
+                assert_scratch_matches(&scratch, graph, source);
+                scratch.run_directed(graph, source, SsspDirection::Backward);
+                assert_scratch_matches(&scratch, &reversed, source);
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_sweep_chains_visit_the_dijkstra_chain(
+        graphs in proptest::collection::vec(kernel_graph(false), 1..6),
+        budget in 1usize..8,
+    ) {
+        let mut scratch = DijkstraScratch::new();
+        for graph in graphs.iter().chain(graphs.iter().rev()) {
+            for start in 0..graph.num_nodes() as NodeId {
+                let via_scratch = sweep_chain_nodes(start, budget, |u| {
+                    scratch.run(graph, u);
+                    (scratch.eccentricity(), scratch.farthest_node())
+                });
+                let via_dijkstra = sweep_chain_nodes(start, budget, |u| {
+                    let sp = dijkstra(graph, u);
+                    (sp.eccentricity(), sp.farthest_node())
+                });
+                prop_assert_eq!(&via_scratch, &via_dijkstra, "start {}", start);
+                let (best, used) = sweep_chain_lower_bound(graph, start, budget, &mut scratch);
+                prop_assert_eq!((best, used), (via_dijkstra.1, via_dijkstra.0.len()));
+            }
         }
     }
 }
