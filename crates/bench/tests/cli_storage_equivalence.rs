@@ -81,7 +81,7 @@ fn v1_snapshot_cache_still_serves_the_cli() {
     // same report.
     let graph = cldiam_graph::load_graph(&input).unwrap();
     let cache = cldiam_graph::io::snapshot_path(&input);
-    cldiam_graph::io::binary::write_binary_file(&graph, &cache).unwrap();
+    cldiam_graph::io::binary::write_binary(&graph, std::fs::File::create(&cache).unwrap()).unwrap();
     let future = std::time::SystemTime::now() + std::time::Duration::from_secs(60);
     std::fs::OpenOptions::new().append(true).open(&cache).unwrap().set_modified(future).unwrap();
     let via_v1 = run_json(&input, &["--cache"]);

@@ -72,7 +72,7 @@ impl AnytimeConfig {
 }
 
 /// Runs the anytime engine over a precomputed component split (undirected
-/// graphs only — see [`anytime_diameter`] for the directed dispatch).
+/// graphs only — see [`anytime_diameter_cancel`] for the directed dispatch).
 pub fn anytime_diameter_with_split<G: NeighborSource>(
     graph: &G,
     config: &AnytimeConfig,
@@ -104,13 +104,8 @@ pub fn anytime_diameter_with_split_cancel<G: NeighborSource>(
 /// Runs the anytime `[lb, ub]` engine: undirected graphs are component-split
 /// and bounded per component, directed graphs run the forward/backward
 /// engine (where the quotient oracle — whose clustering is undirected-only —
-/// is never consulted).
-pub fn anytime_diameter(graph: &Graph, config: &AnytimeConfig) -> BoundsOutcome {
-    anytime_diameter_cancel(graph, config, &CancelToken::never())
-}
-
-/// [`anytime_diameter`] with a cooperative [`CancelToken`] (see
-/// [`anytime_diameter_with_split_cancel`]).
+/// is never consulted). The cooperative [`CancelToken`] is polled as
+/// [`anytime_diameter_with_split_cancel`] describes.
 pub fn anytime_diameter_cancel(
     graph: &Graph,
     config: &AnytimeConfig,
@@ -137,7 +132,7 @@ mod tests {
         let config = AnytimeConfig::default()
             .with_bounds(BoundsConfig::default().with_quotient_after(2))
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(7));
-        let outcome = anytime_diameter(&g, &config);
+        let outcome = anytime_diameter_cancel(&g, &config, &CancelToken::never());
         assert!(outcome.lower <= exact && exact <= outcome.upper);
         for it in &outcome.iterations {
             assert!(it.lower <= exact && exact <= it.upper);
@@ -151,7 +146,7 @@ mod tests {
         let config = AnytimeConfig::default()
             .with_bounds(BoundsConfig::default().with_max_sssp(3).with_quotient_after(2))
             .with_cluster(ClusterConfig::default().with_tau(16).with_seed(3));
-        let outcome = anytime_diameter(&g, &config);
+        let outcome = anytime_diameter_cancel(&g, &config, &CancelToken::never());
         assert!(
             outcome.iterations.iter().any(|it| it.source.is_none()),
             "quotient oracle never consulted"
@@ -164,15 +159,18 @@ mod tests {
         let config = AnytimeConfig::default()
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(1));
         let split = ComponentSplit::compute(&g);
-        assert_eq!(anytime_diameter_with_split(&g, &config, &split), anytime_diameter(&g, &config));
+        assert_eq!(
+            anytime_diameter_with_split(&g, &config, &split),
+            anytime_diameter_cancel(&g, &config, &CancelToken::never())
+        );
     }
 
     #[test]
     fn no_oracle_matches_raw_engine() {
         let g = mesh(8, WeightModel::UniformUnit, 9);
         let config = AnytimeConfig::default();
-        let raw = cldiam_sssp::bounds_diameter(&g, &config.bounds, NO_ORACLE);
-        assert_eq!(anytime_diameter(&g, &config), raw);
+        let raw = bounds_diameter_cancel(&g, &config.bounds, NO_ORACLE, &CancelToken::never());
+        assert_eq!(anytime_diameter_cancel(&g, &config, &CancelToken::never()), raw);
     }
 
     #[test]

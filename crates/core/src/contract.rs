@@ -11,9 +11,8 @@
 //! contracted graph — it freezes covered nodes and lets them act as
 //! distance-0 sources, which yields identical growth trajectories (the tests
 //! in this module check that equivalence explicitly) while avoiding a CSR
-//! rebuild per stage. The explicit procedure is still provided both as
-//! executable documentation of the paper and for consumers who want the
-//! physically smaller graph (e.g. to ship it to another machine).
+//! rebuild per stage. The explicit procedure is compiled for tests only, as
+//! executable documentation of the paper that pins that equivalence.
 
 use cldiam_graph::{Graph, GraphBuilder, NodeId};
 
@@ -88,11 +87,22 @@ mod tests {
     use super::*;
     use crate::growing::{partial_growth, GrowScratch};
     use cldiam_gen::{mesh, road_network, WeightModel};
-    use cldiam_graph::Dist;
+    use cldiam_graph::{CancelToken, Dist};
 
     fn grow(graph: &Graph, threshold: Dist, light_limit: Dist, state: &mut GrowState) {
         let mut scratch = GrowScratch::new();
-        partial_growth(graph, threshold, light_limit, state, None, None, None, &mut scratch);
+        let never = CancelToken::never();
+        partial_growth(
+            graph,
+            threshold,
+            light_limit,
+            state,
+            None,
+            None,
+            None,
+            &mut scratch,
+            &never,
+        );
     }
 
     /// Grows clusters from `centers` with threshold Δ, and checks that growing

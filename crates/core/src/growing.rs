@@ -48,14 +48,13 @@
 //! message per relaxation proposal, one node update per node whose state
 //! changed. `StepStats::updates` counts *nodes whose state changed in the
 //! wave* (the quantity the MR reducer charges as node updates); the
-//! equivalence proptests pin the in-place path, the materializing reference
-//! ([`delta_growing_step_materialized`]) and the literal MR execution
-//! (`mr_impl`) to identical states *and* identical counters.
+//! equivalence proptests pin the in-place path and the literal MR execution
+//! (`cldiam-testkit`'s `mr_impl`) to identical states *and* identical
+//! counters.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cldiam_mr::CostTracker;
-use rayon::prelude::*;
 
 use cldiam_graph::atomic::ChunkBuffers;
 use cldiam_graph::{CancelToken, Dist, NeighborSource, NodeId};
@@ -198,7 +197,7 @@ impl GrowScratch {
 
     /// `PartialGrowth` over the resident state: [`partial_growth`]'s contract,
     /// with the stage's sources and reached nodes as the initial frontier.
-    #[allow(clippy::too_many_arguments)] // mirrors partial_growth_cancel
+    #[allow(clippy::too_many_arguments)] // mirrors partial_growth
     pub(crate) fn partial_growth<G: NeighborSource>(
         &mut self,
         graph: &G,
@@ -297,7 +296,7 @@ impl GrowScratch {
     /// Repeats waves from `self.frontier` — the `PartialGrowth` loop shared
     /// by every entry point. `reached` is the unfrozen reached count the
     /// growth starts from.
-    #[allow(clippy::too_many_arguments)] // mirrors partial_growth_cancel
+    #[allow(clippy::too_many_arguments)] // mirrors partial_growth
     fn grow<G: NeighborSource>(
         &mut self,
         graph: &G,
@@ -441,13 +440,15 @@ impl GrowScratch {
 /// tie-break — first proposal in frontier order among equal `(eff, center)`
 /// keys, the MR reducer's rule — is realized in place as smallest-source-id,
 /// which coincides with frontier order only when the frontier is sorted; on
-/// an unsorted frontier this function and
-/// [`delta_growing_step_materialized`] could legitimately disagree on the
-/// payload of a tied target.
+/// an unsorted frontier this function and the MR reducer could legitimately
+/// disagree on the payload of a tied target.
 ///
 /// This entry point loads and stores the full state around a single wave; a
 /// multi-wave growth should go through [`partial_growth`], which keeps the
 /// state resident in the scratch's atomic cells across waves.
+// lint:allow(dead-pub): single-wave test entry point; the equivalence suites
+// drive it wave by wave against the literal MR step, production grows
+// through `GrowScratch`.
 pub fn delta_growing_step<G: NeighborSource>(
     graph: &G,
     threshold: Dist,
@@ -470,109 +471,29 @@ pub fn delta_growing_step<G: NeighborSource>(
     (scratch.next.clone(), stats)
 }
 
-/// The materializing (two-phase) Δ-growing step kept as an executable
-/// reference: generate every relaxation proposal into a `Vec`, then reduce
-/// per target. This is the literal shared-memory transcription of the MR
-/// round and is bit-for-bit equivalent to [`delta_growing_step`] — the
-/// equivalence proptests compare the two. Production code must use the
-/// in-place fast path.
-pub fn delta_growing_step_materialized<G: NeighborSource>(
-    graph: &G,
-    threshold: Dist,
-    light_limit: Dist,
-    state: &mut GrowState,
-    frontier: &[NodeId],
-) -> (Vec<NodeId>, StepStats) {
-    // Generate proposals in parallel. Each proposal is (target, eff, center,
-    // true distance). The frontier only contains reached nodes.
-    let proposals: Vec<(NodeId, i64, NodeId, Dist)> = frontier
-        .par_iter()
-        .with_min_len(32)
-        .flat_map_iter(|&u| {
-            let eff_u = state.eff[u as usize];
-            let center_u = state.center[u as usize];
-            let true_u = state.true_dist[u as usize];
-            let mut local = Vec::new();
-            if eff_below_threshold(eff_u, threshold) && center_u != NO_CENTER {
-                for (v, w) in graph.neighbors(u) {
-                    let wd = Dist::from(w);
-                    if wd > light_limit || state.frozen[v as usize] {
-                        continue;
-                    }
-                    let cand = eff_u.saturating_add(wd as i64);
-                    if eff_within_threshold(cand, threshold) {
-                        local.push((v, cand, center_u, true_u.saturating_add(wd)));
-                    }
-                }
-            }
-            local
-        })
-        .collect();
-
-    let mut stats = StepStats { proposals: proposals.len() as u64, updates: 0 };
-
-    // Apply proposals with the paper's tie-break: smallest distance first,
-    // then smallest center index. Application order is irrelevant because the
-    // winning proposal is a minimum.
-    let mut updated: Vec<NodeId> = Vec::new();
-    for (v, eff, center, true_d) in proposals {
-        let vi = v as usize;
-        let better = eff < state.eff[vi] || (eff == state.eff[vi] && center < state.center[vi]);
-        if better {
-            updated.push(v);
-            state.eff[vi] = eff;
-            state.center[vi] = center;
-            state.true_dist[vi] = true_d;
-        }
-    }
-    updated.sort_unstable();
-    updated.dedup();
-    stats.updates = updated.len() as u64;
-    (updated, stats)
-}
-
 /// Repeats Δ-growing steps until no state is updated, until
-/// `stop_at_reached` unfrozen nodes have been reached, or until `max_steps`
-/// steps have been executed. Each step is charged as one MR round to
-/// `tracker`, with its proposals as messages and its updates as node updates.
+/// `stop_at_reached` unfrozen nodes have been reached, until `max_steps`
+/// steps have been executed, or until `cancel` fires. Each step is charged as
+/// one MR round to `tracker`, with its proposals as messages and its updates
+/// as node updates.
 ///
 /// The initial frontier is every node with a finite effective distance below
 /// the threshold (centers and, in `CLUSTER2`, rescaled covered sources). The
 /// state is loaded into `scratch`'s atomic cells once, every wave relaxes in
 /// place, and the result is stored back once at the end. `CLUSTER` and
 /// `CLUSTER2` run the same waves over state kept resident in the scratch.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list plus the threaded scratch
+///
+/// The cooperative [`CancelToken`] is polled once per Δ-growing wave.
+/// Stopping between waves leaves a *consistent partial growth*: every applied
+/// relaxation is a genuine improvement, distances remain upper bounds on the
+/// true center distances, and nodes the growth never reached stay uncovered —
+/// the callers' singleton fallback turns that into a valid (if coarse)
+/// clustering.
+// The paper's parameter list plus the scratch and the token.
+#[allow(clippy::too_many_arguments)]
+// lint:allow(dead-pub): test entry point that grows a caller's `GrowState`;
+// CLUSTER and CLUSTER2 grow the scratch-resident state instead.
 pub fn partial_growth<G: NeighborSource>(
-    graph: &G,
-    threshold: Dist,
-    light_limit: Dist,
-    state: &mut GrowState,
-    stop_at_reached: Option<usize>,
-    max_steps: Option<usize>,
-    tracker: Option<&CostTracker>,
-    scratch: &mut GrowScratch,
-) -> GrowthOutcome {
-    partial_growth_cancel(
-        graph,
-        threshold,
-        light_limit,
-        state,
-        stop_at_reached,
-        max_steps,
-        tracker,
-        scratch,
-        &CancelToken::never(),
-    )
-}
-
-/// [`partial_growth`] with a cooperative [`CancelToken`], polled once per
-/// Δ-growing wave. Stopping between waves leaves a *consistent partial
-/// growth*: every applied relaxation is a genuine improvement, distances
-/// remain upper bounds on the true center distances, and nodes the growth
-/// never reached stay uncovered — the callers' singleton fallback turns
-/// that into a valid (if coarse) clustering.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list plus scratch and token
-pub fn partial_growth_cancel<G: NeighborSource>(
     graph: &G,
     threshold: Dist,
     light_limit: Dist,
@@ -649,6 +570,7 @@ mod tests {
             max_steps,
             tracker,
             &mut scratch,
+            &CancelToken::never(),
         )
     }
 
@@ -733,40 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn in_place_step_matches_materialized_reference() {
-        let g = cldiam_gen::mesh(6, cldiam_gen::WeightModel::UniformUnit, 11);
-        let mut fast = GrowState::new(g.num_nodes());
-        let mut reference = GrowState::new(g.num_nodes());
-        for &c in &[0, 17, 35] {
-            fast.set_center(c);
-            reference.set_center(c);
-        }
-        let threshold = 3 * Dist::from(cldiam_graph::WEIGHT_SCALE);
-        let mut scratch = GrowScratch::new();
-        let mut frontier = vec![0, 17, 35];
-        for _ in 0..16 {
-            let (fast_up, fast_stats) =
-                delta_growing_step(&g, threshold, threshold, &mut fast, &frontier, &mut scratch);
-            let (ref_up, ref_stats) = delta_growing_step_materialized(
-                &g,
-                threshold,
-                threshold,
-                &mut reference,
-                &frontier,
-            );
-            assert_eq!(fast_up, ref_up);
-            assert_eq!(fast_stats, ref_stats);
-            assert_eq!(fast.eff, reference.eff);
-            assert_eq!(fast.center, reference.center);
-            assert_eq!(fast.true_dist, reference.true_dist);
-            if fast_up.is_empty() {
-                break;
-            }
-            frontier = fast_up;
-        }
-    }
-
-    #[test]
     fn partial_growth_runs_to_fixpoint() {
         let g = weighted_path(&[1, 1, 1, 1]);
         let mut s = init_state_with_center(5, 0);
@@ -824,12 +712,6 @@ mod tests {
         let outcome = grow(&g, threshold, Dist::MAX, &mut s, None, None, None);
         assert_eq!(outcome.reached_unfrozen, 4, "growth stopped under a Δ past i64::MAX");
         assert_eq!(s.true_dist[3], 3);
-        // The materialized reference must agree wave by wave.
-        let mut r = init_state_with_center(4, 0);
-        let (updated, stats) =
-            delta_growing_step_materialized(&g, threshold, Dist::MAX, &mut r, &[0]);
-        assert_eq!(updated, vec![1]);
-        assert_eq!(stats.updates, 1);
         // CLUSTER2-style negative credits keep working against the same Δ.
         let mut s2 = init_state_with_center(4, 0);
         s2.freeze_reached();
@@ -845,7 +727,9 @@ mod tests {
         for n in [4usize, 9, 4] {
             let g = weighted_path(&vec![1; n - 1]);
             let mut s = init_state_with_center(n, 0);
-            let outcome = partial_growth(&g, 100, 100, &mut s, None, None, None, &mut scratch);
+            let never = CancelToken::never();
+            let outcome =
+                partial_growth(&g, 100, 100, &mut s, None, None, None, &mut scratch, &never);
             assert_eq!(outcome.reached_unfrozen, n);
             assert_eq!(s.true_dist[n - 1], (n - 1) as Dist);
         }
@@ -881,7 +765,7 @@ mod tests {
             let outcome = if pruned {
                 scratch.partial_growth(&g, 10, 10, None, None, Some(&tracker), &token)
             } else {
-                partial_growth_cancel(
+                partial_growth(
                     &g,
                     10,
                     10,

@@ -11,13 +11,11 @@
 //! * **`CLUSTER2(G, τ)`** (Algorithm 2) — the refined decomposition with
 //!   doubling selection probabilities and rescaled contraction, used in the
 //!   approximation analysis ([`cluster2`]);
-//! * the explicit **`Contract`** procedure and its equivalence with the
-//!   state-based (logical) contraction used by the main implementation
-//!   ([`contract`]);
+//! * the explicit **`Contract`** procedure, compiled for tests only, which
+//!   pins its equivalence with the state-based (logical) contraction used by
+//!   the main implementation (`contract.rs`);
 //! * the **weighted quotient graph** and the diameter estimate
 //!   `Φ_approx(G) = Φ(G_C) + 2·R` ([`quotient`], [`diameter`]);
-//! * a literal **MapReduce formulation** of the Δ-growing step on the
-//!   simulated engine of `cldiam-mr` ([`mr_impl`]);
 //! * the **anytime `[lb, ub]` driver** that plugs the quotient upper bound
 //!   into the interval-tightening engine of `cldiam_sssp::bounds`
 //!   ([`bounds`]).
@@ -50,25 +48,23 @@ pub mod cluster;
 pub mod cluster2;
 pub mod clustering;
 pub mod config;
-pub mod contract;
 pub mod diameter;
 pub mod growing;
-pub mod mr_impl;
 pub mod quotient;
 pub mod state;
 
 pub use bounds::{
-    anytime_diameter, anytime_diameter_cancel, anytime_diameter_with_split,
-    anytime_diameter_with_split_cancel, AnytimeConfig,
+    anytime_diameter_cancel, anytime_diameter_with_split, anytime_diameter_with_split_cancel,
+    AnytimeConfig,
 };
 pub use cluster::{cluster, cluster_cancel};
 pub use cluster2::{cluster2, cluster2_cancel};
 pub use clustering::Clustering;
 pub use config::{ClusterConfig, InitialDelta};
 pub use diameter::{approximate_diameter, approximate_diameter_cancel, ClDiam, DiameterEstimate};
-pub use growing::{
-    delta_growing_step, delta_growing_step_materialized, partial_growth, partial_growth_cancel,
-    GrowScratch, GrowthOutcome, StepStats,
-};
+pub use growing::{delta_growing_step, partial_growth, GrowScratch, GrowthOutcome, StepStats};
 pub use quotient::{quotient_graph, QuotientGraph};
 pub use state::{eff_below_threshold, eff_within_threshold, GrowState, EFF_INFINITY, NO_CENTER};
+
+#[cfg(test)]
+mod contract;

@@ -2,7 +2,7 @@
 //! with a transcription of the plain stage loops they replace.
 //!
 //! The oracle below keeps the whole grow state in a [`GrowState`] and runs
-//! every growth through [`partial_growth_cancel`], re-initializing every node
+//! every growth through [`partial_growth`], re-initializing every node
 //! at every stage: covered nodes become sources again with their credit and
 //! the initial frontier is rebuilt from all `n` nodes. The production drivers
 //! keep the state resident in the growing scratch and prune interior sources
@@ -20,7 +20,7 @@ use rand_xoshiro::Xoshiro256PlusPlus;
 
 use cldiam_core::cluster::GAMMA;
 use cldiam_core::{
-    cluster2_cancel, cluster_cancel, partial_growth_cancel, ClusterConfig, Clustering, GrowScratch,
+    cluster2_cancel, cluster_cancel, partial_growth, ClusterConfig, Clustering, GrowScratch,
     GrowState,
 };
 use cldiam_graph::{CancelToken, Dist, Graph, GraphBuilder, NodeId, Weight};
@@ -143,7 +143,7 @@ fn oracle_cluster_state(
         tracker.add_messages(uncovered.len() as u64);
         let target = uncovered.len().div_ceil(2);
         loop {
-            let outcome = partial_growth_cancel(
+            let outcome = partial_growth(
                 graph,
                 delta,
                 delta,
@@ -242,7 +242,7 @@ fn oracle_cluster2(graph: &Graph, config: &ClusterConfig, cancel: &CancelToken) 
         }
         tracker.add_round();
         tracker.add_messages(uncovered.len() as u64);
-        let outcome = partial_growth_cancel(
+        let outcome = partial_growth(
             graph,
             threshold,
             threshold,

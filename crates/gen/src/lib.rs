@@ -26,8 +26,8 @@ pub mod roads;
 pub mod spec;
 pub mod weights;
 
-pub use mesh::{mesh, torus};
-pub use path::{complete, cycle, path, star, weighted_path};
+pub use mesh::mesh;
+pub use path::{path, weighted_path};
 pub use random::{gnm_random, preferential_attachment};
 pub use rmat::{rmat, RmatParams, GEN_CHUNKS};
 pub use roads::{road_network, roads_product};

@@ -31,21 +31,6 @@ pub fn mesh(side: usize, model: WeightModel, seed: u64) -> Graph {
     b.build()
 }
 
-/// An `side × side` torus (mesh with wrap-around edges), weights from `model`.
-pub fn torus(side: usize, model: WeightModel, seed: u64) -> Graph {
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-    let n = side * side;
-    let id = |r: usize, c: usize| ((r % side) * side + (c % side)) as NodeId;
-    let mut b = GraphBuilder::with_capacity(n, 2 * n);
-    for r in 0..side {
-        for c in 0..side {
-            b.add_edge(id(r, c), id(r, c + 1), model.sample(&mut rng, 1));
-            b.add_edge(id(r, c), id(r + 1, c), model.sample(&mut rng, 1));
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,21 +62,5 @@ mod tests {
     fn mesh_is_deterministic_in_seed() {
         assert_eq!(mesh(6, WeightModel::UniformUnit, 9), mesh(6, WeightModel::UniformUnit, 9));
         assert_ne!(mesh(6, WeightModel::UniformUnit, 9), mesh(6, WeightModel::UniformUnit, 10));
-    }
-
-    #[test]
-    fn torus_is_4_regular() {
-        let g = torus(5, WeightModel::Unit, 0);
-        assert_eq!(g.num_nodes(), 25);
-        assert!(g.nodes().all(|u| g.degree(u) == 4));
-    }
-
-    #[test]
-    fn degenerate_torus_has_no_self_loops() {
-        // side = 1 wraps every edge onto a single node; all become self loops
-        // and must be dropped.
-        let g = torus(1, WeightModel::Unit, 0);
-        assert_eq!(g.num_nodes(), 1);
-        assert_eq!(g.num_edges(), 0);
     }
 }

@@ -1,4 +1,5 @@
-//! Elementary topologies used as building blocks and test fixtures.
+//! Elementary topologies: the linear array of the paper's `roads(S)` family
+//! and a weighted path for hand-built test cases.
 
 use cldiam_graph::{Graph, GraphBuilder, NodeId, Weight};
 
@@ -14,40 +15,10 @@ pub fn path(n: usize, w: Weight) -> Graph {
     b.build()
 }
 
-/// A cycle on `n` nodes with constant edge weight `w`.
-pub fn cycle(n: usize, w: Weight) -> Graph {
-    let mut b = GraphBuilder::with_capacity(n, n);
-    for i in 1..n {
-        b.add_edge((i - 1) as NodeId, i as NodeId, w);
-    }
-    if n > 2 {
-        b.add_edge((n - 1) as NodeId, 0, w);
-    }
-    b.build()
-}
-
-/// A star with center 0 and `n - 1` leaves, constant edge weight `w`.
-pub fn star(n: usize, w: Weight) -> Graph {
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for i in 1..n {
-        b.add_edge(0, i as NodeId, w);
-    }
-    b.build()
-}
-
-/// The complete graph on `n` nodes with constant edge weight `w`.
-pub fn complete(n: usize, w: Weight) -> Graph {
-    let mut b = GraphBuilder::with_capacity(n, n * n.saturating_sub(1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            b.add_edge(i as NodeId, j as NodeId, w);
-        }
-    }
-    b.build()
-}
-
 /// A path with explicitly specified edge weights (`weights[i]` is the weight
 /// of the edge `{i, i+1}`), convenient for hand-constructed test cases.
+// lint:allow(dead-pub): hand-built fixture shared by the unit tests of the
+// core and testkit crates; no generator spec produces it.
 pub fn weighted_path(weights: &[Weight]) -> Graph {
     let mut b = GraphBuilder::with_capacity(weights.len() + 1, weights.len());
     for (i, &w) in weights.iter().enumerate() {
@@ -74,32 +45,6 @@ mod tests {
     fn degenerate_sizes() {
         assert_eq!(path(0, 1).num_nodes(), 0);
         assert_eq!(path(1, 1).num_edges(), 0);
-        assert_eq!(cycle(2, 1).num_edges(), 1);
-        assert_eq!(star(1, 1).num_edges(), 0);
-        assert_eq!(complete(1, 1).num_edges(), 0);
-    }
-
-    #[test]
-    fn cycle_shape() {
-        let g = cycle(6, 2);
-        assert_eq!(g.num_edges(), 6);
-        assert!(g.nodes().all(|u| g.degree(u) == 2));
-        assert!(g.has_edge(5, 0));
-    }
-
-    #[test]
-    fn star_shape() {
-        let g = star(7, 4);
-        assert_eq!(g.num_edges(), 6);
-        assert_eq!(g.degree(0), 6);
-        assert!(g.nodes().skip(1).all(|u| g.degree(u) == 1));
-    }
-
-    #[test]
-    fn complete_shape() {
-        let g = complete(6, 1);
-        assert_eq!(g.num_edges(), 15);
-        assert!(g.nodes().all(|u| g.degree(u) == 5));
     }
 
     #[test]

@@ -3,11 +3,8 @@
 //! The paper defines the diameter of a disconnected graph as the largest
 //! distance between two nodes *in the same connected component*, and the
 //! benchmark harness runs every algorithm on the largest component of the
-//! generated graphs (as is standard for the SNAP/LAW social networks). Two
-//! implementations are provided: a sequential union-find (the oracle) and a
-//! parallel label-propagation variant used for large graphs.
-
-use rayon::prelude::*;
+//! generated graphs (as is standard for the SNAP/LAW social networks).
+//! Components are labelled by a sequential union-find.
 
 use crate::csr::Graph;
 use crate::ops;
@@ -93,51 +90,6 @@ pub fn connected_components<G: NeighborSource>(graph: &G) -> ComponentLabels {
         }
     }
     canonicalize(n, |u| uf.find(u))
-}
-
-/// Computes connected components with parallel label propagation
-/// (hook-and-shortcut). Produces the same labelling as
-/// [`connected_components`].
-pub fn connected_components_parallel<G: NeighborSource>(graph: &G) -> ComponentLabels {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return ComponentLabels { labels: Vec::new(), count: 0 };
-    }
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    loop {
-        // Hook: every node adopts the minimum label in its closed neighborhood.
-        // Per-node work is trivial, so chunks stay large (min-len hint).
-        let next: Vec<u32> = (0..n)
-            .into_par_iter()
-            .with_min_len(256)
-            .map(|u| {
-                let mut best = labels[u];
-                for (v, _) in graph.neighbors(u as NodeId) {
-                    best = best.min(labels[v as usize]);
-                }
-                best
-            })
-            .collect();
-        // Shortcut: pointer jumping to accelerate convergence.
-        let jumped: Vec<u32> =
-            (0..n).into_par_iter().with_min_len(256).map(|u| next[next[u] as usize]).collect();
-        let changed =
-            jumped.par_iter().with_min_len(256).zip(labels.par_iter()).any(|(a, b)| a != b);
-        labels = jumped;
-        if !changed {
-            break;
-        }
-    }
-    // Labels now point to the minimum node of each component (after full
-    // convergence of min-propagation). Converge fully: repeat pointer jumping
-    // until stable in case of long chains.
-    canonicalize(n, |u| {
-        let mut x = u;
-        while labels[x as usize] != x {
-            x = labels[x as usize];
-        }
-        x
-    })
 }
 
 fn canonicalize(n: usize, mut root_of: impl FnMut(u32) -> u32) -> ComponentLabels {
@@ -239,23 +191,6 @@ mod tests {
         assert_eq!(labels.labels[3], labels.labels[4]);
         assert_ne!(labels.labels[0], labels.labels[3]);
         assert_ne!(labels.labels[3], labels.labels[5]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = two_components();
-        assert_eq!(connected_components(&g), connected_components_parallel(&g));
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_path() {
-        // A long path stresses the pointer-jumping convergence.
-        let edges: Vec<_> = (0..999).map(|i| (i as NodeId, (i + 1) as NodeId, 1)).collect();
-        let g = Graph::from_edges(1000, &edges);
-        let seq = connected_components(&g);
-        let par = connected_components_parallel(&g);
-        assert_eq!(seq, par);
-        assert!(seq.is_connected());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::io::varint::{encode_u64, zigzag_decode, zigzag_encode};
+use crate::io::varint::{encode_u64, read_varint, zigzag_decode, zigzag_encode};
 use crate::mmap::Mmap;
 use crate::source::NeighborSource;
 use crate::storage::Storage;
@@ -386,36 +386,6 @@ enum WeightRead<'a> {
     Palette(&'a [Weight]),
     Fixed(u8),
     Varint,
-}
-
-/// Consumes one LEB128 varint from the front of `rest`, single-byte values
-/// (the overwhelmingly common case for gaps and length prefixes) on the
-/// no-loop fast path. Panics on a truncated stream, never reads out of
-/// bounds.
-#[inline(always)]
-fn read_varint(rest: &mut &[u8]) -> u64 {
-    let (&byte, tail) = rest.split_first().expect("truncated varint");
-    *rest = tail;
-    if byte & 0x80 == 0 {
-        return u64::from(byte);
-    }
-    read_varint_cont(rest, byte)
-}
-
-/// Multi-byte continuation of [`read_varint`].
-#[inline]
-fn read_varint_cont(rest: &mut &[u8], first: u8) -> u64 {
-    let mut value = u64::from(first & 0x7f);
-    let mut shift = 7u32;
-    loop {
-        let (&byte, tail) = rest.split_first().expect("truncated varint");
-        *rest = tail;
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return value;
-        }
-        shift += 7;
-    }
 }
 
 /// Streaming decoder of one node's neighbor block.

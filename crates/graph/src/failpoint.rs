@@ -261,6 +261,8 @@ fn serial_lock() -> MutexGuard<'static, ()> {
 /// # Panics
 ///
 /// Panics on a malformed spec — test configuration errors should be loud.
+// lint:allow(dead-pub): the test registry's entry point; the chaos suites
+// arm failpoints through it, production arms them from the environment.
 pub fn scoped(specs: &[&str]) -> FailpointGuard {
     let serial = serial_lock();
     let mut map = lock_registry();

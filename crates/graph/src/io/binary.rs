@@ -18,14 +18,13 @@
 //! ```
 //!
 //! Every section is checksummed, so truncation and corruption are detected
-//! before any CSR invariant is trusted; [`read_binary`] additionally
+//! before any CSR invariant is trusted; [`parse_binary`] additionally
 //! re-validates the structural invariants (monotone offsets, in-range
 //! targets, positive weights, no self loops, sorted adjacency lists,
 //! symmetric arcs) and therefore never panics on hostile input and never
 //! yields a [`Graph`] that violates what its query methods assume.
 
-use std::io::{BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{BufWriter, Write};
 
 use crate::csr::Graph;
 use crate::io::{le_u32, le_u64, IoError};
@@ -59,6 +58,8 @@ fn write_section<W: Write>(out: &mut W, payload: &[u8]) -> std::io::Result<()> {
 /// Directed graphs are refused: format v1 stores only the forward arrays and
 /// [`parse_binary`] validates arc symmetry, so a directed snapshot would
 /// either fail to load or silently come back symmetrized.
+// lint:allow(dead-pub): writes v1 fixtures for the snapshot upgrade and
+// corruption suites of several crates; the pipeline only writes v2.
 pub fn write_binary<W: Write>(graph: &Graph, writer: W) -> std::io::Result<()> {
     if graph.is_directed() {
         return Err(std::io::Error::new(
@@ -95,12 +96,6 @@ pub fn write_binary<W: Write>(graph: &Graph, writer: W) -> std::io::Result<()> {
     }
     write_section(&mut out, &weights)?;
     out.flush()
-}
-
-/// Writes a snapshot to a file path.
-pub fn write_binary_file<P: AsRef<Path>>(graph: &Graph, path: P) -> std::io::Result<()> {
-    let file = super::create_file(path.as_ref(), "binary::write")?;
-    write_binary(graph, file)
 }
 
 /// Cursor over the snapshot bytes with bounds-checked reads.
@@ -259,20 +254,6 @@ pub(crate) fn decode_validated_dense(
     Ok(Graph::from_csr(offsets, targets, weights))
 }
 
-/// Deserializes a snapshot from any reader (buffered fully first).
-pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph, IoError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    parse_binary(&bytes)
-}
-
-/// Reads a snapshot from a file path (through the `snapshot::read`
-/// failpoint seam, with transient-error retry).
-pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<Graph, IoError> {
-    let bytes = crate::io::read_file_bytes(path.as_ref(), "snapshot::read")?;
-    parse_binary(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,8 +287,8 @@ mod tests {
         let dir = std::env::temp_dir().join("cldiam_binary_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.cldg");
-        write_binary_file(&g, &path).unwrap();
-        assert_eq!(read_binary_file(&path).unwrap(), g);
+        write_binary(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        assert_eq!(crate::io::load_graph(&path).unwrap(), g);
     }
 
     #[test]

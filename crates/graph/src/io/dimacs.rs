@@ -19,8 +19,7 @@
 //! Parsing of the arc section is parallel over newline-aligned chunks with a
 //! chunk-ordered merge; see [`crate::io`] for the determinism contract.
 
-use std::io::{self, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, BufWriter, Write};
 
 use crate::csr::Graph;
 use crate::io::{
@@ -197,27 +196,10 @@ pub fn parse_dimacs_bytes_as(
     Ok(LoadedGraph { graph: graph_from_arcs(header.num_nodes, &arcs, direction), asymmetric_arcs })
 }
 
-/// Parses a DIMACS document stored in a string.
-pub fn parse_dimacs(text: &str) -> Result<Graph, IoError> {
-    parse_dimacs_bytes(text.as_bytes())
-}
-
-/// Parses a DIMACS document from any reader (buffered fully first).
-pub fn read_dimacs<R: Read>(mut reader: R) -> Result<Graph, IoError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    parse_dimacs_bytes(&bytes)
-}
-
-/// Reads a DIMACS document from a file path (through the `io::read`
-/// failpoint seam, with transient-error retry).
-pub fn read_dimacs_file<P: AsRef<Path>>(path: P) -> Result<Graph, IoError> {
-    let bytes = crate::io::read_file_bytes(path.as_ref(), "io::read")?;
-    parse_dimacs_bytes(&bytes)
-}
-
 /// Writes the graph in DIMACS `.gr` form (both directions of every
 /// undirected edge, as road-network files do).
+// lint:allow(dead-pub): writes DIMACS fixtures for the IO suites; no
+// pipeline path exports a graph.
 pub fn write_dimacs<W: Write>(graph: &Graph, writer: W) -> io::Result<()> {
     let mut out = BufWriter::new(writer);
     writeln!(out, "c cldiam DIMACS export")?;
@@ -228,15 +210,13 @@ pub fn write_dimacs<W: Write>(graph: &Graph, writer: W) -> io::Result<()> {
     out.flush()
 }
 
-/// Writes the graph to a file path in DIMACS form.
-pub fn write_dimacs_file<P: AsRef<Path>>(graph: &Graph, path: P) -> io::Result<()> {
-    let file = super::create_file(path.as_ref(), "dimacs::write")?;
-    write_dimacs(graph, file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_dimacs(text: &str) -> Result<Graph, IoError> {
+        parse_dimacs_bytes(text.as_bytes())
+    }
 
     const SMALL: &str = "c tiny example\n\
                          p sp 4 5\n\
@@ -322,7 +302,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1, 3), (1, 2, 4), (0, 3, 9), (3, 4, 1)]);
         let mut buf = Vec::new();
         write_dimacs(&g, &mut buf).unwrap();
-        let parsed = read_dimacs(io::Cursor::new(buf)).unwrap();
+        let parsed = parse_dimacs_bytes(&buf).unwrap();
         assert_eq!(parsed, g);
     }
 

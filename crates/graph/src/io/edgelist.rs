@@ -9,8 +9,7 @@
 //! Parsing is parallel over newline-aligned chunks with a chunk-ordered
 //! merge; see [`crate::io`] for the determinism contract.
 
-use std::io::{self, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, BufWriter, Write};
 
 use crate::csr::Graph;
 use crate::io::{
@@ -86,23 +85,10 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, IoError> {
     parse_edge_list_bytes(text.as_bytes())
 }
 
-/// Parses an edge list from any reader (buffered fully, then parsed in
-/// parallel).
-pub fn read_edge_list<R: Read>(mut reader: R) -> Result<Graph, IoError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    parse_edge_list_bytes(&bytes)
-}
-
-/// Reads an edge list from a file path (through the `io::read` failpoint
-/// seam, with transient-error retry).
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Graph, IoError> {
-    let bytes = crate::io::read_file_bytes(path.as_ref(), "io::read")?;
-    parse_edge_list_bytes(&bytes)
-}
-
 /// Writes the graph as a weighted edge list (`u v w`, one undirected edge per
 /// line).
+// lint:allow(dead-pub): writes edge-list fixtures for this module's tests
+// and the root IO and storage suites; no pipeline path exports a graph.
 pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> io::Result<()> {
     let mut out = BufWriter::new(writer);
     writeln!(out, "# cldiam edge list: {} nodes, {} edges", graph.num_nodes(), graph.num_edges())?;
@@ -110,12 +96,6 @@ pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> io::Result<()> {
         writeln!(out, "{u} {v} {w}")?;
     }
     out.flush()
-}
-
-/// Writes the graph to a file path.
-pub fn write_edge_list_file<P: AsRef<Path>>(graph: &Graph, path: P) -> io::Result<()> {
-    let file = super::create_file(path.as_ref(), "edgelist::write")?;
-    write_edge_list(graph, file)
 }
 
 #[cfg(test)]
@@ -183,7 +163,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1, 3), (1, 2, 4), (0, 3, 9)]);
         let mut buf = Vec::new();
         write_edge_list(&g, &mut buf).unwrap();
-        let parsed = read_edge_list(io::Cursor::new(buf)).unwrap();
+        let parsed = parse_edge_list_bytes(&buf).unwrap();
         assert_eq!(parsed, g);
     }
 
@@ -193,8 +173,8 @@ mod tests {
         let dir = std::env::temp_dir().join("cldiam_edgelist_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.txt");
-        write_edge_list_file(&g, &path).unwrap();
-        let parsed = read_edge_list_file(&path).unwrap();
+        write_edge_list(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        let parsed = crate::io::load_graph(&path).unwrap();
         assert_eq!(parsed, g);
     }
 

@@ -106,17 +106,6 @@ pub(crate) fn open_file(path: &Path, site: &str) -> std::io::Result<std::fs::Fil
     })
 }
 
-/// Creates (truncating) `path` for writing through the failpoint seam
-/// `site`, retrying transient errors. Streaming writers — section-at-a-time
-/// snapshot and text emitters — funnel through here; buffered whole-file
-/// writes use [`write_bytes_atomic`] instead.
-pub(crate) fn create_file(path: &Path, site: &str) -> std::io::Result<std::fs::File> {
-    with_io_retry(|| {
-        failpoint::inject(site)?;
-        std::fs::File::create(path)
-    })
-}
-
 /// Persists `bytes` crash-safely: write to a same-directory temp file,
 /// fsync, then atomically rename over `path`. A reader never observes a
 /// half-written file — it sees either the old contents or the new ones.
@@ -448,19 +437,14 @@ fn quarantine_cache(cache: &Path) -> Option<PathBuf> {
 /// text is parsed and the snapshot (re)written for the next run. Returns the
 /// graph and `true` when the snapshot was used.
 ///
+/// [`CacheOptions`] pick the tier: the cache can hold a compressed payload,
+/// be served zero-copy via mmap, and is rewritten whenever its tier or shard
+/// count does not match the request (converting in memory — the text is only
+/// re-parsed when the cache is stale or unreadable).
+///
 /// Robust against format drift: a cache written by an older format version
 /// (or any unreadable/corrupt cache) is transparently regenerated from the
 /// text source — and a still-valid v1 cache is upgraded to v2 in place.
-pub fn load_graph_cached<P: AsRef<Path>>(path: P) -> Result<(Graph, bool), IoError> {
-    load_graph_cached_with(path, &CacheOptions::default())
-        .map(|(graph, cached)| (graph.into_dense(), cached))
-}
-
-/// [`load_graph_cached`] with explicit [`CacheOptions`]: the cache can hold a
-/// compressed payload, be served zero-copy via mmap, and is rewritten
-/// whenever its tier or shard count does not match the request (converting
-/// in memory — the text is only re-parsed when the cache is stale or
-/// unreadable).
 pub fn load_graph_cached_with<P: AsRef<Path>>(
     path: P,
     options: &CacheOptions,

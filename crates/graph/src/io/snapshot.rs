@@ -795,7 +795,7 @@ mod tests {
     fn v1_files_still_load_through_the_snapshot_reader() {
         let g = sample();
         let path = temp_path("v1");
-        binary::write_binary_file(&g, &path).unwrap();
+        binary::write_binary(&g, std::fs::File::create(&path).unwrap()).unwrap();
         for mmap in [false, true] {
             let snap = read_snapshot_file(&path, &SnapshotOptions { mmap, verify: true }).unwrap();
             assert_eq!(snap.version, 1);

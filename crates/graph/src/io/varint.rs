@@ -1,40 +1,13 @@
 //! LEB128 variable-length integers, the byte-level alphabet of the
 //! compressed CSR blocks and the `.cldg` v2 snapshot payloads.
 //!
-//! Two decoders live here on purpose. [`decode_u64`] is the *strict* decoder
-//! used when parsing untrusted snapshot bytes: it rejects truncated streams,
-//! values that overflow `u64`, and non-canonical (over-long) encodings, so
-//! every value has exactly one byte representation and checksummed payloads
-//! cannot be mutated into equal-value aliases. [`decode_u64_fast`] is the
-//! hot-path decoder used by the neighbor-block iterators on data this crate
-//! encoded itself; it skips the canonicality checks but still bounds-checks
-//! every byte access (corrupt input panics, it never reads out of bounds).
-
-/// Maximum encoded length of a `u64` varint: `ceil(64 / 7)` bytes.
-pub const MAX_VARINT_LEN: usize = 10;
-
-/// Decoding failure of a strict varint read.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VarintError {
-    /// The stream ended before a byte with the continuation bit clear.
-    Truncated,
-    /// The encoded value does not fit in 64 bits.
-    Overflow,
-    /// The encoding is longer than necessary (trailing zero groups).
-    NonCanonical,
-}
-
-impl std::fmt::Display for VarintError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VarintError::Truncated => write!(f, "truncated varint"),
-            VarintError::Overflow => write!(f, "varint overflows u64"),
-            VarintError::NonCanonical => write!(f, "non-canonical varint encoding"),
-        }
-    }
-}
-
-impl std::error::Error for VarintError {}
+//! [`encode_u64`] writes them and [`read_varint`] is the one decoder: the
+//! compressed tier's neighbor iterators run it on every scan. It follows the
+//! snapshot trust model (see [`crate::io::snapshot`]): checksums and group
+//! bases are validated at load, while payload varints are only
+//! bounds-checked at traversal. So the decoder bounds-checks every byte
+//! access (a truncated stream panics, it never reads out of bounds) and never
+//! checks canonical form.
 
 /// Appends the LEB128 encoding of `value` to `buf`.
 pub fn encode_u64(buf: &mut Vec<u8>, mut value: u64) {
@@ -49,46 +22,31 @@ pub fn encode_u64(buf: &mut Vec<u8>, mut value: u64) {
     }
 }
 
-/// Strictly decodes one varint starting at `*pos`, advancing `*pos` past it.
-///
-/// Rejects truncation, 64-bit overflow, and over-long encodings; on error
-/// `*pos` is left unspecified and the stream must be abandoned.
-pub fn decode_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
-    let mut value: u64 = 0;
-    let mut shift: u32 = 0;
-    loop {
-        let &byte = bytes.get(*pos).ok_or(VarintError::Truncated)?;
-        *pos += 1;
-        let group = u64::from(byte & 0x7f);
-        // The tenth byte may only carry the single remaining high bit.
-        if shift == 63 && group > 1 {
-            return Err(VarintError::Overflow);
-        }
-        if shift > 63 {
-            return Err(VarintError::Overflow);
-        }
-        value |= group << shift;
-        if byte & 0x80 == 0 {
-            // Canonical form: a multi-byte encoding must not end in an
-            // all-zero group (e.g. `80 00` is a two-byte alias of `00`).
-            if shift > 0 && group == 0 {
-                return Err(VarintError::NonCanonical);
-            }
-            return Ok(value);
-        }
-        shift += 7;
+/// Consumes one LEB128 varint from the front of `rest`, single-byte values
+/// (the overwhelmingly common case for gaps and length prefixes) on the
+/// no-loop fast path. Panics on a truncated stream, never reads out of
+/// bounds.
+#[inline(always)]
+pub fn read_varint(rest: &mut &[u8]) -> u64 {
+    // lint:allow(io-panic): a traversal-time decoder, not a load path; the
+    // trust model above makes a truncated payload panic, never misread.
+    let (&byte, tail) = rest.split_first().expect("truncated varint");
+    *rest = tail;
+    if byte & 0x80 == 0 {
+        return u64::from(byte);
     }
+    read_varint_cont(rest, byte)
 }
 
-/// Hot-path decoder for varints this crate produced itself. Bounds-checked
-/// (panics on truncated input) but does not police canonical form.
-#[inline(always)]
-pub fn decode_u64_fast(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut value: u64 = 0;
-    let mut shift: u32 = 0;
+/// Multi-byte continuation of [`read_varint`].
+#[inline]
+fn read_varint_cont(rest: &mut &[u8], first: u8) -> u64 {
+    let mut value = u64::from(first & 0x7f);
+    let mut shift = 7u32;
     loop {
-        let byte = bytes[*pos];
-        *pos += 1;
+        // lint:allow(io-panic): as in `read_varint`.
+        let (&byte, tail) = rest.split_first().expect("truncated varint");
+        *rest = tail;
         value |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return value;
@@ -114,15 +72,13 @@ pub fn zigzag_decode(value: u64) -> i64 {
 mod tests {
     use super::*;
 
+    /// Encodes `value`, reads it back, and returns the encoded length.
     fn roundtrip(value: u64) -> usize {
         let mut buf = Vec::new();
         encode_u64(&mut buf, value);
-        let mut pos = 0;
-        assert_eq!(decode_u64(&buf, &mut pos), Ok(value), "strict decode of {value}");
-        assert_eq!(pos, buf.len(), "strict decode consumed whole encoding of {value}");
-        let mut fast_pos = 0;
-        assert_eq!(decode_u64_fast(&buf, &mut fast_pos), value, "fast decode of {value}");
-        assert_eq!(fast_pos, buf.len());
+        let mut rest = buf.as_slice();
+        assert_eq!(read_varint(&mut rest), value, "decode of {value}");
+        assert!(rest.is_empty(), "decode consumed the whole encoding of {value}");
         buf.len()
     }
 
@@ -137,7 +93,7 @@ mod tests {
             roundtrip(edge);
             roundtrip(edge + 1);
         }
-        assert_eq!(roundtrip(u64::MAX), MAX_VARINT_LEN);
+        assert_eq!(roundtrip(u64::MAX), 10, "ceil(64 / 7) bytes");
     }
 
     #[test]
@@ -145,37 +101,10 @@ mod tests {
         let mut buf = Vec::new();
         encode_u64(&mut buf, u64::MAX);
         for cut in 0..buf.len() {
-            let mut pos = 0;
-            assert_eq!(
-                decode_u64(&buf[..cut], &mut pos),
-                Err(VarintError::Truncated),
-                "prefix of length {cut} must not decode"
-            );
+            let prefix = &buf[..cut];
+            let decoded = std::panic::catch_unwind(|| read_varint(&mut &prefix[..]));
+            assert!(decoded.is_err(), "prefix of length {cut} must not decode");
         }
-    }
-
-    #[test]
-    fn over_long_encodings_are_rejected() {
-        // `0` padded with a continuation byte: a two-byte alias of one byte.
-        let mut pos = 0;
-        assert_eq!(decode_u64(&[0x80, 0x00], &mut pos), Err(VarintError::NonCanonical));
-        // `1` with a redundant zero continuation group.
-        pos = 0;
-        assert_eq!(decode_u64(&[0x81, 0x00], &mut pos), Err(VarintError::NonCanonical));
-        // Canonical u64::MAX is ten bytes ending in 0x01; a zero tail group
-        // would both overflow and be non-canonical — overflow wins.
-        pos = 0;
-        assert_eq!(
-            decode_u64(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f], &mut pos),
-            Err(VarintError::Overflow)
-        );
-    }
-
-    #[test]
-    fn eleven_byte_streams_overflow() {
-        let bytes = [0x80u8; 12];
-        let mut pos = 0;
-        assert_eq!(decode_u64(&bytes, &mut pos), Err(VarintError::Overflow));
     }
 
     #[test]

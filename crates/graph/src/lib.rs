@@ -10,19 +10,17 @@
 //!   [`SeqMinCells`] behind the Δ-growing hot path in `cldiam-core`.
 //! * [`GraphBuilder`] — an edge-list accumulator that deduplicates, removes
 //!   self loops, symmetrizes and produces a [`Graph`].
-//! * [`components`] — connected components (sequential union-find and a
-//!   parallel label-propagation variant) and largest-component extraction.
+//! * [`components`] — connected components (union-find) and
+//!   largest-component extraction.
 //! * [`traversal`] — unweighted BFS utilities (hop distances, double sweep).
 //! * [`ops`] — graph transformations: cartesian product (used by the paper's
-//!   `roads(S)` family), induced subgraphs, relabelling and reweighting.
+//!   `roads(S)` family), induced subgraphs and reweighting.
 //! * [`stats`] — degree/weight statistics used by the benchmark harness to
 //!   regenerate Table 1.
 //! * [`io`] — file ingestion: SNAP/TSV edge lists, DIMACS `.gr`, a versioned
 //!   binary CSR snapshot, and format auto-detection ([`load_graph`]). Text
 //!   parsing is parallel over newline-aligned chunks and deterministic at any
 //!   thread count.
-//! * [`properties`] — ball-growth probes related to the doubling dimension
-//!   assumption of Corollary 1.
 //! * [`cancel`] — the cooperative [`CancelToken`] polled at engine phase
 //!   boundaries for deadline-bounded, gracefully degrading runs.
 //! * [`failpoint`] — fault-injection hooks on every I/O seam (zero-cost
@@ -46,7 +44,6 @@ pub mod failpoint;
 pub mod io;
 pub mod mmap;
 pub mod ops;
-pub mod properties;
 pub mod source;
 pub mod stats;
 mod storage;
@@ -67,11 +64,9 @@ pub use io::snapshot::{
     SnapshotGraph, SnapshotOptions, SnapshotPayload,
 };
 pub use io::{
-    detect_format, load_graph, load_graph_as, load_graph_cached, load_graph_cached_with,
-    CacheOptions, EdgeDirection, FileFormat, IoError, LoadedGraph,
+    detect_format, load_graph, load_graph_as, load_graph_cached_with, CacheOptions, EdgeDirection,
+    FileFormat, IoError, LoadedGraph,
 };
 pub use source::NeighborSource;
 pub use stats::GraphStats;
-pub use weight::{
-    dist_to_unit, weight_from_unit, weight_to_unit, Dist, NodeId, Weight, INFINITY, WEIGHT_SCALE,
-};
+pub use weight::{weight_from_unit, Dist, NodeId, Weight, INFINITY, WEIGHT_SCALE};

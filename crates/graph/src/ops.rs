@@ -1,5 +1,5 @@
-//! Graph transformations: cartesian products, induced subgraphs, relabelling
-//! and reweighting.
+//! Graph transformations: cartesian products, induced subgraphs and
+//! reweighting.
 //!
 //! The paper's `roads(S)` benchmark family is "the cartesian product of a
 //! linear array of `S` nodes and unit edge weights with roads-USA"; the
@@ -75,27 +75,6 @@ pub fn induced_subgraph(graph: &Graph, nodes: &[NodeId]) -> Graph {
                 builder.add_edge(nu, nv, w);
             }
         }
-    }
-    builder.build()
-}
-
-/// Relabels the graph with a permutation: node `u` becomes `perm[u]`.
-///
-/// # Panics
-///
-/// Panics if `perm` is not a permutation of `0..num_nodes`.
-pub fn relabel(graph: &Graph, perm: &[NodeId]) -> Graph {
-    assert!(!graph.is_directed(), "relabel expects an undirected graph");
-    let n = graph.num_nodes();
-    assert_eq!(perm.len(), n, "permutation length mismatch");
-    let mut seen = vec![false; n];
-    for &p in perm {
-        assert!((p as usize) < n && !seen[p as usize], "perm is not a permutation");
-        seen[p as usize] = true;
-    }
-    let mut builder = GraphBuilder::new(n);
-    for (u, v, w) in graph.edges() {
-        builder.add_edge(perm[u as usize], perm[v as usize], w);
     }
     builder.build()
 }
@@ -186,22 +165,6 @@ mod tests {
         assert_eq!(sub.edge_weight(0, 1), Some(1));
         assert_eq!(sub.edge_weight(1, 0), None);
         assert_eq!(sub.edge_weight(2, 0), Some(3));
-    }
-
-    #[test]
-    fn relabel_reverses() {
-        let g = path(4, 5);
-        let relabelled = relabel(&g, &[3, 2, 1, 0]);
-        assert!(relabelled.has_edge(3, 2));
-        assert!(relabelled.has_edge(1, 0));
-        assert_eq!(relabelled.num_edges(), g.num_edges());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn relabel_rejects_non_permutation() {
-        let g = path(3, 1);
-        relabel(&g, &[0, 0, 1]);
     }
 
     #[test]

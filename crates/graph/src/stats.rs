@@ -63,26 +63,6 @@ impl GraphStats {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of nodes of degree `d`.
-pub fn degree_histogram(graph: &Graph) -> Vec<usize> {
-    let n = graph.num_nodes();
-    let max_deg = (0..n).map(|u| graph.degree(u as NodeId)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max_deg + 1];
-    for u in 0..n {
-        hist[graph.degree(u as NodeId)] += 1;
-    }
-    hist
-}
-
-/// Ratio between the maximum and the minimum edge weight; the paper assumes
-/// this ratio is polynomial in `n`. Returns `None` for edgeless graphs.
-pub fn weight_spread(graph: &Graph) -> Option<f64> {
-    match (graph.min_weight(), graph.max_weight()) {
-        (Some(lo), Some(hi)) if lo > 0 => Some(f64::from(hi) / f64::from(lo)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,19 +92,5 @@ mod tests {
         assert_eq!(s.edges, 0);
         assert_eq!(s.max_degree, 0);
         assert_eq!(s.avg_degree, 0.0);
-    }
-
-    #[test]
-    fn histogram_counts_every_node() {
-        let hist = degree_histogram(&star());
-        assert_eq!(hist[1], 4);
-        assert_eq!(hist[4], 1);
-        assert_eq!(hist.iter().sum::<usize>(), 5);
-    }
-
-    #[test]
-    fn weight_spread_ratio() {
-        assert_eq!(weight_spread(&star()), Some(4.0));
-        assert_eq!(weight_spread(&Graph::empty(3)), None);
     }
 }

@@ -7,8 +7,6 @@
 
 use std::collections::VecDeque;
 
-use rayon::prelude::*;
-
 use crate::source::NeighborSource;
 use crate::weight::NodeId;
 
@@ -43,42 +41,6 @@ pub fn multi_source_bfs<G: NeighborSource>(graph: &G, sources: &[NodeId]) -> Vec
         }
     }
     dist
-}
-
-/// A frontier-parallel BFS that processes one level per step, mirroring how a
-/// MapReduce round would expand the frontier. Returns the same hop distances
-/// as [`bfs_hops`] together with the number of levels (rounds) executed.
-pub fn parallel_bfs_hops<G: NeighborSource>(graph: &G, source: NodeId) -> (Vec<u32>, usize) {
-    let n = graph.num_nodes();
-    let mut dist = vec![UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let mut frontier = vec![source];
-    let mut level = 0u32;
-    let mut rounds = 0usize;
-    while !frontier.is_empty() {
-        rounds += 1;
-        let next: Vec<NodeId> = frontier
-            .par_iter()
-            .with_min_len(64)
-            .flat_map_iter(|&u| {
-                graph
-                    .neighbors(u)
-                    .filter(|&(v, _)| dist[v as usize] == UNREACHABLE)
-                    .map(|(v, _)| v)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut dedup_next = Vec::with_capacity(next.len());
-        for v in next {
-            if dist[v as usize] == UNREACHABLE {
-                dist[v as usize] = level + 1;
-                dedup_next.push(v);
-            }
-        }
-        frontier = dedup_next;
-        level += 1;
-    }
-    (dist, rounds)
 }
 
 /// Unweighted eccentricity of `source` restricted to its component (maximum
@@ -142,16 +104,6 @@ mod tests {
         let g = path(3);
         let d = multi_source_bfs(&g, &[1, 1]);
         assert_eq!(d, vec![1, 0, 1]);
-    }
-
-    #[test]
-    fn parallel_bfs_matches_sequential() {
-        let g = path(64);
-        let (par, rounds) = parallel_bfs_hops(&g, 0);
-        assert_eq!(par, bfs_hops(&g, 0));
-        // One round per frontier expansion, including the final round that
-        // discovers nothing: eccentricity(0) + 1 = 64.
-        assert_eq!(rounds, 64);
     }
 
     #[test]

@@ -52,31 +52,6 @@ pub fn weight_from_unit(x: f64) -> Weight {
     }
 }
 
-/// Converts a fixed-point weight back to its real value in `(0, 1]`.
-pub fn weight_to_unit(w: Weight) -> f64 {
-    f64::from(w) / f64::from(WEIGHT_SCALE)
-}
-
-/// Converts a fixed-point distance back to real units (inverse of the
-/// [`WEIGHT_SCALE`] embedding). Returns `f64::INFINITY` for [`INFINITY`].
-pub fn dist_to_unit(d: Dist) -> f64 {
-    if d == INFINITY {
-        f64::INFINITY
-    } else {
-        d as f64 / f64::from(WEIGHT_SCALE)
-    }
-}
-
-/// Saturating addition of a distance and a weight that preserves [`INFINITY`].
-#[inline]
-pub fn dist_add(d: Dist, w: Weight) -> Dist {
-    if d == INFINITY {
-        INFINITY
-    } else {
-        d.saturating_add(Dist::from(w))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +60,7 @@ mod tests {
     fn unit_weight_roundtrip_is_close() {
         for &x in &[0.001, 0.25, 0.5, 0.75, 1.0] {
             let w = weight_from_unit(x);
-            let back = weight_to_unit(w);
+            let back = f64::from(w) / f64::from(WEIGHT_SCALE);
             assert!((back - x).abs() < 2.0 / f64::from(WEIGHT_SCALE), "{x} -> {w} -> {back}");
         }
     }
@@ -100,17 +75,5 @@ mod tests {
     #[test]
     fn unit_weight_saturates() {
         assert_eq!(weight_from_unit(1e10), Weight::MAX);
-    }
-
-    #[test]
-    fn dist_add_preserves_infinity() {
-        assert_eq!(dist_add(INFINITY, 5), INFINITY);
-        assert_eq!(dist_add(10, 5), 15);
-    }
-
-    #[test]
-    fn dist_to_unit_handles_infinity() {
-        assert!(dist_to_unit(INFINITY).is_infinite());
-        assert!((dist_to_unit(Dist::from(WEIGHT_SCALE)) - 1.0).abs() < 1e-9);
     }
 }

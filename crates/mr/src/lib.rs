@@ -1,4 +1,4 @@
-//! A MapReduce-like round engine and the paper's cost model.
+//! The paper's `MR(M_T, M_L)` cost model.
 //!
 //! The paper analyses its algorithms on the `MR(M_T, M_L)` model of
 //! Pietracaprina et al.: a computation is a sequence of *rounds*; in a round a
@@ -10,29 +10,17 @@
 //! generated.
 //!
 //! The paper's experiments run on Apache Spark over a 16-node cluster. This
-//! crate is the single-process substitute:
-//!
-//! * [`CostTracker`] / [`CostMetrics`] — thread-safe accounting of rounds,
-//!   messages, node updates and peak per-reducer memory. Both the fast
-//!   shared-memory implementations (in `cldiam-core` / `cldiam-sssp`) and the
-//!   literal engine below charge the same model, so the platform-independent
-//!   metrics of Table 2 and Figures 2–3 are reproduced exactly.
-//! * [`MrEngine`] — a literal round executor: pairs are hash-partitioned to a
-//!   configurable number of simulated machines, and the machines execute
-//!   concurrently on a dedicated thread pool sized to the machine count, with
-//!   per-machine results and load statistics merged back in machine order so
-//!   every round is deterministic. `M_L` violations are detected and
-//!   reported.
-//! * [`primitives`] — the sorting and (segmented) prefix-sum primitives of
-//!   Fact 1, with their `O(log_{M_L} n)` round accounting.
+//! crate is the single-process substitute's accounting:
+//! [`CostTracker`] / [`CostMetrics`] are thread-safe counters of rounds,
+//! messages, node updates and peak per-reducer memory. The shared-memory
+//! implementations in `cldiam-core` and `cldiam-sssp` charge them exactly as
+//! a MapReduce execution would, so the platform-independent metrics of
+//! Table 2 and Figures 2–3 are reproduced exactly. A literal round executor
+//! that charges the same model lives in the dev-only `cldiam-testkit` crate,
+//! where the equivalence suites run it against the fast paths.
 
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod engine;
 pub mod metrics;
-pub mod primitives;
 
-pub use config::MrConfig;
-pub use engine::{MachineLoad, MrEngine, RoundStats};
 pub use metrics::{CostMetrics, CostTracker};

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId, Weight, INFINITY};
+use cldiam_graph::{Dist, Graph, NeighborSource, NodeId, Weight, INFINITY};
 
 /// Which adjacency a directed scratch run traverses.
 ///
@@ -309,35 +309,6 @@ pub fn multi_source_dijkstra<G: NeighborSource, T: Send>(
         .collect()
 }
 
-/// [`multi_source_dijkstra`] with a cooperative [`CancelToken`], polled
-/// *between* sources: a claimed source always runs to completion (a partial
-/// Dijkstra would under-estimate eccentricities and silently corrupt any
-/// bound built on it), and sources claimed after cancellation come back as
-/// `None`. Which sources ran can vary with scheduling under a wall-clock
-/// deadline; with only a logical check budget the skip set is a
-/// deterministic suffix-free pattern per clone — callers needing bitwise
-/// reproducibility should derive per-worker children from one token.
-pub fn multi_source_dijkstra_cancel<G: NeighborSource, T: Send>(
-    graph: &G,
-    sources: &[NodeId],
-    cancel: &CancelToken,
-    f: impl Fn(NodeId, &DijkstraScratch) -> T + Sync,
-) -> Vec<Option<T>> {
-    let pool = ScratchPool::new();
-    sources
-        .par_iter()
-        .map(|&source| {
-            if cancel.checkpoint() {
-                return None;
-            }
-            Some(pool.with(|scratch| {
-                scratch.run(graph, source);
-                f(source, scratch)
-            }))
-        })
-        .collect()
-}
-
 /// Weighted eccentricity of every source, computed as one batched
 /// multi-source Dijkstra over a shared scratch pool. Equivalent to (and
 /// pinned against) the per-source loop
@@ -451,22 +422,6 @@ mod tests {
         let sources = [24u32, 0, 12];
         let tagged = multi_source_dijkstra(&g, &sources, |s, scratch| (s, scratch.distance(s)));
         assert_eq!(tagged, vec![(24, 0), (0, 0), (12, 0)]);
-    }
-
-    #[test]
-    fn cancelled_batch_skips_but_never_truncates_a_source() {
-        let g = mesh(6, WeightModel::UniformUnit, 3);
-        let sources: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-        let cancel = CancelToken::never();
-        cancel.cancel();
-        let out = multi_source_dijkstra_cancel(&g, &sources, &cancel, |_, s| s.eccentricity());
-        assert!(out.iter().all(Option::is_none), "pre-cancelled batch must skip everything");
-        // Uncancelled: every completed entry equals the full Dijkstra answer.
-        let out = multi_source_dijkstra_cancel(&g, &sources, &CancelToken::never(), |_, s| {
-            s.eccentricity()
-        });
-        let full = batched_eccentricities(&g, &sources);
-        assert_eq!(out.into_iter().map(Option::unwrap).collect::<Vec<_>>(), full);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl DiameterOracle for NoOracle {
 }
 
 /// `None` with the oracle type fixed, for engine calls without an oracle:
-/// `bounds_diameter(&g, &config, NO_ORACLE)`.
+/// `bounds_diameter_cancel(&g, &config, NO_ORACLE, &cancel)`.
 pub const NO_ORACLE: Option<&NoOracle> = None;
 
 /// `upper ≤ tolerance · lower`, with the interval closed and finite.
@@ -504,27 +504,17 @@ fn bound_directed<O: DiameterOracle>(
 
 /// The anytime bounds engine over a precomputed [`ComponentSplit`]
 /// (undirected inputs only — directed graphs are never split; call
-/// [`bounds_diameter`]).
+/// [`bounds_diameter_cancel`]).
 ///
 /// Disconnected graphs bound every non-singleton component in parallel,
 /// each with the full per-component budget; the diameter interval of the
 /// whole graph is the pointwise max (the paper's convention: the diameter
 /// of a disconnected graph is the largest intra-component distance).
-pub fn bounds_diameter_with_split<G: NeighborSource, O: DiameterOracle>(
-    graph: &G,
-    config: &BoundsConfig,
-    oracle: Option<&O>,
-    split: &ComponentSplit,
-) -> BoundsOutcome {
-    bounds_diameter_with_split_cancel(graph, config, oracle, split, &CancelToken::never())
-}
-
-/// [`bounds_diameter_with_split`] with a cooperative [`CancelToken`].
 ///
-/// Every component gets its own *child* token (fresh checkpoint counter
-/// over the shared flag/deadline), so a logical check budget stops each
-/// component after the same number of phase boundaries at any thread count
-/// — the degraded result is deterministic for a fixed cadence.
+/// Every component gets its own *child* [`CancelToken`] (fresh checkpoint
+/// counter over the shared flag/deadline), so a logical check budget stops
+/// each component after the same number of phase boundaries at any thread
+/// count — the degraded result is deterministic for a fixed cadence.
 pub fn bounds_diameter_with_split_cancel<G: NeighborSource, O: DiameterOracle>(
     graph: &G,
     config: &BoundsConfig,
@@ -532,7 +522,7 @@ pub fn bounds_diameter_with_split_cancel<G: NeighborSource, O: DiameterOracle>(
     split: &ComponentSplit,
     cancel: &CancelToken,
 ) -> BoundsOutcome {
-    assert!(!graph.is_directed(), "bounds_diameter_with_split expects an undirected graph");
+    assert!(!graph.is_directed(), "bounds_diameter_with_split_cancel expects an undirected graph");
     if graph.num_nodes() == 0 {
         return BoundsOutcome::trivial();
     }
@@ -564,19 +554,10 @@ pub fn bounds_diameter_with_split_cancel<G: NeighborSource, O: DiameterOracle>(
 /// The anytime `[lb, ub]` diameter bounds engine.
 ///
 /// Undirected graphs are component-split internally (compute the split once
-/// with [`ComponentSplit::compute`] and call [`bounds_diameter_with_split`]
-/// to share it with the other bound drivers); directed graphs run the
-/// forward/backward engine on the whole graph.
-pub fn bounds_diameter<O: DiameterOracle>(
-    graph: &Graph,
-    config: &BoundsConfig,
-    oracle: Option<&O>,
-) -> BoundsOutcome {
-    bounds_diameter_cancel(graph, config, oracle, &CancelToken::never())
-}
-
-/// [`bounds_diameter`] with a cooperative [`CancelToken`] (see
-/// [`bounds_diameter_with_split_cancel`] for the determinism contract).
+/// with [`ComponentSplit::compute`] and call
+/// [`bounds_diameter_with_split_cancel`] to share it with the other bound
+/// drivers; it also states the [`CancelToken`] determinism contract);
+/// directed graphs run the forward/backward engine on the whole graph.
 pub fn bounds_diameter_cancel<O: DiameterOracle>(
     graph: &Graph,
     config: &BoundsConfig,
@@ -595,56 +576,15 @@ pub fn bounds_diameter_cancel<O: DiameterOracle>(
     )
 }
 
-/// Directed 2-dSweep lower bound: an alternating forward/backward sweep
-/// chain from `start`, jumping to the farthest node of each run. Returns
-/// the best eccentricity observed (a certified diameter lower bound on any
-/// input, strongly connected or not) and the number of SSSPs spent.
-///
-/// On a symmetric graph every backward run equals the forward run, so the
-/// chain visits exactly the nodes of the undirected
-/// [`crate::diameter::sweep_chain_lower_bound`] and returns the identical
-/// bound.
-pub fn double_sweep_lower_bound(
-    graph: &Graph,
-    start: NodeId,
-    sweeps: usize,
-    scratch: &mut DijkstraScratch,
-) -> (Dist, usize) {
-    let mut current = start;
-    let mut direction = SsspDirection::Forward;
-    let mut best = 0;
-    let mut used = 0;
-    scratch.sweep_clear();
-    scratch.sweep_mark(start);
-    for _ in 0..sweeps.max(1) {
-        scratch.run_directed(graph, current, direction);
-        used += 1;
-        let ecc = scratch.eccentricity();
-        if ecc > best {
-            best = ecc;
-        }
-        let farthest = scratch.farthest_node();
-        if !scratch.sweep_mark(farthest) {
-            break;
-        }
-        current = farthest;
-        direction = match direction {
-            SsspDirection::Forward => SsspDirection::Backward,
-            SsspDirection::Backward => SsspDirection::Forward,
-        };
-    }
-    (best, used)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diameter::{exact_diameter, sweep_chain_lower_bound};
+    use crate::diameter::exact_diameter;
     use cldiam_gen::{mesh, path, rmat, road_network, RmatParams, WeightModel};
     use cldiam_graph::{Graph, GraphBuilder};
 
     fn run(graph: &Graph, config: &BoundsConfig) -> BoundsOutcome {
-        bounds_diameter(graph, config, NO_ORACLE)
+        bounds_diameter_cancel(graph, config, NO_ORACLE, &CancelToken::never())
     }
 
     /// A fixed-answer oracle for the cap tests.
@@ -741,7 +681,7 @@ mod tests {
         // An exact oracle must close the interval the moment it fires.
         let oracle = Fixed(exact);
         let config = BoundsConfig::default().with_quotient_after(1);
-        let outcome = bounds_diameter(&g, &config, Some(&oracle));
+        let outcome = bounds_diameter_cancel(&g, &config, Some(&oracle), &CancelToken::never());
         assert!(outcome.converged);
         assert_eq!(outcome.upper, exact);
         assert!(
@@ -851,22 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn double_sweep_matches_undirected_sweep_chain_on_symmetric_graphs() {
-        let g = mesh(6, WeightModel::UniformUnit, 4);
-        let mut a = DijkstraScratch::new();
-        let mut b = DijkstraScratch::new();
-        for start in [0u32, 7, 35] {
-            for budget in [1usize, 2, 4, 16] {
-                assert_eq!(
-                    double_sweep_lower_bound(&g, start, budget, &mut a),
-                    sweep_chain_lower_bound(&g, start, budget, &mut b),
-                    "start {start} budget {budget}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cancelled_run_reports_best_so_far_bracket() {
         let g = mesh(9, WeightModel::UniformUnit, 2);
         let exact = exact_diameter(&g);
@@ -926,14 +850,5 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(run(), first);
         }
-    }
-
-    #[test]
-    fn double_sweep_is_a_sound_lower_bound_on_digraphs() {
-        let g = directed_cycle(9, 2);
-        let mut scratch = DijkstraScratch::new();
-        let (lb, used) = double_sweep_lower_bound(&g, 0, 8, &mut scratch);
-        assert!(lb <= 16, "lb {lb} exceeds the directed diameter 16");
-        assert!(lb > 0 && used >= 1);
     }
 }

@@ -36,7 +36,8 @@
 //! post-phase distance of every node — and therefore the set of improved
 //! nodes, the bucket structure, and every counter below — is a pure function
 //! of the pre-phase state: the output is bit-identical at any thread count
-//! and matches the sequential reference. The per-phase improved set is
+//! and matches the sequential reference of the property suite. The
+//! per-phase improved set is
 //! collected through a touched-bitmap into per-chunk buffers
 //! ([`cldiam_graph::atomic::ChunkBuffers`]) exactly like the Δ-growing
 //! scratch, and re-bucketed sequentially in ascending node order.
@@ -45,23 +46,19 @@
 //! sub-phase and each heavy-relaxation phase is one round; the messages are
 //! the relaxation requests generated and the node updates are the tentative
 //! distance improvements applied. These are charged to an optional
-//! [`CostTracker`] and also returned in the [`DeltaSteppingOutcome`]. One
-//! deliberate difference from the map-based reference
-//! ([`delta_stepping_reference`], kept in-tree for the equivalence suites):
+//! [`CostTracker`] and also returned in the [`DeltaSteppingOutcome`].
 //! `updates` counts *distinct nodes improved per phase* — a
 //! scheduling-independent quantity, the same semantics as the growing path's
-//! `StepStats::updates` — where the reference counted every improving
-//! request of its sequential apply loop. Distances and `phases` are pinned
-//! bit-identical between the two by the property tests.
+//! `StepStats::updates`. Distances and `phases` are pinned bit-identical to
+//! the original `BTreeMap`-bucketed implementation, which the property suite
+//! (`tests/prop_sssp_equivalence.rs`) keeps as its reference.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cldiam_mr::CostTracker;
-use rayon::prelude::*;
 
 use cldiam_graph::atomic::ChunkBuffers;
-use cldiam_graph::{CancelToken, Dist, MinDistCells, NeighborSource, NodeId, Weight, INFINITY};
+use cldiam_graph::{Dist, MinDistCells, NeighborSource, NodeId, Weight, INFINITY};
 
 /// Result of a Δ-stepping run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,16 +73,9 @@ pub struct DeltaSteppingOutcome {
     pub phases: u64,
     /// Number of relaxation requests generated (messages).
     pub relaxations: u64,
-    /// Number of tentative-distance improvements applied (node updates). The
-    /// bucket-array engine counts distinct improved nodes per phase (see the
-    /// module docs); the reference counts improving requests.
+    /// Number of tentative-distance improvements applied (node updates):
+    /// distinct improved nodes per phase (see the module docs).
     pub updates: u64,
-    /// `true` when a [`CancelToken`] stopped the run at a bucket boundary.
-    /// The distances then are *tentative*: every finite entry is a valid
-    /// upper bound on the true shortest-path distance (relaxation only ever
-    /// improves), but entries may exceed it and unreached nodes stay
-    /// [`INFINITY`]. Uninterruptible callers always see `false`.
-    pub interrupted: bool,
 }
 
 impl DeltaSteppingOutcome {
@@ -286,34 +276,6 @@ pub fn delta_stepping_with_scratch<G: NeighborSource>(
     tracker: Option<&CostTracker>,
     scratch: &mut SsspScratch,
 ) -> DeltaSteppingOutcome {
-    delta_stepping_with_scratch_cancel(
-        graph,
-        source,
-        delta,
-        tracker,
-        scratch,
-        &CancelToken::never(),
-    )
-}
-
-/// [`delta_stepping_with_scratch`] with a cooperative [`CancelToken`],
-/// polled once per settled bucket. An interrupted run reports
-/// `interrupted = true` and tentative distances that are sound per-node
-/// upper bounds (see [`DeltaSteppingOutcome::interrupted`]); buckets are
-/// settled in ascending order, so for a fixed logical check cadence the
-/// degraded output is deterministic at any thread count.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range or `delta` is zero.
-pub fn delta_stepping_with_scratch_cancel<G: NeighborSource>(
-    graph: &G,
-    source: NodeId,
-    delta: Weight,
-    tracker: Option<&CostTracker>,
-    scratch: &mut SsspScratch,
-    cancel: &CancelToken,
-) -> DeltaSteppingOutcome {
     let n = graph.num_nodes();
     assert!((source as usize) < n, "source {source} out of range (n = {n})");
     assert!(delta >= 1, "delta must be positive");
@@ -390,14 +352,7 @@ pub fn delta_stepping_with_scratch_cancel<G: NeighborSource>(
         new_min
     }
 
-    let mut interrupted = false;
     loop {
-        // Bucket boundary: the cheapest consistent point to stop — every
-        // applied relaxation is committed, nothing is in flight.
-        if cancel.checkpoint() {
-            interrupted = true;
-            break;
-        }
         // Pull overflow entries the advancing horizon now covers.
         if overflow_min < base + ring_size {
             overflow_min = drain_overflow(scratch, base, delta_dist);
@@ -495,7 +450,6 @@ pub fn delta_stepping_with_scratch_cancel<G: NeighborSource>(
         phases,
         relaxations,
         updates,
-        interrupted,
     }
 }
 
@@ -516,128 +470,6 @@ pub fn delta_stepping<G: NeighborSource>(
     delta_stepping_with_scratch(graph, source, delta, tracker, &mut scratch)
 }
 
-/// The original `BTreeMap`-bucketed Δ-stepping, kept as an executable
-/// reference for the bucket-array engine: the equivalence property tests pin
-/// `dist` and `phases` bit-identical between the two on every graph family.
-/// Its `updates` counter tallies improving requests in sequential apply
-/// order (see the module docs for why the engine counts improved nodes
-/// instead). Production code must use [`delta_stepping`].
-pub fn delta_stepping_reference<G: NeighborSource>(
-    graph: &G,
-    source: NodeId,
-    delta: Weight,
-    tracker: Option<&CostTracker>,
-) -> DeltaSteppingOutcome {
-    let n = graph.num_nodes();
-    assert!((source as usize) < n, "source {source} out of range (n = {n})");
-    assert!(delta >= 1, "delta must be positive");
-    let delta_dist = Dist::from(delta);
-
-    let mut dist = vec![INFINITY; n];
-    let mut buckets: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-    let mut phases = 0u64;
-    let mut relaxations = 0u64;
-    let mut updates = 0u64;
-
-    dist[source as usize] = 0;
-    buckets.entry(0).or_default().push(source);
-
-    // Applies a batch of relaxation requests; returns nodes whose tentative
-    // distance improved, so the caller can re-bucket them.
-    let apply = |requests: Vec<(NodeId, Dist)>,
-                 dist: &mut Vec<Dist>,
-                 buckets: &mut BTreeMap<u64, Vec<NodeId>>,
-                 relaxations: &mut u64,
-                 updates: &mut u64| {
-        *relaxations += requests.len() as u64;
-        for (v, d) in requests {
-            if d < dist[v as usize] {
-                dist[v as usize] = d;
-                *updates += 1;
-                buckets.entry(d / delta_dist).or_default().push(v);
-            }
-        }
-    };
-
-    // Marks nodes already recorded in the current bucket's settled set, so the
-    // heavy phase relaxes each of them exactly once. Flags are cleared after
-    // every bucket (touching only the settled nodes, not all of `n`).
-    let mut in_settled = vec![false; n];
-
-    while let Some((&bucket_idx, _)) = buckets.iter().next() {
-        let mut settled: Vec<NodeId> = Vec::new();
-        // Light phases: repeat until bucket `bucket_idx` stops receiving nodes.
-        // Nodes re-inserted into the same bucket by an improvement are relaxed
-        // again, exactly as in Meyer & Sanders.
-        while let Some(current) = buckets.remove(&bucket_idx) {
-            // Lazy deletion: keep only nodes whose tentative distance still
-            // falls in this bucket (stale entries are skipped).
-            let active: Vec<NodeId> = current
-                .into_iter()
-                .filter(|&v| {
-                    dist[v as usize] != INFINITY && dist[v as usize] / delta_dist == bucket_idx
-                })
-                .collect();
-            if active.is_empty() {
-                continue;
-            }
-            phases += 1;
-            // Small frontiers stay on one chunk (the min-len hint) so the
-            // many short light phases do not pay per-phase scheduling costs.
-            let requests: Vec<(NodeId, Dist)> = active
-                .par_iter()
-                .with_min_len(PAR_MIN_FRONTIER)
-                .flat_map_iter(|&u| {
-                    let du = dist[u as usize];
-                    graph
-                        .neighbors(u)
-                        .filter(|&(_, w)| Dist::from(w) <= delta_dist)
-                        .map(move |(v, w)| (v, du + Dist::from(w)))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            for &u in &active {
-                if !in_settled[u as usize] {
-                    in_settled[u as usize] = true;
-                    settled.push(u);
-                }
-            }
-            apply(requests, &mut dist, &mut buckets, &mut relaxations, &mut updates);
-            if !buckets.contains_key(&bucket_idx) {
-                break;
-            }
-        }
-        // Heavy phase: relax heavy edges of every node settled in the bucket.
-        if !settled.is_empty() {
-            phases += 1;
-            let requests: Vec<(NodeId, Dist)> = settled
-                .par_iter()
-                .with_min_len(PAR_MIN_FRONTIER)
-                .flat_map_iter(|&u| {
-                    let du = dist[u as usize];
-                    graph
-                        .neighbors(u)
-                        .filter(|&(_, w)| Dist::from(w) > delta_dist)
-                        .map(move |(v, w)| (v, du + Dist::from(w)))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            apply(requests, &mut dist, &mut buckets, &mut relaxations, &mut updates);
-        }
-        for u in settled {
-            in_settled[u as usize] = false;
-        }
-    }
-
-    if let Some(t) = tracker {
-        t.add_rounds(phases);
-        t.add_messages(relaxations);
-        t.add_node_updates(updates);
-    }
-
-    DeltaSteppingOutcome { source, delta, dist, phases, relaxations, updates, interrupted: false }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,9 +485,6 @@ mod tests {
         let expected = dijkstra(graph, source);
         let outcome = delta_stepping(graph, source, delta, None);
         assert_eq!(outcome.dist, expected.dist, "delta = {delta}");
-        let reference = delta_stepping_reference(graph, source, delta, None);
-        assert_eq!(outcome.dist, reference.dist, "engine vs reference, delta = {delta}");
-        assert_eq!(outcome.phases, reference.phases, "phases diverged at delta = {delta}");
         outcome
     }
 
@@ -743,57 +572,10 @@ mod tests {
     }
 
     #[test]
-    fn reference_charges_cost_tracker() {
-        let g = mesh(8, WeightModel::UniformUnit, 1);
-        let tracker = CostTracker::new();
-        let outcome = delta_stepping_reference(&g, 0, 500_000, Some(&tracker));
-        let snap = tracker.snapshot();
-        assert_eq!(snap.rounds, outcome.phases);
-        assert_eq!(snap.messages, outcome.relaxations);
-        assert_eq!(snap.node_updates, outcome.updates);
-    }
-
-    #[test]
     #[should_panic(expected = "delta must be positive")]
     fn rejects_zero_delta() {
         let g = Graph::from_edges(2, &[(0, 1, 1)]);
         delta_stepping(&g, 0, 0, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "delta must be positive")]
-    fn reference_rejects_zero_delta() {
-        let g = Graph::from_edges(2, &[(0, 1, 1)]);
-        delta_stepping_reference(&g, 0, 0, None);
-    }
-
-    #[test]
-    fn cancelled_run_reports_tentative_upper_bound_distances() {
-        let g = mesh(10, WeightModel::UniformUnit, 7);
-        let exact = dijkstra(&g, 0);
-        let cancel = cldiam_graph::CancelToken::with_check_limit(3);
-        let mut scratch = SsspScratch::new();
-        let outcome = delta_stepping_with_scratch_cancel(&g, 0, 1_000, None, &mut scratch, &cancel);
-        assert!(outcome.interrupted);
-        assert_eq!(outcome.dist[0], 0);
-        for (v, (&got, &want)) in outcome.dist.iter().zip(exact.dist.iter()).enumerate() {
-            assert!(got >= want, "node {v}: tentative {got} below exact {want}");
-        }
-        // Reruns with a fresh token of the same cadence are bit-identical.
-        let mut scratch2 = SsspScratch::new();
-        let again = delta_stepping_with_scratch_cancel(
-            &g,
-            0,
-            1_000,
-            None,
-            &mut scratch2,
-            &cldiam_graph::CancelToken::with_check_limit(3),
-        );
-        assert_eq!(outcome, again);
-        // An uncancelled run on the reused scratch still matches Dijkstra.
-        let full = delta_stepping_with_scratch(&g, 0, 1_000, None, &mut scratch);
-        assert!(!full.interrupted);
-        assert_eq!(full.dist, exact.dist);
     }
 
     #[test]

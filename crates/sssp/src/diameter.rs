@@ -14,8 +14,7 @@
 //! distance/heap state instead of allocating per source.
 
 use cldiam_graph::{
-    component_subgraphs, connected_components, ComponentLabels, Dist, Graph, NeighborSource,
-    NodeId, INFINITY,
+    component_subgraphs, connected_components, ComponentLabels, Dist, Graph, NeighborSource, NodeId,
 };
 use rand::{Rng, SeedableRng};
 use rand_xoshiro::Xoshiro256PlusPlus;
@@ -231,9 +230,11 @@ fn sweep_chain<G: NeighborSource>(
 
 /// Public driver for one sweep chain: the repo's iterated farthest-node
 /// lower bound from an explicit start, reporting the bound and the number of
-/// SSSPs spent. Used by the anytime bounds engine to seed and refresh its
-/// diameter lower bound; see [`diameter_lower_bound`] for the randomized
-/// per-component driver.
+/// SSSPs spent. The pipeline runs chains through [`diameter_lower_bound`],
+/// the randomized per-component driver; this entry point lets the property
+/// suites pin a single chain.
+// lint:allow(dead-pub): test entry point for one chain from a chosen start;
+// the SSSP property suite pins the batched kernel's chains against it.
 pub fn sweep_chain_lower_bound<G: NeighborSource>(
     graph: &G,
     start: NodeId,
@@ -258,12 +259,6 @@ pub fn exact_diameter<G: NeighborSource>(graph: &G) -> Dist {
 pub fn all_eccentricities<G: NeighborSource>(graph: &G) -> Vec<Dist> {
     let sources: Vec<NodeId> = (0..graph.num_nodes() as NodeId).collect();
     batched_eccentricities(graph, &sources)
-}
-
-/// `true` if `dist` contains a finite entry for every node — i.e. the source
-/// reaches the whole graph.
-pub fn reaches_all(dist: &[Dist]) -> bool {
-    dist.iter().all(|&d| d != INFINITY)
 }
 
 #[cfg(test)]
@@ -446,11 +441,5 @@ mod tests {
         let eccs = all_eccentricities(&g);
         assert_eq!(eccs.iter().copied().max().unwrap(), exact_diameter(&g));
         assert_eq!(eccs.len(), g.num_nodes());
-    }
-
-    #[test]
-    fn reaches_all_detects_infinity() {
-        assert!(reaches_all(&[0, 1, 2]));
-        assert!(!reaches_all(&[0, INFINITY]));
     }
 }

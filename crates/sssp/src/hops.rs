@@ -1,47 +1,14 @@
-//! Hop-count metrics: `ℓ_Δ` and the unweighted diameter `Ψ(G)`.
+//! Hop-count metrics: the unweighted diameter `Ψ(G)`.
 //!
-//! The paper's round complexity is `O(ℓ_{R_G(τ) log n} · log n)`, where `ℓ_Δ`
-//! is the smallest number such that any two nodes at weighted distance at most
-//! `Δ` are joined by a minimum-weight path with at most `ℓ_Δ` edges; and the
-//! Δ-stepping baseline is lower-bounded by the unweighted diameter `Ψ(G)`
-//! under linear space. Computing either quantity exactly requires all-pairs
-//! information, so the estimators below sample source nodes.
+//! The Δ-stepping baseline is lower-bounded by the unweighted diameter
+//! `Ψ(G)` under linear space. Computing it exactly requires all-pairs
+//! information, so the estimator below samples start nodes.
 
 use cldiam_graph::traversal::double_sweep_hop_diameter;
-use cldiam_graph::{Dist, Graph, NodeId, INFINITY};
+use cldiam_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_xoshiro::Xoshiro256PlusPlus;
 use rayon::prelude::*;
-
-use crate::dijkstra::dijkstra;
-
-/// Estimates `ℓ_Δ` by running Dijkstra from `samples` random sources and
-/// taking the maximum hop count among shortest paths of weight at most
-/// `delta`. This is a lower bound on the true `ℓ_Δ` that converges quickly in
-/// practice (the quantity is a max over node pairs, and sampled sources cover
-/// the weight classes of interest).
-pub fn ell_delta(graph: &Graph, delta: Dist, samples: usize, seed: u64) -> u32 {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return 0;
-    }
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-    let sources: Vec<NodeId> = (0..samples.max(1)).map(|_| rng.gen_range(0..n) as NodeId).collect();
-    sources
-        .par_iter()
-        .map(|&s| {
-            let sp = dijkstra(graph, s);
-            sp.dist
-                .iter()
-                .zip(sp.hops.iter())
-                .filter(|&(&d, _)| d != INFINITY && d <= delta)
-                .map(|(_, &h)| h)
-                .max()
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0)
-}
 
 /// Estimates the unweighted diameter `Ψ(G)` with double BFS sweeps from
 /// `samples` random start nodes (a lower bound that is near-exact on the
@@ -59,25 +26,7 @@ pub fn unweighted_diameter(graph: &Graph, samples: usize, seed: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cldiam_gen::{mesh, weighted_path, WeightModel};
-
-    #[test]
-    fn ell_delta_on_weighted_path() {
-        // Path with weights 1,1,1,10: within Δ=3 the longest shortest path has
-        // 3 edges; within Δ=13 it has 4.
-        let g = weighted_path(&[1, 1, 1, 10]);
-        assert_eq!(ell_delta(&g, 3, 8, 1), 3);
-        assert_eq!(ell_delta(&g, 13, 8, 1), 4);
-        assert_eq!(ell_delta(&g, 0, 8, 1), 0);
-    }
-
-    #[test]
-    fn ell_delta_is_monotone_in_delta() {
-        let g = mesh(8, WeightModel::UniformUnit, 5);
-        let small = ell_delta(&g, 200_000, 6, 2);
-        let large = ell_delta(&g, 2_000_000, 6, 2);
-        assert!(small <= large);
-    }
+    use cldiam_gen::{mesh, WeightModel};
 
     #[test]
     fn unweighted_diameter_of_mesh() {
@@ -89,7 +38,6 @@ mod tests {
     #[test]
     fn empty_graph_estimates_are_zero() {
         let g = cldiam_graph::Graph::empty(0);
-        assert_eq!(ell_delta(&g, 10, 3, 0), 0);
         assert_eq!(unweighted_diameter(&g, 3, 0), 0);
     }
 }

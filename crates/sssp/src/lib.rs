@@ -20,14 +20,12 @@
 //!   the workers of a batch, and the [`multi_source_dijkstra`] /
 //!   [`batched_eccentricities`] drivers behind every iterated-SSSP consumer
 //!   in the workspace.
-//! * [`bellman_ford`] — a second independent oracle used in property tests.
 //! * [`delta_stepping`] — the parallel Δ-stepping baseline on a cyclic
 //!   bucket-array engine with atomic fetch-min relaxation and a reusable
 //!   [`SsspScratch`], with the paper's cost model charged to a
 //!   [`cldiam_mr::CostTracker`] (one round per light/heavy relaxation phase,
 //!   messages = relaxation requests, node updates = distinct improved nodes
-//!   per phase). The pre-refactor `BTreeMap` implementation is kept as
-//!   [`delta_stepping_reference`] for the equivalence suites.
+//!   per phase).
 //! * [`diameter`] — SSSP-based upper and lower bounds for the weighted
 //!   diameter (iterated farthest-node sweep chains), and an exact all-pairs
 //!   diameter for small graphs, all running through the batched engine.
@@ -35,15 +33,16 @@
 //!   eccentricity intervals updated after every SSSP with the
 //!   iFUB/BoundingDiameters rules, max-width source selection, and a
 //!   directed 2-dSweep mode over forward/backward Dijkstra.
-//! * [`hops`] — estimators for `ℓ_Δ` (the maximum number of edges on
-//!   minimum-weight paths of weight at most `Δ`) and for the unweighted
-//!   diameter `Ψ(G)`, the quantities governing the paper's round-complexity
-//!   analysis.
+//! * [`hops`] — an estimator for the unweighted diameter `Ψ(G)`, which
+//!   lower-bounds the rounds of Δ-stepping under linear space.
+//!
+//! The test oracles — Bellman-Ford and the simulated MapReduce engine — live
+//! in the dev-only `cldiam-testkit` crate; the `BTreeMap` Δ-stepping
+//! reference lives in `tests/prop_sssp_equivalence.rs`.
 
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod bellman_ford;
 pub mod bounds;
 pub mod delta_stepping;
 pub mod diameter;
@@ -51,18 +50,14 @@ pub mod dijkstra;
 pub mod hops;
 
 pub use batch::{
-    batched_eccentricities, multi_source_dijkstra, multi_source_dijkstra_cancel, DijkstraScratch,
-    ScratchPool, SsspDirection,
+    batched_eccentricities, multi_source_dijkstra, DijkstraScratch, ScratchPool, SsspDirection,
 };
-pub use bellman_ford::bellman_ford;
 pub use bounds::{
-    bounds_diameter, bounds_diameter_cancel, bounds_diameter_with_split,
-    bounds_diameter_with_split_cancel, double_sweep_lower_bound, BoundsConfig, BoundsIteration,
+    bounds_diameter_cancel, bounds_diameter_with_split_cancel, BoundsConfig, BoundsIteration,
     BoundsOutcome, DiameterOracle, NoOracle, NO_ORACLE,
 };
 pub use delta_stepping::{
-    delta_stepping, delta_stepping_reference, delta_stepping_with_scratch,
-    delta_stepping_with_scratch_cancel, suggest_delta, DeltaSteppingOutcome, SsspScratch,
+    delta_stepping, delta_stepping_with_scratch, suggest_delta, DeltaSteppingOutcome, SsspScratch,
 };
 pub use diameter::{
     all_eccentricities, diameter_lower_bound, diameter_lower_bound_with_split, eccentricity,
@@ -70,4 +65,4 @@ pub use diameter::{
     sweep_chain_lower_bound, ComponentSplit,
 };
 pub use dijkstra::{dijkstra, ShortestPaths};
-pub use hops::{ell_delta, unweighted_diameter};
+pub use hops::unweighted_diameter;

@@ -7,19 +7,21 @@
 //! a converged run must land exactly on `exact_diameter`, and the whole
 //! outcome (bounds, run counts, iteration trace) must be bit-identical on
 //! thread pools of 1, 2 and 8 workers. On random digraphs the backward
-//! Dijkstra must equal a forward Dijkstra on the explicitly reversed graph,
-//! and on symmetric digraphs the directed 2-dSweep chain must be
-//! bit-identical to the undirected sweep chain.
+//! Dijkstra must equal a forward Dijkstra on the explicitly reversed graph.
 
 use proptest::prelude::*;
 
-use cldiam_graph::{Graph, GraphBuilder, NodeId, Weight};
+use cldiam_graph::{CancelToken, Graph, GraphBuilder, NodeId, Weight};
 use cldiam_sssp::{
-    bounds_diameter, dijkstra, double_sweep_lower_bound, exact_diameter, sweep_chain_lower_bound,
-    BoundsConfig, ComponentSplit, DijkstraScratch, SsspDirection, NO_ORACLE,
+    bounds_diameter_cancel, dijkstra, exact_diameter, BoundsConfig, BoundsOutcome, ComponentSplit,
+    DijkstraScratch, SsspDirection, NO_ORACLE,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+fn run(graph: &Graph, config: &BoundsConfig) -> BoundsOutcome {
+    bounds_diameter_cancel(graph, config, NO_ORACLE, &CancelToken::never())
+}
 
 fn with_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool").install(op)
@@ -89,7 +91,7 @@ proptest! {
         let budget = [2, 6, 4 * graph.num_nodes().max(1)][budget_sel];
         let config = BoundsConfig::default().with_max_sssp(budget);
 
-        let reference = with_pool(THREAD_COUNTS[0], || bounds_diameter(&graph, &config, NO_ORACLE));
+        let reference = with_pool(THREAD_COUNTS[0], || run(&graph, &config));
         prop_assert!(reference.lower <= exact, "final lb {} above {exact}", reference.lower);
         prop_assert!(reference.upper >= exact, "final ub {} below {exact}", reference.upper);
         if reference.converged {
@@ -117,7 +119,7 @@ proptest! {
         }
 
         for &threads in &THREAD_COUNTS[1..] {
-            let outcome = with_pool(threads, || bounds_diameter(&graph, &config, NO_ORACLE));
+            let outcome = with_pool(threads, || run(&graph, &config));
             prop_assert_eq!(&outcome, &reference, "bounds diverged at {} threads", threads);
         }
     }
@@ -140,34 +142,5 @@ proptest! {
             );
         }
         prop_assert_eq!(scratch.eccentricity(), expected.eccentricity());
-    }
-
-    #[test]
-    fn symmetric_directed_double_sweep_is_bit_identical_to_the_sweep_chain(
-        graph in graph_strategy(true, 50),
-        start_sel in 0usize..18,
-        budget in 1usize..6,
-    ) {
-        // The same edges, stored directed (forward + reverse CSR) and
-        // undirected.
-        let n = graph.num_nodes();
-        let mut builder = GraphBuilder::new_directed(n);
-        for (u, v, w) in graph.edges() {
-            builder.add_edge(u, v, w);
-        }
-        let directed = builder.build();
-        let start = (start_sel % n) as NodeId;
-
-        let reference = with_pool(THREAD_COUNTS[0], || {
-            let mut scratch = DijkstraScratch::new();
-            sweep_chain_lower_bound(&graph, start, budget, &mut scratch)
-        });
-        for &threads in &THREAD_COUNTS {
-            let dsweep = with_pool(threads, || {
-                let mut scratch = DijkstraScratch::new();
-                double_sweep_lower_bound(&directed, start, budget, &mut scratch)
-            });
-            prop_assert_eq!(dsweep, reference, "2-dSweep diverged at {} threads", threads);
-        }
     }
 }

@@ -53,7 +53,7 @@ pub fn bellman_ford(graph: &Graph, source: NodeId) -> BellmanFordOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::dijkstra;
+    use cldiam_sssp::dijkstra;
 
     #[test]
     fn matches_dijkstra_on_small_graph() {

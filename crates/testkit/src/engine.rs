@@ -6,8 +6,9 @@ use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
+use cldiam_mr::{CostMetrics, CostTracker};
+
 use crate::config::MrConfig;
-use crate::metrics::{CostMetrics, CostTracker};
 
 /// Load observed on one simulated machine during a round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -1,5 +1,5 @@
 //! A literal MapReduce formulation of the Δ-growing step, executed on the
-//! simulated engine of `cldiam-mr`.
+//! simulated engine of [`crate::engine`].
 //!
 //! Section 4.1 argues that a Δ-growing step can be implemented with a constant
 //! number of rounds of basic key-value primitives, regardless of how many
@@ -8,14 +8,13 @@
 //! target node; the reduce phase keeps, per target, the proposal with the
 //! smallest distance (ties broken by the smaller center index); the output is
 //! then joined with the node states. The result is bit-for-bit identical to
-//! the shared-memory fast path in [`crate::growing`], which the tests verify —
-//! the fast path simply avoids materializing the key-value pairs.
+//! the shared-memory fast path in [`cldiam_core::growing`], which the tests
+//! verify — the fast path simply avoids materializing the key-value pairs.
 
-use cldiam_mr::MrEngine;
-
+use cldiam_core::{eff_below_threshold, eff_within_threshold, GrowState, NO_CENTER};
 use cldiam_graph::{Dist, Graph, NodeId};
 
-use crate::state::{eff_below_threshold, eff_within_threshold, GrowState, NO_CENTER};
+use crate::engine::MrEngine;
 
 /// One relaxation proposal shuffled to the reducer responsible for `target`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +111,7 @@ pub fn mr_delta_growing_step(
 }
 
 /// Runs Δ-growing steps on the engine until no state changes (the MapReduce
-/// analogue of [`crate::growing::partial_growth`] without an early-stop
+/// analogue of [`cldiam_core::growing::partial_growth`] without an early-stop
 /// target). Returns the number of rounds executed.
 pub fn mr_partial_growth(
     engine: &MrEngine,
@@ -138,9 +137,10 @@ pub fn mr_partial_growth(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::growing::{partial_growth, GrowScratch};
+    use crate::config::MrConfig;
+    use cldiam_core::growing::{partial_growth, GrowScratch};
     use cldiam_gen::{mesh, road_network, WeightModel};
-    use cldiam_mr::MrConfig;
+    use cldiam_graph::CancelToken;
 
     fn engines() -> MrEngine {
         MrEngine::new(MrConfig::with_machines(4))
@@ -154,7 +154,18 @@ mod tests {
             slow.set_center(c);
         }
         let mut scratch = GrowScratch::new();
-        partial_growth(graph, threshold, light_limit, &mut fast, None, None, None, &mut scratch);
+        let never = CancelToken::never();
+        partial_growth(
+            graph,
+            threshold,
+            light_limit,
+            &mut fast,
+            None,
+            None,
+            None,
+            &mut scratch,
+            &never,
+        );
         let engine = engines();
         mr_partial_growth(&engine, graph, threshold, light_limit, &mut slow);
         assert_eq!(fast.eff, slow.eff);

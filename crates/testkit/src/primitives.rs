@@ -1,4 +1,4 @@
-//! Sorting and (segmented) prefix-sum primitives.
+//! Sorting and prefix-sum primitives.
 //!
 //! Fact 1 of the paper (from Goodrich et al. / Pietracaprina et al.): sorting
 //! and (segmented) prefix sums over `n` items can be performed in
@@ -120,74 +120,6 @@ pub fn prefix_sum(engine: &MrEngine, values: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Segmented exclusive prefix sum. `segment_start[i] == true` marks the first
-/// element of a segment; sums restart at every segment boundary.
-pub fn segmented_prefix_sum(engine: &MrEngine, values: &[u64], segment_start: &[bool]) -> Vec<u64> {
-    assert_eq!(values.len(), segment_start.len(), "values/flags length mismatch");
-    let n = values.len();
-    charge(engine, n);
-    if n == 0 {
-        return Vec::new();
-    }
-    let machines = engine.config().num_machines.max(1);
-    let chunk = n.div_ceil(machines);
-    engine.tracker().record_local_items(chunk as u64);
-
-    // Per chunk: local segmented scan, the trailing open-segment sum, and
-    // whether the chunk contains any segment start.
-    struct Local {
-        scan: Vec<u64>,
-        trailing_sum: u64,
-        has_boundary: bool,
-    }
-    let locals: Vec<Local> = engine.install(|| {
-        values
-            .par_chunks(chunk)
-            .zip(segment_start.par_chunks(chunk))
-            .map(|(vals, flags)| {
-                let mut scan = Vec::with_capacity(vals.len());
-                let mut acc = 0u64;
-                let mut has_boundary = false;
-                for (&v, &start) in vals.iter().zip(flags) {
-                    if start {
-                        acc = 0;
-                        has_boundary = true;
-                    }
-                    scan.push(acc);
-                    acc += v;
-                }
-                Local { scan, trailing_sum: acc, has_boundary }
-            })
-            .collect()
-    });
-
-    // Carry-in for each chunk: the running sum of the open segment that ends
-    // where the chunk begins (zero if a boundary occurred in-between).
-    let mut carries = Vec::with_capacity(locals.len());
-    let mut acc = 0u64;
-    for local in &locals {
-        carries.push(acc);
-        if local.has_boundary {
-            acc = local.trailing_sum;
-        } else {
-            acc += local.trailing_sum;
-        }
-    }
-
-    let mut out = Vec::with_capacity(n);
-    for (chunk_idx, local) in locals.into_iter().enumerate() {
-        let carry = carries[chunk_idx];
-        let base = chunk_idx * chunk;
-        for (i, v) in local.scan.into_iter().enumerate() {
-            // Positions before the first boundary of the chunk still belong to
-            // the previous chunk's open segment and receive the carry.
-            let before_boundary = !segment_start[base..=base + i].iter().any(|&b| b);
-            out.push(if before_boundary { v + carry } else { v });
-        }
-    }
-    out
-}
-
 fn charge(engine: &MrEngine, n: usize) {
     let rounds = engine.config().primitive_rounds(n);
     engine.tracker().add_rounds(rounds);
@@ -252,52 +184,5 @@ mod tests {
         let e = engine(3);
         assert!(prefix_sum(&e, &[]).is_empty());
         assert_eq!(prefix_sum(&e, &[7]), vec![0]);
-    }
-
-    #[test]
-    fn segmented_prefix_sum_resets_at_boundaries() {
-        let e = engine(2);
-        let values = vec![1u64, 2, 3, 4, 5, 6];
-        let flags = vec![true, false, false, true, false, false];
-        let result = segmented_prefix_sum(&e, &values, &flags);
-        assert_eq!(result, vec![0, 1, 3, 0, 4, 9]);
-    }
-
-    #[test]
-    fn segmented_prefix_sum_with_boundary_inside_later_chunk() {
-        // Many machines so chunks are tiny and carries cross machine borders.
-        let e = engine(8);
-        let values: Vec<u64> = vec![1; 32];
-        let mut flags = vec![false; 32];
-        flags[0] = true;
-        flags[20] = true;
-        let result = segmented_prefix_sum(&e, &values, &flags);
-        assert_eq!(result[19], 19);
-        assert_eq!(result[20], 0);
-        assert_eq!(result[31], 11);
-    }
-
-    #[test]
-    fn segmented_prefix_sum_matches_sequential_oracle() {
-        let e = engine(5);
-        let n = 257;
-        let values: Vec<u64> = (0..n).map(|i| (i % 7 + 1) as u64).collect();
-        let flags: Vec<bool> = (0..n).map(|i| i % 13 == 0).collect();
-        let result = segmented_prefix_sum(&e, &values, &flags);
-        let mut acc = 0u64;
-        for i in 0..n {
-            if flags[i] {
-                acc = 0;
-            }
-            assert_eq!(result[i], acc, "mismatch at index {i}");
-            acc += values[i];
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn segmented_prefix_sum_rejects_mismatched_inputs() {
-        let e = engine(2);
-        segmented_prefix_sum(&e, &[1, 2], &[true]);
     }
 }

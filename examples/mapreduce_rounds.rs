@@ -2,9 +2,10 @@
 //!
 //! The production code path uses a shared-memory parallel loop and only
 //! *charges* the MapReduce cost model; this example executes the same growth
-//! on the simulated key-value engine of `cldiam-mr` (hash-partitioned
-//! machines, per-key reducers) and prints the per-round shuffle statistics, to
-//! make the paper's "O(1) rounds per growing step" mapping concrete.
+//! on the simulated key-value engine of the dev-only `cldiam-testkit` crate
+//! (hash-partitioned machines, per-key reducers) and prints the per-round
+//! shuffle statistics, to make the paper's "O(1) rounds per growing step"
+//! mapping concrete.
 //!
 //! Run with:
 //!
@@ -13,9 +14,8 @@
 //! ```
 
 use cldiam::gen::{mesh, WeightModel};
-use cldiam::prelude::*;
-use cldiam_core::{mr_impl::mr_partial_growth, GrowState};
-use cldiam_mr::MrEngine;
+use cldiam_core::GrowState;
+use cldiam_testkit::{mr_impl::mr_partial_growth, MrConfig, MrEngine};
 
 fn main() {
     let graph = mesh(48, WeightModel::UniformUnit, 21);

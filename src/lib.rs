@@ -9,10 +9,10 @@
 //!
 //! * [`graph`] — weighted undirected CSR graphs, builders, components, I/O.
 //! * [`gen`] — synthetic graph generators (R-MAT, mesh, road networks, …).
-//! * [`mr`] — a MapReduce-like round engine and the paper's cost model
-//!   (rounds, messages, node updates).
-//! * [`sssp`] — Dijkstra, Bellman-Ford and the Δ-stepping baseline, plus
-//!   diameter upper/lower bounds based on SSSP.
+//! * [`mr`] — the paper's `MR(M_T, M_L)` cost model (rounds, messages,
+//!   node updates).
+//! * [`sssp`] — Dijkstra and the Δ-stepping baseline, plus diameter
+//!   upper/lower bounds based on SSSP.
 //! * [`core`] — the paper's contribution: `CLUSTER`, `CLUSTER2`, quotient
 //!   graphs and the `CL-DIAM` diameter approximation driver.
 //!
@@ -44,6 +44,6 @@ pub mod prelude {
     };
     pub use cldiam_gen::WeightModel;
     pub use cldiam_graph::{Dist, Graph, GraphBuilder, NodeId, Weight};
-    pub use cldiam_mr::{CostMetrics, MrConfig};
+    pub use cldiam_mr::CostMetrics;
     pub use cldiam_sssp::{delta_stepping, diameter_lower_bound, dijkstra};
 }

@@ -5,7 +5,7 @@
 use cldiam::gen::GraphSpec;
 use cldiam::prelude::*;
 use cldiam_core::{cluster, cluster2, quotient_graph, ClDiam};
-use cldiam_mr::{MrConfig, MrEngine};
+use cldiam_testkit::{MrConfig, MrEngine};
 
 fn families() -> Vec<(GraphSpec, u64)> {
     vec![
@@ -117,7 +117,9 @@ fn decomposition_reuse_is_consistent_with_full_run() {
 
 #[test]
 fn mapreduce_growth_matches_shared_memory_growth() {
-    use cldiam_core::{mr_impl::mr_partial_growth, partial_growth, GrowScratch, GrowState};
+    use cldiam::graph::CancelToken;
+    use cldiam_core::{partial_growth, GrowScratch, GrowState};
+    use cldiam_testkit::mr_impl::mr_partial_growth;
 
     let graph = GraphSpec::RoadNetwork { rows: 12, cols: 12 }.generate_connected(6);
     let centers = [0u32, (graph.num_nodes() / 2) as u32, (graph.num_nodes() - 1) as u32];
@@ -130,7 +132,8 @@ fn mapreduce_growth_matches_shared_memory_growth() {
         slow.set_center(c);
     }
     let mut scratch = GrowScratch::new();
-    partial_growth(&graph, threshold, threshold, &mut fast, None, None, None, &mut scratch);
+    let never = CancelToken::never();
+    partial_growth(&graph, threshold, threshold, &mut fast, None, None, None, &mut scratch, &never);
     let engine = MrEngine::new(MrConfig::with_machines(3));
     mr_partial_growth(&engine, &graph, threshold, threshold, &mut slow);
     assert_eq!(fast.eff, slow.eff);

@@ -7,7 +7,7 @@ use cldiam::gen::{mesh, preferential_attachment, WeightModel};
 use cldiam::graph::traversal::bfs_hops;
 use cldiam::graph::{Graph, NodeId};
 use cldiam::prelude::*;
-use cldiam_mr::{primitives, MrEngine};
+use cldiam_testkit::{primitives, MrConfig, MrEngine};
 
 /// Unweighted BFS expressed as MapReduce rounds: each round maps the frontier
 /// to (neighbor, level + 1) pairs and reduces by keeping the first level at

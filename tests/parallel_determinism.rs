@@ -8,11 +8,12 @@
 //! started depending on scheduling order.
 
 use cldiam::gen::{mesh, rmat, RmatParams, WeightModel};
+use cldiam::graph::CancelToken;
 use cldiam::prelude::*;
 use cldiam_core::{cluster, quotient_graph};
-use cldiam_mr::{MrConfig, MrEngine};
 use cldiam_sssp::diameter::all_eccentricities;
-use cldiam_sssp::{bounds_diameter, delta_stepping, suggest_delta, BoundsConfig, NO_ORACLE};
+use cldiam_sssp::{bounds_diameter_cancel, delta_stepping, suggest_delta, BoundsConfig, NO_ORACLE};
+use cldiam_testkit::{MrConfig, MrEngine};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -101,16 +102,8 @@ fn bounds_engine_is_identical_across_thread_counts() {
         let disconnected = rmat(RmatParams::paper(7), WeightModel::UniformUnit, 13);
         let config = BoundsConfig::default().with_max_sssp(12);
         (
-            bounds_diameter(&connected, &config, NO_ORACLE),
-            bounds_diameter(&disconnected, &config, NO_ORACLE),
+            bounds_diameter_cancel(&connected, &config, NO_ORACLE, &CancelToken::never()),
+            bounds_diameter_cancel(&disconnected, &config, NO_ORACLE, &CancelToken::never()),
         )
-    });
-}
-
-#[test]
-fn parallel_components_are_identical_across_thread_counts() {
-    assert_identical(|| {
-        let graph = rmat(RmatParams::paper(7), WeightModel::Unit, 5);
-        cldiam::graph::components::connected_components_parallel(&graph)
     });
 }

@@ -1,14 +1,12 @@
-//! Property-based equivalence of the three Δ-growing step implementations.
+//! Property-based equivalence of the two Δ-growing step implementations.
 //!
 //! The acceptance bar for the in-place hot path: on random weighted graphs,
-//! the allocation-free in-place step ([`cldiam_core::delta_growing_step`]),
-//! the materializing two-phase reference
-//! ([`cldiam_core::delta_growing_step_materialized`]) and the literal
-//! MapReduce execution ([`cldiam_core::mr_impl::mr_delta_growing_step`])
-//! must produce identical `GrowState`s, identical per-wave updated sets and
-//! identical `StepStats` counters — including the MR engine's message /
-//! node-update charges — wave by wave until fixpoint, on thread pools of
-//! 1, 2 and 8 workers.
+//! the allocation-free in-place step ([`cldiam_core::delta_growing_step`])
+//! and the literal MapReduce execution
+//! ([`cldiam_testkit::mr_impl::mr_delta_growing_step`]) must produce
+//! identical `GrowState`s, identical per-wave updated sets and identical
+//! `StepStats` counters — the MR engine's message / node-update charges —
+//! wave by wave until fixpoint, on thread pools of 1, 2 and 8 workers.
 //!
 //! The scenario also exercises the frozen-source path: after a first growth
 //! phase, reached nodes are frozen and re-seeded as sources with a (possibly
@@ -16,12 +14,11 @@
 
 use proptest::prelude::*;
 
-use cldiam_core::mr_impl::mr_delta_growing_step;
-use cldiam_core::{
-    delta_growing_step, delta_growing_step_materialized, GrowScratch, GrowState, NO_CENTER,
-};
-use cldiam_graph::{Dist, Graph, GraphBuilder, NodeId};
-use cldiam_mr::{MrConfig, MrEngine};
+use cldiam_core::{delta_growing_step, GrowScratch, GrowState, NO_CENTER};
+use cldiam_gen::{mesh, WeightModel};
+use cldiam_graph::{Dist, Graph, GraphBuilder, NodeId, WEIGHT_SCALE};
+use cldiam_testkit::mr_impl::mr_delta_growing_step;
+use cldiam_testkit::{MrConfig, MrEngine};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const MAX_WAVES: usize = 64;
@@ -77,16 +74,18 @@ fn init_state(
         state.set_center(c);
     }
     if prefreeze {
-        // Deterministic phase 0 with the materializing reference: grow a
-        // little, freeze what was reached, re-seed as credited sources.
+        // Deterministic phase 0: grow a little, freeze what was reached,
+        // re-seed as credited sources.
+        let mut scratch = GrowScratch::new();
         let mut frontier = centers.clone();
         for _ in 0..2 {
-            let (updated, _) = delta_growing_step_materialized(
+            let (updated, _) = delta_growing_step(
                 graph,
                 threshold / 2,
                 (threshold / 2).max(1),
                 &mut state,
                 &frontier,
+                &mut scratch,
             );
             if updated.is_empty() {
                 break;
@@ -129,22 +128,6 @@ fn run_in_place(graph: &Graph, threshold: Dist, light_limit: Dist, init: &GrowSt
     Trace { waves, eff: state.eff, center: state.center, true_dist: state.true_dist }
 }
 
-fn run_materialized(graph: &Graph, threshold: Dist, light_limit: Dist, init: &GrowState) -> Trace {
-    let mut state = init.clone();
-    let mut frontier = initial_frontier(&state, threshold);
-    let mut waves = Vec::new();
-    for _ in 0..MAX_WAVES {
-        if frontier.is_empty() {
-            break;
-        }
-        let (updated, stats) =
-            delta_growing_step_materialized(graph, threshold, light_limit, &mut state, &frontier);
-        waves.push((updated.clone(), stats.proposals, stats.updates));
-        frontier = updated;
-    }
-    Trace { waves, eff: state.eff, center: state.center, true_dist: state.true_dist }
-}
-
 fn run_mapreduce(graph: &Graph, threshold: Dist, light_limit: Dist, init: &GrowState) -> Trace {
     let mut state = init.clone();
     let engine = MrEngine::new(MrConfig::with_machines(4));
@@ -176,7 +159,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn three_growing_step_implementations_are_bit_identical(
+    fn in_place_and_mapreduce_growing_steps_are_bit_identical(
         graph in arbitrary_graph(),
         center_sel in proptest::collection::vec(0usize..16, 1..4),
         threshold_raw in 5u64..120,
@@ -192,16 +175,14 @@ proptest! {
         let reference = with_pool(THREAD_COUNTS[0], || {
             (
                 run_in_place(&graph, threshold, light_limit, &init),
-                run_materialized(&graph, threshold, light_limit, &init),
                 run_mapreduce(&graph, threshold, light_limit, &init),
             )
         });
-        let (in_place, materialized, mapreduce) = &reference;
+        let (in_place, mapreduce) = &reference;
 
-        // The three implementations agree wave-by-wave: same updated sets,
+        // The two implementations agree wave-by-wave: same updated sets,
         // same proposal counts (MR messages), same update counts (MR node
         // updates), same final state.
-        prop_assert_eq!(in_place, materialized);
         prop_assert_eq!(in_place, mapreduce);
 
         // And the in-place path is scheduling-independent: identical traces
@@ -210,11 +191,23 @@ proptest! {
             let wide = with_pool(threads, || {
                 (
                     run_in_place(&graph, threshold, light_limit, &init),
-                    run_materialized(&graph, threshold, light_limit, &init),
                     run_mapreduce(&graph, threshold, light_limit, &init),
                 )
             });
             prop_assert_eq!(&wide, &reference, "diverged at {} threads", threads);
         }
     }
+}
+
+#[test]
+fn in_place_step_matches_the_mr_formulation_on_a_mesh() {
+    let g = mesh(6, WeightModel::UniformUnit, 11);
+    let mut init = GrowState::new(g.num_nodes());
+    for &c in &[0, 17, 35] {
+        init.set_center(c);
+    }
+    let threshold = 3 * Dist::from(WEIGHT_SCALE);
+    let in_place = run_in_place(&g, threshold, threshold, &init);
+    assert!(in_place.waves.len() > 1, "the growth must run several waves");
+    assert_eq!(in_place, run_mapreduce(&g, threshold, threshold, &init));
 }

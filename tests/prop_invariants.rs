@@ -13,9 +13,9 @@
 use proptest::prelude::*;
 
 use cldiam::prelude::*;
-use cldiam::sssp::{bellman_ford, exact_diameter};
+use cldiam::sssp::exact_diameter;
 use cldiam_core::cluster;
-use cldiam_mr::{primitives, MrConfig, MrEngine};
+use cldiam_testkit::{bellman_ford, primitives, MrConfig, MrEngine};
 
 /// Strategy: a connected-ish random weighted graph with `n` in 2..=24 nodes.
 /// A spanning path guarantees connectivity so diameters are finite.

@@ -10,6 +10,7 @@
 //! | `fs-choke-point`   | no direct `std::fs` / `File::open` / `File::create` … outside the `io/mod.rs` failpoint choke points, so every byte of file IO can be failure-injected |
 //! | `clock-discipline` | no `Instant::now` / `SystemTime::now` outside the approved timing modules (deadline handling in `cancel.rs`, bench), so `--timeout-checks` determinism can't regress |
 //! | `hash-determinism` | no std-hasher `HashMap::new` / `HashSet::new` (& friends) in library crates — use the fixed-seed hasher, sort before emitting, or justify with an allow tag |
+//! | `dead-pub`         | every module-level `pub fn` under `crates/*/src` (bar the test-serving `testkit` and `modelcheck`) has a caller outside test code; a cross-file pass, see [`scan_dead_pub`] |
 //!
 //! A finding is silenced by a justification tag on the same line or the
 //! line directly above:
@@ -23,7 +24,8 @@
 //! small Rust lexer, so patterns inside comments, strings and doc examples
 //! never fire. `#[cfg(test)] mod … { … }` blocks and files under `tests/`
 //! are exempt from every rule except `safety-comment`; lint fixture files
-//! under `tests/fixtures/` are skipped entirely.
+//! under `tests/fixtures/` are skipped entirely. `dead-pub` also reads
+//! `perfbench/src` for callers, but never lints it.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -302,9 +304,10 @@ fn test_mod_ranges(code: &str) -> Vec<(usize, usize)> {
         let Some(open_rel) = code[attr_at..].find('{') else { continue };
         let open = attr_at + open_rel;
         // Only treat it as a module if `mod` appears between the attribute
-        // and the brace (the attribute may also sit on a single item).
+        // and the brace (the attribute may also sit on a single item, or on
+        // a `mod name;` whose brace-less declaration ends at the `;`).
         let between = &code[attr_at..open];
-        if !between.contains("mod ") {
+        if !between.contains("mod ") || between.contains(';') {
             continue;
         }
         let bytes = code.as_bytes();
@@ -507,8 +510,8 @@ pub fn scan_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
                     "fs-choke-point",
                     format!(
                         "direct file IO (`{pat}`) outside the io/mod.rs choke points; route \
-                         through `open_file` / `create_file` / `read_file_bytes` / \
-                         `write_bytes_atomic` so failpoints and IO retries apply"
+                         through `open_file` / `read_file_bytes` / `write_bytes_atomic` so \
+                         failpoints and IO retries apply"
                     ),
                 );
             }
@@ -611,18 +614,278 @@ fn find_pattern(code: &str, pat: &str) -> Vec<usize> {
     out
 }
 
-/// Walks the workspace sources and returns every finding.
+/// Crates whose `pub fn`s `dead-pub` does not check and whose calls keep
+/// nothing alive: both exist to serve tests.
+const DEAD_PUB_SKIPPED: [&str; 2] = ["crates/testkit/", "crates/modelcheck/"];
+
+/// Is `rel` under some `crates/<name>/src/`?
+fn is_crate_src(rel: &str) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, inner)| inner.starts_with("src/"))
+}
+
+/// Can a call in `rel` keep a `pub fn` alive? Test directories, the skipped
+/// crates and vendored shims cannot.
+fn is_caller_path(rel: &str) -> bool {
+    let in_tests_dir = rel.contains("/tests/") || rel.starts_with("tests/");
+    !in_tests_dir
+        && !DEAD_PUB_SKIPPED.iter().any(|skip| rel.starts_with(skip))
+        && (is_crate_src(rel)
+            || ["src/", "examples/", "xtask/src/", "perfbench/src/"]
+                .iter()
+                .any(|top| rel.starts_with(top)))
+}
+
+/// The identifier starting at byte `at` of the code mask, if any.
+fn ident_at(code: &str, at: usize) -> Option<&str> {
+    let bytes = code.as_bytes();
+    let end = (at..bytes.len()).find(|&k| !is_ident_byte(bytes[k])).unwrap_or(bytes.len());
+    (end > at && !bytes[at].is_ascii_digit()).then(|| &code[at..end])
+}
+
+/// The word that follows byte `at` after any whitespace, with its offset.
+fn next_word(code: &str, at: usize) -> Option<(usize, &str)> {
+    let bytes = code.as_bytes();
+    let start = (at..bytes.len()).find(|&k| !bytes[k].is_ascii_whitespace())?;
+    ident_at(code, start).map(|word| (start, word))
+}
+
+/// The offset of `pub` and the name of every `pub fn` in the code mask that
+/// is not nested in an `impl`, `trait` or other non-`mod` block.
+fn module_level_pub_fns(code: &str) -> Vec<(usize, &str)> {
+    let bytes = code.as_bytes();
+    // One entry per open brace: does it open a `mod` block?
+    let mut blocks: Vec<bool> = Vec::new();
+    let mut item_start = 0;
+    let mut out = Vec::new();
+    for (i, &byte) in bytes.iter().enumerate() {
+        match byte {
+            b'{' => {
+                let header: Vec<&str> = code[item_start..i].split_whitespace().collect();
+                blocks.push(header.len() >= 2 && header[header.len() - 2] == "mod");
+                item_start = i + 1;
+            }
+            b'}' => {
+                blocks.pop();
+                item_start = i + 1;
+            }
+            b';' => item_start = i + 1,
+            b'p' if (i == 0 || !is_ident_byte(bytes[i - 1]))
+                && ident_at(code, i) == Some("pub")
+                && blocks.iter().all(|&is_mod| is_mod) =>
+            {
+                let mut at = i + 3;
+                while let Some((word_at, word)) = next_word(code, at) {
+                    at = word_at + word.len();
+                    match word {
+                        "const" | "unsafe" | "async" => continue,
+                        "fn" => {
+                            if let Some((_, name)) = next_word(code, at) {
+                                out.push((i, name));
+                            }
+                        }
+                        _ => {}
+                    }
+                    break;
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The end of the item starting at `start`: its body's closing brace, or
+/// the `;` of a body-less declaration.
+fn item_end(code: &str, start: usize) -> usize {
+    let bytes = code.as_bytes();
+    let mut depth = 0usize;
+    for (k, &byte) in bytes.iter().enumerate().skip(start) {
+        match byte {
+            b';' if depth == 0 => return k + 1,
+            b'{' => depth += 1,
+            b'}' => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return k + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    bytes.len()
+}
+
+/// Byte ranges of `pub use …;` re-exports (any `pub(…)` visibility).
+fn pub_use_ranges(code: &str) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for at in find_word(code, "pub") {
+        let mut after = at + 3;
+        let rest = code[after..].trim_start();
+        if rest.starts_with('(') {
+            let Some(close) = code[after..].find(')') else { continue };
+            after += close + 1;
+        }
+        if let Some((_, "use")) = next_word(code, after) {
+            let end = code[at..].find(';').map_or(code.len(), |k| at + k + 1);
+            out.push((at, end));
+        }
+    }
+    out
+}
+
+/// Repo-relative paths of module files declared as `#[cfg(test)] mod name;`
+/// in `rel`: `name.rs` and `name/mod.rs` next to a `lib.rs` / `main.rs` /
+/// `mod.rs`, else inside the directory named after `rel`'s stem.
+fn test_module_files(rel: &str, code: &str) -> Vec<String> {
+    let (dir, file) = rel.rsplit_once('/').unwrap_or(("", rel));
+    let stem = file.trim_end_matches(".rs");
+    let base = if ["lib", "main", "mod"].contains(&stem) {
+        dir.to_string()
+    } else {
+        format!("{dir}/{stem}")
+    };
+    let mut out = Vec::new();
+    for at in find_pattern(code, "#[cfg(test)]") {
+        let mut after = at + "#[cfg(test)]".len();
+        if let Some((word_at, "pub")) = next_word(code, after) {
+            after = word_at + 3;
+        }
+        let Some((word_at, "mod")) = next_word(code, after) else { continue };
+        let Some((name_at, name)) = next_word(code, word_at + 3) else { continue };
+        if code[name_at + name.len()..].trim_start().starts_with(';') {
+            out.push(format!("{base}/{name}.rs"));
+            out.push(format!("{base}/{name}/mod.rs"));
+        }
+    }
+    out
+}
+
+/// One file as the `dead-pub` pass sees it.
+struct DeadPubFile<'a> {
+    rel: String,
+    src: &'a str,
+    code: String,
+    /// `#[cfg(test)]` module blocks and `pub use` re-exports: a name here
+    /// is not a caller.
+    ignored: Vec<(usize, usize)>,
+}
+
+/// The `dead-pub` rule, a cross-file pass over `(repo-relative path,
+/// source)` pairs: every module-level `pub fn` under `crates/*/src` (bar
+/// the test-serving `crates/testkit` and `crates/modelcheck`, and
+/// `#[cfg(test)]` code) must have its name occur as code in a caller file
+/// (`src/`, `crates/*/src`, `examples/`, `xtask/src`, `perfbench/src`),
+/// outside test modules, `pub use` re-exports, method calls (`.name`),
+/// other declarations (`fn name`) and its own body. Only
+/// `lint:allow(dead-pub): <why>` silences a finding.
+pub fn scan_dead_pub(files: &[(PathBuf, String)]) -> Vec<Diagnostic> {
+    let mut views: Vec<DeadPubFile<'_>> = files
+        .iter()
+        .map(|(rel, src)| {
+            let class = classify(src);
+            let code = mask(src, &class, Class::Code);
+            let mut ignored = test_mod_ranges(&code);
+            ignored.extend(pub_use_ranges(&code));
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            DeadPubFile { rel, src, code, ignored }
+        })
+        .collect();
+    let test_files: Vec<String> =
+        views.iter().flat_map(|f| test_module_files(&f.rel, &f.code)).collect();
+    views.retain(|f| !test_files.contains(&f.rel));
+    let ignored =
+        |f: &DeadPubFile<'_>, at: usize| f.ignored.iter().any(|&(s, e)| at >= s && at < e);
+
+    // Every declaration the rule checks: (file, offset of `pub`, name).
+    let mut decls = Vec::new();
+    for (idx, f) in views.iter().enumerate() {
+        if is_crate_src(&f.rel) && is_caller_path(&f.rel) {
+            for (at, name) in module_level_pub_fns(&f.code) {
+                if !ignored(f, at) {
+                    decls.push((idx, at, name));
+                }
+            }
+        }
+    }
+
+    // Where each checked name occurs as a call-like use in a caller file.
+    let mut uses: std::collections::BTreeMap<&str, Vec<(usize, usize)>> =
+        decls.iter().map(|&(_, _, name)| (name, Vec::new())).collect();
+    for (idx, f) in views.iter().enumerate().filter(|(_, f)| is_caller_path(&f.rel)) {
+        let bytes = f.code.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if !is_ident_byte(bytes[i]) || (i > 0 && is_ident_byte(bytes[i - 1])) {
+                i += 1;
+                continue;
+            }
+            let word = ident_at(&f.code, i).unwrap_or("");
+            let start = i;
+            i += word.len().max(1);
+            let Some(sites) = uses.get_mut(word) else { continue };
+            let before = f.code[..start].trim_end();
+            let method = before.ends_with('.') && !before.ends_with("..");
+            let declared = before.ends_with("fn")
+                && !before[..before.len() - 2].ends_with(|c: char| is_ident_byte(c as u8));
+            if !method && !declared && !ignored(f, start) {
+                sites.push((idx, start));
+            }
+        }
+    }
+
+    let mut out = Vec::new();
+    for (idx, at, name) in decls {
+        let f = &views[idx];
+        let body = (at, item_end(&f.code, at));
+        let called = uses[name]
+            .iter()
+            .any(|&(site_idx, site)| site_idx != idx || site < body.0 || site >= body.1);
+        if called {
+            continue;
+        }
+        let comments = mask(f.src, &classify(f.src), Class::Comment);
+        let view = SourceView::new(f.src, &f.code, &comments);
+        let (line, col) = line_col(&view.line_starts, at);
+        if !view.allowed(line, "dead-pub") {
+            out.push(Diagnostic {
+                path: PathBuf::from(&f.rel),
+                line,
+                col,
+                rule: "dead-pub",
+                message: format!(
+                    "`pub fn {name}` has no caller outside test code; delete it, fold it into \
+                     the twin the pipeline calls, move it next to its tests (or into \
+                     cldiam-testkit), or justify with `// lint:allow(dead-pub): <why>`"
+                ),
+            });
+        }
+    }
+    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+    out
+}
+
+/// Walks the workspace sources and returns every finding. perfbench's
+/// sources are read as `dead-pub` callers only, never linted.
 pub fn scan_repo(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
-    for top in ["src", "crates", "vendor", "xtask/src", "examples", "tests"] {
+    for top in ["src", "crates", "vendor", "xtask/src", "examples", "tests", "perfbench/src"] {
         collect_rs(&root.join(top), root, &mut files)?;
     }
     files.sort();
-    let mut out = Vec::new();
+    let mut sources = Vec::new();
     for rel in files {
         let src = std::fs::read_to_string(root.join(&rel))?;
-        out.extend(scan_source(&rel, &src));
+        sources.push((rel, src));
     }
+    let mut out = Vec::new();
+    for (rel, src) in &sources {
+        if !rel.starts_with("perfbench") {
+            out.extend(scan_source(rel, src));
+        }
+    }
+    out.extend(scan_dead_pub(&sources));
     Ok(out)
 }
 
@@ -734,6 +997,16 @@ mod tests {
     #[test]
     fn cfg_test_on_a_single_item_is_not_a_module_range() {
         let src = "#[cfg(test)]\nfn helper() { x.unwrap(); }\n";
+        let class = classify(src);
+        let code = mask(src, &class, Class::Code);
+        assert!(test_mod_ranges(&code).is_empty());
+    }
+
+    #[test]
+    fn cfg_test_on_a_file_module_is_not_a_module_range() {
+        // `mod helpers;` ends at its `;`: the brace of the next item must
+        // not be mistaken for the module's body.
+        let src = "#[cfg(test)]\nmod helpers;\nfn c() { y.unwrap(); }\n";
         let class = classify(src);
         let code = mask(src, &class, Class::Code);
         assert!(test_mod_ranges(&code).is_empty());

@@ -7,7 +7,9 @@
 
 use std::path::Path;
 
-use xtask::lint::{rules_for_path, scan_repo, scan_source, Diagnostic};
+use std::path::PathBuf;
+
+use xtask::lint::{rules_for_path, scan_dead_pub, scan_repo, scan_source, Diagnostic};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
@@ -124,6 +126,124 @@ fn rule_scoping_matches_the_approved_locations() {
     assert!(test_file.safety_comment);
     assert!(!test_file.fs_choke_point);
     assert!(!test_file.clock_discipline);
+}
+
+/// A small in-memory workspace for the cross-file `dead-pub` rule: every
+/// `pub fn` in `crates/alpha/src/lib.rs` is named after the situation it
+/// exercises.
+fn dead_pub_tree() -> Vec<(PathBuf, String)> {
+    let alpha = "\
+pub use crate::only_reexported as reexport;
+#[cfg(test)]
+mod fixture_only;
+
+pub fn nothing_calls_me() {}
+
+pub fn only_test_mod_calls_me() {}
+
+pub fn only_tests_dir_calls_me() {}
+
+pub fn only_reexported() {}
+
+pub fn only_method_calls_me() {}
+
+pub fn only_comments_call_me() {}
+
+pub fn only_its_own_body_calls_me() { only_its_own_body_calls_me() }
+
+pub fn only_a_test_module_file_calls_me() {}
+
+// lint:allow(dead-pub):
+pub fn bare_tag() {}
+
+// lint:allow(dead-pub): a test entry point, kept on purpose
+pub fn tagged_with_a_reason() {}
+
+pub fn called_from_another_crate() {}
+
+pub fn called_from_an_example() {}
+
+pub fn called_from_perfbench() {}
+
+pub const fn called_in_its_own_file() -> u32 { 1 }
+
+pub(crate) fn crate_visible_is_not_checked() {}
+
+pub struct Thing;
+
+impl Thing {
+    pub fn methods_are_not_checked(&self) -> u32 { called_in_its_own_file() }
+}
+
+#[cfg(test)]
+mod tests {
+    pub fn test_helpers_are_not_checked() {}
+
+    fn t() { super::only_test_mod_calls_me(); }
+}
+";
+    let beta = "\
+pub fn beta_entry(x: &Thing) {
+    alpha::called_from_another_crate();
+    x.only_method_calls_me();
+    // only_comments_call_me();
+    let _ = \"only_comments_call_me()\";
+}
+";
+    [
+        ("crates/alpha/src/lib.rs", alpha),
+        (
+            "crates/alpha/src/fixture_only.rs",
+            "pub fn f() { super::only_a_test_module_file_calls_me() }\n",
+        ),
+        ("crates/alpha/tests/it.rs", "fn t() { alpha::only_tests_dir_calls_me(); }\n"),
+        ("crates/beta/src/lib.rs", beta),
+        ("crates/testkit/src/lib.rs", "pub fn testkit_is_not_scanned() {}\n"),
+        (
+            "examples/demo.rs",
+            "fn main() { alpha::called_from_an_example(); beta::beta_entry(&T); }\n",
+        ),
+        ("perfbench/src/main.rs", "fn main() { alpha::called_from_perfbench(); }\n"),
+    ]
+    .into_iter()
+    .map(|(path, src)| (PathBuf::from(path), src.to_string()))
+    .collect()
+}
+
+#[test]
+fn dead_pub_flags_exactly_the_functions_without_a_non_test_caller() {
+    let diags = scan_dead_pub(&dead_pub_tree());
+    let found: Vec<(String, usize)> =
+        diags.iter().map(|d| (d.path.display().to_string(), d.line)).collect();
+    let alpha = |line| ("crates/alpha/src/lib.rs".to_string(), line);
+    assert_eq!(
+        found,
+        vec![
+            alpha(5),  // nothing_calls_me
+            alpha(7),  // only_test_mod_calls_me
+            alpha(9),  // only_tests_dir_calls_me
+            alpha(11), // only_reexported
+            alpha(13), // only_method_calls_me
+            alpha(15), // only_comments_call_me
+            alpha(17), // only_its_own_body_calls_me
+            alpha(19), // only_a_test_module_file_calls_me
+            alpha(22), // bare_tag
+        ],
+        "full diagnostics: {diags:#?}"
+    );
+    assert!(diags.iter().all(|d| d.rule == "dead-pub"));
+    assert!(diags[0].message.contains("`pub fn nothing_calls_me`"), "{}", diags[0].message);
+}
+
+#[test]
+fn dead_pub_flags_a_function_once_its_last_caller_goes() {
+    // The example holds the only call of `called_from_an_example`; without
+    // it the rule reports the declaration, on top of the base findings.
+    let mut tree = dead_pub_tree();
+    let example = tree.iter_mut().find(|(path, _)| path.starts_with("examples")).unwrap();
+    example.1 = example.1.replace("alpha::called_from_an_example();", "");
+    let lines: Vec<usize> = scan_dead_pub(&tree).iter().map(|d| d.line).collect();
+    assert_eq!(lines, vec![5, 7, 9, 11, 13, 15, 17, 19, 22, 29]);
 }
 
 #[test]
