@@ -60,12 +60,12 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use cldiam_bench::json::Value;
-use cldiam_bench::report::{render_table, to_json};
+use cldiam_bench::report::{render_table, to_json, ResultRow};
 use cldiam_bench::runner::{
-    baseline_source, reference_lower_bound_with_split, run_bounds, run_bounds_directed,
-    run_cldiam_with, run_delta_stepping_best, run_delta_stepping_with,
+    reference_lower_bound, run_bounds, run_bounds_directed, run_cldiam, run_delta_stepping,
+    RunResult,
 };
-use cldiam_bench::{ResultRow, RunResult};
+use cldiam_bench::threads::{configured_threads, install_with_threads};
 use cldiam_core::{AnytimeConfig, ClusterConfig};
 use cldiam_gen::GraphSpec;
 use cldiam_graph::{
@@ -185,7 +185,7 @@ fn parse_args() -> Options {
         directed: false,
         symmetrize: false,
         seed: 1,
-        threads: cldiam_bench::configured_threads(),
+        threads: configured_threads(),
         largest_component: false,
         cache: false,
         compress: false,
@@ -473,12 +473,12 @@ fn load_input(options: &Options) -> (GraphSource, String) {
 
 fn main() {
     let options = parse_args();
-    cldiam_bench::install_with_threads(options.threads, || run(&options));
+    install_with_threads(options.threads, || run(&options));
 }
 
 /// Streams the bounds engine's iteration trace to stderr, one line per SSSP
 /// (or per oracle consult), so long runs show their anytime progress.
-fn print_bounds_progress(result: &cldiam_bench::RunResult) {
+fn print_bounds_progress(result: &RunResult) {
     let Some(Value::Array(items)) = &result.iterations else { return };
     for (i, it) in items.iter().enumerate() {
         let source = match it.get("source").as_u64() {
@@ -521,21 +521,12 @@ fn run_undirected<G: NeighborSource>(graph: &G, options: &Options) -> Vec<RunRes
     // baseline and the bounds engine alike.
     let split = ComponentSplit::compute(graph);
     if options.algo != Algo::Bounds {
-        let lower = reference_lower_bound_with_split(graph, options.seed, &split);
+        let lower = reference_lower_bound(graph, options.seed, &split);
         if options.algo != Algo::Delta {
-            results.push(run_cldiam_with(graph, lower, &config));
+            results.push(run_cldiam(graph, lower, &config));
         }
         if options.algo != Algo::Cldiam {
-            results.push(match options.delta {
-                Some(delta) => run_delta_stepping_with(
-                    graph,
-                    baseline_source(graph, options.seed, &split),
-                    delta,
-                    lower,
-                    &split,
-                ),
-                None => run_delta_stepping_best(graph, lower, options.seed, &split),
-            });
+            results.push(run_delta_stepping(graph, options.delta, lower, options.seed, &split));
         }
     } else {
         let cluster = if options.no_quotient { None } else { Some(config.clone()) };

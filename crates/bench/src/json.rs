@@ -1,10 +1,10 @@
 //! Minimal JSON document model: pretty printing and parsing.
 //!
-//! The build environment cannot fetch `serde`/`serde_json`, so the benchmark
-//! harness carries its own document model for its one serialization need —
-//! exporting experiment rows ([`crate::report::to_json`]) and reading them
-//! back in tests and tooling. The subset is complete for that purpose:
-//! objects, arrays, strings (with escapes), numbers, booleans and null.
+//! The build environment cannot fetch `serde`/`serde_json`, so the `cldiam`
+//! CLI carries its own document model for its one serialization need —
+//! exporting report rows ([`crate::report::to_json`]) and reading them back
+//! in tests. The subset is complete for that purpose: objects, arrays,
+//! strings (with escapes), numbers, booleans and null.
 
 use std::fmt;
 use std::ops::Index;
@@ -347,8 +347,8 @@ pub fn to_string_pretty(value: &Value) -> String {
 }
 
 /// Parses a JSON document.
-// lint:allow(dead-pub): the CLI test suites parse the reports the binaries
-// print through it; the binaries themselves only write JSON.
+// lint:allow(dead-pub): the CLI test suites parse the reports the binary
+// prints through it; the binary itself only writes JSON.
 pub fn from_str(input: &str) -> Result<Value, String> {
     let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
     parser.skip_ws();

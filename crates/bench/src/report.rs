@@ -1,4 +1,4 @@
-//! Plain-text table rendering and JSON export of experiment results.
+//! Plain-text table rendering and JSON export of run results.
 
 use crate::json::{object, to_string_pretty, Value};
 use crate::runner::RunResult;
@@ -7,13 +7,14 @@ use crate::runner::RunResult;
 /// ran on it.
 #[derive(Clone, Debug)]
 pub struct ResultRow {
-    /// Graph label (the paper's name).
+    /// Graph label (the file name, or the generator's label).
     pub graph: String,
-    /// Proxy description.
+    /// The input as given (a path or `gen:` spec), noting a largest-component
+    /// extraction.
     pub proxy: String,
-    /// Number of nodes of the generated instance.
+    /// Number of nodes of the graph the algorithms ran on.
     pub nodes: usize,
-    /// Number of edges of the generated instance.
+    /// Number of edges of the graph the algorithms ran on.
     pub edges: usize,
     /// Results, one per algorithm.
     pub results: Vec<RunResult>,
@@ -55,35 +56,8 @@ pub fn render_table(title: &str, rows: &[ResultRow]) -> String {
     out
 }
 
-/// Renders a single-metric "figure" view (the bar-chart data of Figures 1–3):
-/// one line per graph and algorithm with the selected metric.
-pub fn render_figure(
-    title: &str,
-    rows: &[ResultRow],
-    metric_name: &str,
-    metric: impl Fn(&RunResult) -> f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ({metric_name}) ==\n"));
-    out.push_str(&format!("{:<14}", "graph"));
-    if let Some(first) = rows.first() {
-        for r in &first.results {
-            out.push_str(&format!(" {:>16}", r.algorithm));
-        }
-    }
-    out.push('\n');
-    for row in rows {
-        out.push_str(&format!("{:<14}", row.graph));
-        for result in &row.results {
-            out.push_str(&format!(" {:>16.4}", metric(result)));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Serializes rows as pretty JSON (the machine-readable companion of the
-/// tables, consumed when regenerating `EXPERIMENTS.md`).
+/// Serializes rows as pretty JSON, the machine-readable companion of the
+/// table (`cldiam --json`).
 pub fn to_json(rows: &[ResultRow]) -> String {
     let rows: Vec<Value> = rows
         .iter()
@@ -155,14 +129,6 @@ mod tests {
     #[test]
     fn empty_table_renders_placeholder() {
         assert!(render_table("t", &[]).contains("no rows"));
-    }
-
-    #[test]
-    fn figure_renders_one_metric() {
-        let text = render_figure("Figure 2", &sample_rows(), "rounds", |r| r.rounds as f64);
-        assert!(text.contains("rounds"));
-        assert!(text.contains("42.0000"));
-        assert!(text.contains("900.0000"));
     }
 
     #[test]

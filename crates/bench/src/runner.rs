@@ -1,27 +1,27 @@
-//! Execution of the two competing algorithms with the paper's
-//! instrumentation.
+//! Execution of CL-DIAM, the Δ-stepping baseline and the bounds engine with
+//! the paper's instrumentation, one entry point per algorithm.
 
 use std::time::Instant;
 
-use cldiam_core::approximate_diameter;
 use cldiam_core::{
-    anytime_diameter_cancel, anytime_diameter_with_split_cancel, AnytimeConfig, ClusterConfig,
+    anytime_diameter_cancel, anytime_diameter_with_split_cancel, approximate_diameter,
+    approximation_ratio, AnytimeConfig, ClusterConfig,
 };
 use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId, INFINITY};
 use cldiam_mr::CostTracker;
 use cldiam_sssp::{
-    delta_stepping_with_scratch, diameter_lower_bound, diameter_lower_bound_with_split,
+    delta_stepping_with_scratch, diameter_lower_bound_with_split,
     sssp_diameter_upper_bound_with_split, suggest_delta, BoundsOutcome, ComponentSplit,
     SsspScratch,
 };
 
 use crate::json::{object, Value};
 
-/// One measured run of either algorithm on one graph — the columns of
+/// One measured run of one algorithm on one graph — the columns of
 /// Table 2.
 #[derive(Clone, Debug)]
 pub struct RunResult {
-    /// Algorithm name (`CL-DIAM` or `Δ-stepping`).
+    /// Algorithm name (`CL-DIAM`, `Δ-stepping` or `bounds`).
     pub algorithm: String,
     /// Diameter estimate (upper bound) produced by the run.
     pub estimate: Dist,
@@ -79,14 +79,10 @@ impl RunResult {
 }
 
 /// Computes the diameter lower bound the paper uses to normalize ratios:
-/// iterated farthest-node SSSP sweeps.
-pub fn reference_lower_bound<G: NeighborSource>(graph: &G, seed: u64) -> Dist {
-    diameter_lower_bound(graph, 4, seed)
-}
-
-/// [`reference_lower_bound`] over a precomputed [`ComponentSplit`], so one
-/// connectivity pass serves both the reference bound and the bounds engine.
-pub fn reference_lower_bound_with_split<G: NeighborSource>(
+/// iterated farthest-node SSSP sweeps, over a precomputed [`ComponentSplit`]
+/// so one connectivity pass serves the reference bound, the Δ-stepping
+/// baseline and the bounds engine.
+pub fn reference_lower_bound<G: NeighborSource>(
     graph: &G,
     seed: u64,
     split: &ComponentSplit,
@@ -149,22 +145,11 @@ pub fn run_bounds_directed(
 }
 
 fn bounds_result(config: &AnytimeConfig, outcome: BoundsOutcome, time_s: f64) -> RunResult {
-    let approximation = if outcome.upper == INFINITY {
-        f64::INFINITY
-    } else if outcome.lower == 0 {
-        if outcome.upper == 0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        outcome.upper as f64 / outcome.lower as f64
-    };
     RunResult {
         algorithm: "bounds".to_string(),
         estimate: outcome.upper,
         lower_bound: outcome.lower,
-        approximation,
+        approximation: approximation_ratio(outcome.upper, outcome.lower),
         time_s,
         rounds: outcome.sssp_runs as u64,
         work: 0,
@@ -183,9 +168,9 @@ fn bounds_result(config: &AnytimeConfig, outcome: BoundsOutcome, time_s: f64) ->
     }
 }
 
-/// Runs `CL-DIAM` under an explicit [`ClusterConfig`] — the entry point of
-/// the `cldiam` CLI, where `τ` and the `CLUSTER2` switch come from flags.
-pub fn run_cldiam_with<G: NeighborSource>(
+/// Runs `CL-DIAM` under an explicit [`ClusterConfig`], where the `cldiam`
+/// CLI's flags set `τ` and the `CLUSTER2` switch.
+pub fn run_cldiam<G: NeighborSource>(
     graph: &G,
     lower_bound: Dist,
     config: &ClusterConfig,
@@ -197,7 +182,7 @@ pub fn run_cldiam_with<G: NeighborSource>(
         algorithm: "CL-DIAM".to_string(),
         estimate: estimate.upper_bound,
         lower_bound,
-        approximation: estimate.ratio_against(lower_bound),
+        approximation: approximation_ratio(estimate.upper_bound, lower_bound),
         time_s,
         rounds: estimate.metrics.rounds,
         work: estimate.metrics.work(),
@@ -215,33 +200,36 @@ pub fn run_cldiam_with<G: NeighborSource>(
     }
 }
 
-/// Runs `CL-DIAM` with the paper's practical configuration: decomposition via
-/// `CLUSTER`, initial `Δ` = average edge weight, `τ` chosen so the quotient
-/// graph stays below `target_quotient` nodes.
-pub fn run_cldiam<G: NeighborSource>(
-    graph: &G,
-    lower_bound: Dist,
-    target_quotient: usize,
-    seed: u64,
-) -> RunResult {
-    let tau = ClusterConfig::tau_for_quotient_target(graph.num_nodes(), target_quotient);
-    let config = ClusterConfig::default().with_tau(tau).with_seed(seed);
-    run_cldiam_with(graph, lower_bound, &config)
-}
-
-/// Runs the Δ-stepping baseline from `source` with an explicit bucket width
+/// Runs the Δ-stepping baseline from a seeded node of the largest component
 /// and converts the eccentricity into the 2-approximation of the diameter.
-/// On a disconnected graph the estimate covers every component of `split`.
-pub fn run_delta_stepping_with<G: NeighborSource>(
+/// `Some(delta)` runs that bucket width; `None` sweeps the grid
+/// `suggest_delta × {1, 4, 16, 64}` and keeps the run with the fewest rounds
+/// (the criterion the paper used to pick `Δ` on its Spark platform). On a
+/// disconnected graph the estimate covers every component of `split`.
+pub fn run_delta_stepping<G: NeighborSource>(
     graph: &G,
-    source: NodeId,
-    delta: u32,
+    delta: Option<u32>,
     lower_bound: Dist,
+    seed: u64,
     split: &ComponentSplit,
 ) -> RunResult {
+    let widths = match delta {
+        Some(delta) => vec![delta],
+        None => {
+            let base = suggest_delta(graph);
+            [1, 4, 16, 64].iter().map(|&factor| base.saturating_mul(factor).max(1)).collect()
+        }
+    };
+    let source = baseline_source(graph, seed, split);
+    // One engine scratch serves the whole grid: each candidate run resets in
+    // O(reached) and reuses the distance cells and bucket ring.
     let mut scratch = SsspScratch::with_capacity(graph.num_nodes());
-    let result = run_delta_stepping_scratch(graph, source, delta, lower_bound, &mut scratch);
-    cover_all_components(result, graph, source, split)
+    let best = widths
+        .into_iter()
+        .map(|delta| run_delta_stepping_scratch(graph, source, delta, lower_bound, &mut scratch))
+        .reduce(|best, run| if run.rounds < best.rounds { run } else { best })
+        .expect("at least one delta candidate was evaluated");
+    cover_all_components(best, graph, source, split)
 }
 
 /// One Δ-stepping run over a caller-provided [`SsspScratch`], so grid sweeps
@@ -264,7 +252,7 @@ fn run_delta_stepping_scratch<G: NeighborSource>(
         algorithm: "Δ-stepping".to_string(),
         estimate,
         lower_bound,
-        approximation: delta_ratio(estimate, lower_bound),
+        approximation: approximation_ratio(estimate, lower_bound),
         time_s,
         rounds: outcome.phases,
         work: outcome.work(),
@@ -272,14 +260,6 @@ fn run_delta_stepping_scratch<G: NeighborSource>(
         converged: None,
         interrupted: None,
         iterations: None,
-    }
-}
-
-fn delta_ratio(estimate: Dist, lower_bound: Dist) -> f64 {
-    if lower_bound == 0 {
-        1.0
-    } else {
-        estimate as f64 / lower_bound as f64
     }
 }
 
@@ -301,7 +281,7 @@ fn cover_all_components<G: NeighborSource>(
     let bound = sssp_diameter_upper_bound_with_split(graph, source, split);
     result.time_s += started.elapsed().as_secs_f64();
     result.estimate = result.estimate.max(bound);
-    result.approximation = delta_ratio(result.estimate, result.lower_bound);
+    result.approximation = approximation_ratio(result.estimate, result.lower_bound);
     result
 }
 
@@ -312,7 +292,7 @@ fn cover_all_components<G: NeighborSource>(
 /// `split` moves to that component's smallest member, the relocation rule of
 /// [`diameter_lower_bound_with_split`], so the baseline never starts on an
 /// isolated node.
-pub fn baseline_source<G: NeighborSource>(graph: &G, seed: u64, split: &ComponentSplit) -> NodeId {
+fn baseline_source<G: NeighborSource>(graph: &G, seed: u64, split: &ComponentSplit) -> NodeId {
     let drawn = ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % graph.num_nodes().max(1) as u64)
         as NodeId;
     if split.is_connected() {
@@ -328,49 +308,23 @@ pub fn baseline_source<G: NeighborSource>(graph: &G, seed: u64, split: &Componen
     }
 }
 
-/// Runs the Δ-stepping baseline over a grid of `Δ` values and keeps the
-/// best-performing configuration (fewest rounds, the criterion the paper used
-/// to pick `Δ` on its Spark platform). The source is [`baseline_source`],
-/// and the estimate covers every component of `split`.
-pub fn run_delta_stepping_best<G: NeighborSource>(
-    graph: &G,
-    lower_bound: Dist,
-    seed: u64,
-    split: &ComponentSplit,
-) -> RunResult {
-    let base = suggest_delta(graph);
-    let source = baseline_source(graph, seed, split);
-    let candidates =
-        [base, base.saturating_mul(4), base.saturating_mul(16), base.saturating_mul(64)];
-    // One engine scratch serves the whole grid: each candidate run resets in
-    // O(reached) and reuses the distance cells and bucket ring.
-    let mut scratch = SsspScratch::with_capacity(graph.num_nodes());
-    let mut best: Option<RunResult> = None;
-    for &delta in &candidates {
-        let result =
-            run_delta_stepping_scratch(graph, source, delta.max(1), lower_bound, &mut scratch);
-        let better = match &best {
-            None => true,
-            Some(b) => result.rounds < b.rounds,
-        };
-        if better {
-            best = Some(result);
-        }
-    }
-    let best = best.expect("at least one delta candidate was evaluated");
-    cover_all_components(best, graph, source, split)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cldiam_gen::{mesh, WeightModel};
 
+    /// The paper's practical configuration: `CLUSTER`, initial `Δ` = average
+    /// edge weight, `τ` chosen so the quotient stays below `target` nodes.
+    fn practical_config(graph: &Graph, target: usize, seed: u64) -> ClusterConfig {
+        let tau = ClusterConfig::tau_for_quotient_target(graph.num_nodes(), target);
+        ClusterConfig::default().with_tau(tau).with_seed(seed)
+    }
+
     #[test]
     fn cldiam_run_produces_conservative_estimate() {
         let g = mesh(20, WeightModel::UniformUnit, 3);
-        let lower = reference_lower_bound(&g, 3);
-        let result = run_cldiam(&g, lower, 500, 3);
+        let lower = reference_lower_bound(&g, 3, &ComponentSplit::compute(&g));
+        let result = run_cldiam(&g, lower, &practical_config(&g, 500, 3));
         assert!(result.estimate >= lower);
         assert!(result.approximation >= 1.0);
         assert!(result.rounds > 0);
@@ -381,8 +335,9 @@ mod tests {
     #[test]
     fn delta_stepping_run_produces_conservative_estimate() {
         let g = mesh(20, WeightModel::UniformUnit, 3);
-        let lower = reference_lower_bound(&g, 3);
-        let result = run_delta_stepping_best(&g, lower, 3, &ComponentSplit::compute(&g));
+        let split = ComponentSplit::compute(&g);
+        let lower = reference_lower_bound(&g, 3, &split);
+        let result = run_delta_stepping(&g, None, lower, 3, &split);
         assert!(result.estimate >= lower);
         assert!(result.approximation >= 1.0);
         assert!(
@@ -396,11 +351,10 @@ mod tests {
     #[test]
     fn delta_sweep_picks_fewest_rounds() {
         let g = mesh(16, WeightModel::UniformUnit, 5);
-        let lower = reference_lower_bound(&g, 5);
         let split = ComponentSplit::compute(&g);
-        let best = run_delta_stepping_best(&g, lower, 5, &split);
-        let base = suggest_delta(&g);
-        let fine = run_delta_stepping_with(&g, baseline_source(&g, 5, &split), base, lower, &split);
+        let lower = reference_lower_bound(&g, 5, &split);
+        let best = run_delta_stepping(&g, None, lower, 5, &split);
+        let fine = run_delta_stepping(&g, Some(suggest_delta(&g)), lower, 5, &split);
         assert!(best.rounds <= fine.rounds);
     }
 
@@ -410,9 +364,10 @@ mod tests {
         // algorithm needs far fewer rounds than Δ-stepping on high-diameter
         // graphs.
         let g = mesh(32, WeightModel::UniformUnit, 9);
-        let lower = reference_lower_bound(&g, 9);
-        let cl = run_cldiam(&g, lower, 500, 9);
-        let ds = run_delta_stepping_best(&g, lower, 9, &ComponentSplit::compute(&g));
+        let split = ComponentSplit::compute(&g);
+        let lower = reference_lower_bound(&g, 9, &split);
+        let cl = run_cldiam(&g, lower, &practical_config(&g, 500, 9));
+        let ds = run_delta_stepping(&g, None, lower, 9, &split);
         assert!(
             cl.rounds < ds.rounds,
             "CL-DIAM rounds {} not below Δ-stepping rounds {}",

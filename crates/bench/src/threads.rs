@@ -1,10 +1,9 @@
-//! Thread-count plumbing for the benchmark harness.
+//! Thread-count plumbing for the `cldiam` CLI.
 //!
 //! The vendored rayon sizes its global pool from `CLDIAM_THREADS` (then
 //! `RAYON_NUM_THREADS`, then the hardware). The helpers here make that knob —
-//! and the `--threads` flag of the `reproduce` binary — explicit in the
-//! harness, so scalability experiments can measure real 1→N-thread speedups
-//! by installing dedicated pools instead of relying on process-wide state.
+//! and the CLI's `--threads` flag — explicit by installing a dedicated pool
+//! instead of relying on process-wide state.
 
 /// The thread count requested via the `CLDIAM_THREADS` environment variable,
 /// if any. Values that are unset, unparsable, or zero mean "use the default".

@@ -1,41 +1,90 @@
 //! Every estimate the `cldiam` CLI reports is an upper bound: no row may sit
 //! below the reference lower bound of the same run, on disconnected inputs
-//! too.
+//! too, and a row without a bound reports no ratio either.
 
+use std::path::Path;
 use std::process::Command;
 
 use cldiam_bench::json::{from_str, Value};
 
 const CLDIAM: &str = env!("CARGO_BIN_EXE_cldiam");
 
+/// Runs `cldiam INPUT ARGS --no-time --json FILE` and returns the result rows
+/// of the JSON report.
+fn report_rows(input: &str, args: &[&str], json: &Path) -> Vec<Value> {
+    let output = Command::new(CLDIAM)
+        .arg(input)
+        .args(args)
+        .args(["--no-time", "--json"])
+        .arg(json)
+        .output()
+        .expect("cldiam binary runs");
+    assert!(
+        output.status.success(),
+        "cldiam {input} failed: {}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report = from_str(&std::fs::read_to_string(json).expect("JSON report written"))
+        .expect("the report is valid JSON");
+    std::fs::remove_file(json).ok();
+    let Value::Array(rows) = report.at(0).get("results") else {
+        panic!("the report has no results array");
+    };
+    rows.clone()
+}
+
 #[test]
 fn every_row_is_at_least_the_lower_bound_on_a_disconnected_rmat() {
     // R-MAT(15) leaves isolated nodes, and the seeded Δ-stepping source
     // once landed on one, reporting an estimate of 0.
     let json = std::env::temp_dir().join(format!("cldiam-cli-rmat15-{}.json", std::process::id()));
-    let output = Command::new(CLDIAM)
-        .args(["gen:rmat:15", "--algo", "both", "--seed", "1", "--no-time", "--json"])
-        .arg(&json)
-        .output()
-        .expect("cldiam binary runs");
-    assert!(
-        output.status.success(),
-        "cldiam gen:rmat:15 failed: {}\n{}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let report = from_str(&std::fs::read_to_string(&json).expect("JSON report written"))
-        .expect("the report is valid JSON");
-    std::fs::remove_file(&json).ok();
-    let Value::Array(rows) = report.at(0).get("results") else {
-        panic!("the report has no results array");
-    };
+    let rows = report_rows("gen:rmat:15", &["--algo", "both", "--seed", "1"], &json);
     assert_eq!(rows.len(), 2, "--algo both reports CL-DIAM and Δ-stepping");
-    for row in rows {
+    for row in &rows {
         let algorithm = row.get("algorithm").as_str().expect("algorithm name");
         let estimate = row.get("estimate").as_u64().expect("finite estimate");
         let lower = row.get("lower_bound").as_u64().expect("lower bound");
         assert!(lower > 0, "{algorithm}: the reference lower bound is 0");
         assert!(estimate >= lower, "{algorithm}: estimate {estimate} is below lower bound {lower}");
+    }
+}
+
+#[test]
+fn a_row_without_an_upper_bound_reports_no_ratio() {
+    // A path whose every third edge weighs `u32::MAX`: with τ = 1 the
+    // quotient edge weights overflow, so CL-DIAM reports no bound (a null
+    // estimate). Its ratio must be null too, not the `INFINITY` sentinel
+    // divided by the lower bound.
+    let dir = std::env::temp_dir().join(format!("cldiam-cli-heavy-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let input = dir.join("heavy.tsv");
+    let edges: String = (0..59u32)
+        .map(|i| format!("{i}\t{}\t{}\n", i + 1, if i % 3 == 1 { u32::MAX } else { 1 }))
+        .collect();
+    std::fs::write(&input, edges).expect("write the path");
+    let rows = report_rows(
+        input.to_str().expect("UTF-8 temp path"),
+        &["--tau", "1", "--algo", "both"],
+        &dir.join("report.json"),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(rows.len(), 2, "--algo both reports CL-DIAM and Δ-stepping");
+    assert!(
+        rows.iter().any(|row| matches!(row.get("estimate"), Value::Null)),
+        "no row lost its upper bound, so the overflow case is not exercised"
+    );
+    for row in &rows {
+        let algorithm = row.get("algorithm").as_str().expect("algorithm name");
+        let unbounded = matches!(row.get("estimate"), Value::Null);
+        let approximation = row.get("approximation");
+        if unbounded {
+            assert!(
+                matches!(approximation, Value::Null),
+                "{algorithm}: no upper bound, yet approximation {approximation}"
+            );
+        } else {
+            assert!(approximation.as_f64().is_some(), "{algorithm}: bounded row has no ratio");
+        }
     }
 }

@@ -63,12 +63,6 @@ impl AnytimeConfig {
         self.cluster = Some(cluster);
         self
     }
-
-    /// Disables the quotient oracle.
-    pub fn without_cluster(mut self) -> Self {
-        self.cluster = None;
-        self
-    }
 }
 
 /// Runs the anytime engine over a precomputed component split (undirected

@@ -45,17 +45,27 @@ pub struct DiameterEstimate {
 
 impl DiameterEstimate {
     /// Approximation ratio against a known reference value (typically the
-    /// lower bound produced by iterated SSSP sweeps, as in Table 2).
+    /// lower bound produced by iterated SSSP sweeps, as in Table 2); see
+    /// [`approximation_ratio`].
     pub fn ratio_against(&self, reference: Dist) -> f64 {
-        if reference == 0 {
-            if self.upper_bound == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
+        approximation_ratio(self.upper_bound, reference)
+    }
+}
+
+/// Approximation ratio `estimate / reference` of a diameter estimate. An
+/// `INFINITY` estimate (no bound) and a positive estimate against a zero
+/// reference are infinitely loose; `0 / 0` is exact (1.0).
+pub fn approximation_ratio(estimate: Dist, reference: Dist) -> f64 {
+    if estimate == INFINITY {
+        f64::INFINITY
+    } else if reference == 0 {
+        if estimate == 0 {
+            1.0
         } else {
-            self.upper_bound as f64 / reference as f64
+            f64::INFINITY
         }
+    } else {
+        estimate as f64 / reference as f64
     }
 }
 
@@ -120,8 +130,9 @@ impl ClDiam {
     }
 
     /// Builds the quotient of an existing clustering and finishes the
-    /// estimate. Exposed so ablations can reuse one decomposition across
-    /// several quotient strategies.
+    /// estimate, so a caller can read the decomposition (such as its final
+    /// `Δ`) next to the estimate built from it, as the `delta_tuning` example
+    /// does.
     ///
     /// A quotient edge whose augmented weight does not fit a `Weight` is
     /// clamped, which shortens it, so `Φ(G_C) + 2·R` could fall below the
@@ -287,6 +298,9 @@ mod tests {
         let nonzero = DiameterEstimate { upper_bound: 5, ..estimate };
         assert!(nonzero.ratio_against(0).is_infinite());
         assert!((nonzero.ratio_against(4) - 1.25).abs() < 1e-9);
+        let unbounded = DiameterEstimate { upper_bound: INFINITY, ..estimate };
+        assert!(unbounded.ratio_against(4).is_infinite());
+        assert!(unbounded.ratio_against(0).is_infinite());
     }
 
     #[test]

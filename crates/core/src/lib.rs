@@ -61,7 +61,10 @@ pub use cluster::{cluster, cluster_cancel};
 pub use cluster2::{cluster2, cluster2_cancel};
 pub use clustering::Clustering;
 pub use config::{ClusterConfig, InitialDelta};
-pub use diameter::{approximate_diameter, approximate_diameter_cancel, ClDiam, DiameterEstimate};
+pub use diameter::{
+    approximate_diameter, approximate_diameter_cancel, approximation_ratio, ClDiam,
+    DiameterEstimate,
+};
 pub use growing::{delta_growing_step, partial_growth, GrowScratch, GrowthOutcome, StepStats};
 pub use quotient::{quotient_graph, QuotientGraph};
 pub use state::{eff_below_threshold, eff_within_threshold, GrowState, EFF_INFINITY, NO_CENTER};

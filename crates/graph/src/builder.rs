@@ -58,11 +58,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of raw (pre-deduplication) edges added so far.
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the edge `{u, v}` with weight `w` — both directions, even on a
     /// directed builder (a symmetric pair of arcs).
     ///

@@ -293,16 +293,6 @@ impl CompressedGraph {
                 .sum::<usize>()
     }
 
-    /// Name of the weight coding in use (for stats lines and reports).
-    pub fn coding_name(&self) -> &'static str {
-        match &self.coding {
-            WeightCoding::Constant(_) => "constant",
-            WeightCoding::Palette(_) => "palette",
-            WeightCoding::Fixed(_) => "fixed",
-            WeightCoding::Varint => "varint",
-        }
-    }
-
     /// Snapshot-writer accessors.
     pub(crate) fn coding(&self) -> &WeightCoding {
         &self.coding

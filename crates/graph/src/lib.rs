@@ -15,8 +15,8 @@
 //! * [`traversal`] — unweighted BFS utilities (hop distances, double sweep).
 //! * [`ops`] — graph transformations: cartesian product (used by the paper's
 //!   `roads(S)` family), induced subgraphs and reweighting.
-//! * [`stats`] — degree/weight statistics used by the benchmark harness to
-//!   regenerate Table 1.
+//! * [`stats`] — degree/weight statistics (the columns of the paper's
+//!   Table 1).
 //! * [`io`] — file ingestion: SNAP/TSV edge lists, DIMACS `.gr`, a versioned
 //!   binary CSR snapshot, and format auto-detection ([`load_graph`]). Text
 //!   parsing is parallel over newline-aligned chunks and deterministic at any

@@ -1,5 +1,7 @@
-//! Graph statistics used by the benchmark harness (Table 1) and by the
-//! heuristics in the core algorithm (initial `Δ` = average edge weight).
+//! Summary statistics of a graph (the columns of the paper's Table 1), as
+//! the `social_network` example prints them and the generator tests check
+//! them. The core's initial `Δ` reads the average edge weight from
+//! `NeighborSource::avg_weight` instead.
 
 use rayon::prelude::*;
 

@@ -52,6 +52,8 @@ pub fn hop_eccentricity<G: NeighborSource>(graph: &G, source: NodeId) -> u32 {
 /// Double-sweep lower bound for the unweighted diameter `Ψ(G)`: BFS from a
 /// start node, then BFS again from the farthest node found. On many practical
 /// graph classes (road networks, meshes) this is exact or nearly so.
+// lint:allow(dead-pub): shared test fixture; the generator suites and the
+// SSSP integration suite check hop diameters `Ψ(G)` with it.
 pub fn double_sweep_hop_diameter<G: NeighborSource>(graph: &G, start: NodeId) -> u32 {
     if graph.num_nodes() == 0 {
         return 0;

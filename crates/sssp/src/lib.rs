@@ -33,8 +33,6 @@
 //!   eccentricity intervals updated after every SSSP with the
 //!   iFUB/BoundingDiameters rules, max-width source selection, and a
 //!   directed 2-dSweep mode over forward/backward Dijkstra.
-//! * [`hops`] — an estimator for the unweighted diameter `Ψ(G)`, which
-//!   lower-bounds the rounds of Δ-stepping under linear space.
 //!
 //! The test oracles — Bellman-Ford and the simulated MapReduce engine — live
 //! in the dev-only `cldiam-testkit` crate; the `BTreeMap` Δ-stepping
@@ -47,7 +45,6 @@ pub mod bounds;
 pub mod delta_stepping;
 pub mod diameter;
 pub mod dijkstra;
-pub mod hops;
 
 pub use batch::{
     batched_eccentricities, multi_source_dijkstra, DijkstraScratch, ScratchPool, SsspDirection,
@@ -65,4 +62,3 @@ pub use diameter::{
     sweep_chain_lower_bound, ComponentSplit,
 };
 pub use dijkstra::{dijkstra, ShortestPaths};
-pub use hops::unweighted_diameter;

@@ -3,10 +3,10 @@
 //! must bracket the exact value.
 
 use cldiam::gen::{GraphSpec, WeightModel};
+use cldiam::graph::traversal::double_sweep_hop_diameter;
 use cldiam::prelude::*;
 use cldiam::sssp::{
     diameter_lower_bound, exact_diameter, sssp_diameter_upper_bound, suggest_delta,
-    unweighted_diameter,
 };
 use cldiam_mr::CostTracker;
 use cldiam_testkit::bellman_ford;
@@ -85,7 +85,7 @@ fn hop_metrics_behave_on_mesh() {
     // For a mesh with uniform (0,1] weights, Ψ(G) = 2(S-1).
     let side = 12;
     let graph = cldiam::gen::mesh(side, WeightModel::UniformUnit, 3);
-    assert_eq!(unweighted_diameter(&graph, 4, 1) as usize, 2 * (side - 1));
+    assert_eq!(double_sweep_hop_diameter(&graph, 0) as usize, 2 * (side - 1));
 }
 
 #[test]
@@ -95,7 +95,7 @@ fn unweighted_diameter_lower_bounds_delta_stepping_rounds_on_unit_weights() {
     // which is at least half the unweighted diameter — the paper's argument
     // for why Δ-stepping needs Ω(Ψ) rounds under linear space.
     let graph = cldiam::gen::mesh(16, WeightModel::Unit, 2);
-    let psi = unweighted_diameter(&graph, 4, 3) as u64;
+    let psi = double_sweep_hop_diameter(&graph, 0) as u64;
     let outcome = delta_stepping(&graph, 0, 1, None);
     assert!(
         outcome.phases * 2 >= psi,
