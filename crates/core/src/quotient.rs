@@ -14,7 +14,7 @@
 //! MapReduce combiner would do it. A parallel scan cuts the nodes into
 //! chunks, and each chunk folds its boundary edges into a fixed-size
 //! direct-mapped table from cluster pair to lightest augmented weight. The
-//! sort that builds the quotient's CSR therefore sees each chunk's distinct
+//! builder that makes the quotient's CSR therefore sees each chunk's distinct
 //! pairs, not every boundary edge. [`QuotientGraph::boundary_edges`] still
 //! counts every inter-cluster edge inspected: they are the round's messages.
 
@@ -165,8 +165,8 @@ pub fn quotient_graph<G: NeighborSource>(graph: &G, clustering: &Clustering) -> 
     for combiner in combiners.iter() {
         builder.extend_edges(combiner.spill.iter().copied());
     }
-    // The spill buffers are copied into the builder: free them before its
-    // sort doubles the edge array.
+    // The spill buffers are copied into the builder: free them before it
+    // allocates the CSR arrays.
     drop(chunks);
     QuotientGraph {
         graph: builder.build(),

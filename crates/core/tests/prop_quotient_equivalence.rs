@@ -2,7 +2,7 @@
 //! a transcription of the plain gather it replaces.
 //!
 //! The oracle below gathers every boundary edge with its clamped augmented
-//! weight and hands them all to a [`GraphBuilder`], whose sort keeps the
+//! weight and hands them all to a [`GraphBuilder`], which keeps the
 //! lightest edge per cluster pair. [`quotient_graph`] folds the edges into
 //! per-chunk combiner tables instead. Both must return the same
 //! [`QuotientGraph`] — graph, centers, boundary-edge count and overflow count

@@ -5,6 +5,9 @@ use rayon::prelude::*;
 use crate::csr::Graph;
 use crate::weight::{NodeId, Weight};
 
+/// Nodes per task of the parallel per-list sort in [`GraphBuilder::build`].
+const SORT_BLOCK: usize = 4096;
+
 /// Accumulates weighted edges (undirected by default, directed via
 /// [`GraphBuilder::new_directed`]) and produces a [`Graph`].
 ///
@@ -19,8 +22,9 @@ use crate::weight::{NodeId, Weight};
 ///   given and a reverse CSR is derived,
 /// * adjacency lists are sorted by target node.
 ///
-/// Building is parallelized with rayon (sorting dominates) so that the large
-/// synthetic benchmark graphs can be materialized quickly.
+/// Building sorts no global edge array: a counting sort places each arc in
+/// its source's list, and only the lists themselves are sorted, in parallel,
+/// so that the large synthetic benchmark graphs can be materialized quickly.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     num_nodes: usize,
@@ -105,72 +109,141 @@ impl GraphBuilder {
 
     /// Consumes the builder and produces the canonical CSR graph.
     ///
-    /// The two super-linear stages — canonicalizing the edge set and ordering
-    /// every adjacency list — are both expressed as parallel sorts, so CSR
-    /// construction scales with the thread pool instead of bottlenecking on a
-    /// per-node sorting loop.
-    pub fn build(mut self) -> Graph {
-        if self.directed {
-            return self.build_directed();
-        }
+    /// Four steps: count every node's arcs, scatter each arc into its
+    /// source's slot range, sort and dedup each adjacency list on its own
+    /// (keeping the lightest parallel arc), and compact the lists in place.
+    /// All but the per-list sorts take linear time. The lists are sorted
+    /// after the scatter, so the result does not depend on the order of the
+    /// scatter or on the thread count.
+    pub fn build(self) -> Graph {
+        let directed = self.directed;
         let n = self.num_nodes;
-        // Canonical order: by (u, v, w); keeping the first of each (u, v) run
-        // keeps the minimum weight.
-        self.edges.par_sort_unstable();
-        self.edges.dedup_by_key(|e| (e.0, e.1));
+        // An undirected edge `(a, b)` is stored as `a → b` and `b → a`.
+        let symmetric = !directed;
 
-        // Symmetrize into a directed half-edge array and sort it by
-        // (source, target): one parallel sort yields every adjacency list
-        // already in target order, replacing the sequential per-node sorts.
-        let mut directed: Vec<(NodeId, NodeId, Weight)> = Vec::with_capacity(self.edges.len() * 2);
-        for &(u, v, w) in &self.edges {
-            directed.push((u, v, w));
-            directed.push((v, u, w));
+        // Count: `offsets[u]` is the number of arcs leaving `u`, then, after
+        // an inclusive prefix sum, the end of `u`'s slot range.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v, _) in &self.edges {
+            offsets[u as usize] += 1;
+            if symmetric {
+                offsets[v as usize] += 1;
+            }
+        }
+        let mut end = 0;
+        for slot in offsets.iter_mut() {
+            end += *slot;
+            *slot = end;
+        }
+
+        // Scatter: each range's cursor counts down from its end, so afterwards
+        // `offsets[u]` is the start of `u`'s range. Walking the edges backwards
+        // leaves every list in input order, which is often already sorted.
+        let mut targets = vec![0 as NodeId; end];
+        let mut weights = vec![0 as Weight; end];
+        let mut place = |u: NodeId, v: NodeId, w: Weight| {
+            let cursor = &mut offsets[u as usize];
+            *cursor -= 1;
+            targets[*cursor] = v;
+            weights[*cursor] = w;
+        };
+        for &(u, v, w) in self.edges.iter().rev() {
+            place(u, v, w);
+            if symmetric {
+                place(v, u, w);
+            }
         }
         drop(self.edges);
-        directed.par_sort_unstable();
 
-        let (offsets, targets, weights) = csr_arrays(n, &directed);
-        Graph::from_csr(offsets, targets, weights)
-    }
-
-    /// Directed half of [`GraphBuilder::build`]: arcs are canonicalized by
-    /// the same parallel sort (dedup keeps the minimum weight per `(u, v)`
-    /// arc — `u → v` and `v → u` are distinct arcs) and the reverse CSR is
-    /// derived inside [`Graph::from_directed_csr`].
-    fn build_directed(mut self) -> Graph {
-        let n = self.num_nodes;
-        self.edges.par_sort_unstable();
-        self.edges.dedup_by_key(|e| (e.0, e.1));
-        let (offsets, targets, weights) = csr_arrays(n, &self.edges);
-        Graph::from_directed_csr(offsets, targets, weights)
+        if sort_lists(&offsets, &mut targets, &mut weights) > 0 {
+            compact(&mut offsets, &mut targets, &mut weights);
+        }
+        if directed {
+            Graph::from_directed_csr(offsets, targets, weights)
+        } else {
+            Graph::from_csr(offsets, targets, weights)
+        }
     }
 }
 
-/// Scatters a `(source, target, weight)` array sorted by `(source, target)`
-/// into CSR offset/target/weight arrays.
-fn csr_arrays(
-    n: usize,
-    arcs: &[(NodeId, NodeId, Weight)],
-) -> (Vec<usize>, Vec<NodeId>, Vec<Weight>) {
-    let mut degrees = vec![0usize; n];
-    for &(u, _, _) in arcs {
-        degrees[u as usize] += 1;
+/// Sorts every adjacency list with [`sort_adjacency`], in parallel over
+/// blocks of [`SORT_BLOCK`] nodes, and returns the number of arcs dropped.
+fn sort_lists(offsets: &[usize], targets: &mut [NodeId], weights: &mut [Weight]) -> usize {
+    let n = offsets.len() - 1;
+    let mut blocks = Vec::with_capacity(n.div_ceil(SORT_BLOCK));
+    let (mut rest_targets, mut rest_weights) = (targets, weights);
+    for first in (0..n).step_by(SORT_BLOCK) {
+        let bounds = &offsets[first..=(first + SORT_BLOCK).min(n)];
+        let len = bounds[bounds.len() - 1] - bounds[0];
+        let (block_targets, tail_targets) = std::mem::take(&mut rest_targets).split_at_mut(len);
+        let (block_weights, tail_weights) = std::mem::take(&mut rest_weights).split_at_mut(len);
+        (rest_targets, rest_weights) = (tail_targets, tail_weights);
+        blocks.push((bounds, block_targets, block_weights));
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for d in &degrees {
-        acc += d;
-        offsets.push(acc);
+    blocks
+        .into_par_iter()
+        .map(|(bounds, targets, weights)| {
+            let base = bounds[0];
+            let mut scratch = Vec::new();
+            bounds
+                .windows(2)
+                .map(|list| {
+                    let range = list[0] - base..list[1] - base;
+                    sort_adjacency(&mut targets[range.clone()], &mut weights[range], &mut scratch)
+                })
+                .sum::<usize>()
+        })
+        .sum()
+}
+
+/// Sorts one adjacency list by target and keeps the lightest arc of each
+/// target at the front. The dropped arcs are left at the back with weight 0,
+/// which no kept arc has; returns how many there are. `scratch` is reused
+/// across calls.
+pub(crate) fn sort_adjacency(
+    targets: &mut [NodeId],
+    weights: &mut [Weight],
+    scratch: &mut Vec<u64>,
+) -> usize {
+    if targets.windows(2).all(|pair| pair[0] < pair[1]) {
+        return 0;
     }
-    let mut targets = Vec::with_capacity(arcs.len());
-    let mut weights = Vec::with_capacity(arcs.len());
-    for &(_, v, w) in arcs {
-        targets.push(v);
-        weights.push(w);
+    // One `u64` key per arc orders by target, then by weight.
+    scratch.clear();
+    scratch.extend(
+        targets.iter().zip(weights.iter()).map(|(&v, &w)| (u64::from(v) << 32) | u64::from(w)),
+    );
+    scratch.sort_unstable();
+    scratch.dedup_by_key(|key| *key >> 32);
+    for (i, &key) in scratch.iter().enumerate() {
+        targets[i] = (key >> 32) as NodeId;
+        weights[i] = key as Weight;
     }
-    (offsets, targets, weights)
+    weights[scratch.len()..].fill(0);
+    targets.len() - scratch.len()
+}
+
+/// Drops the arcs [`sort_adjacency`] marked with weight 0, moving every list
+/// down to close the gaps and rewriting `offsets` to match.
+fn compact(offsets: &mut [usize], targets: &mut Vec<NodeId>, weights: &mut Vec<Weight>) {
+    let mut kept = 0;
+    let mut start = 0;
+    for u in 0..offsets.len() - 1 {
+        let end = offsets[u + 1];
+        for i in start..end {
+            if weights[i] != 0 {
+                targets[kept] = targets[i];
+                weights[kept] = weights[i];
+                kept += 1;
+            }
+        }
+        offsets[u + 1] = kept;
+        start = end;
+    }
+    targets.truncate(kept);
+    targets.shrink_to_fit();
+    weights.truncate(kept);
+    weights.shrink_to_fit();
 }
 
 #[cfg(test)]

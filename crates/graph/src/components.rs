@@ -107,17 +107,17 @@ fn canonicalize(n: usize, mut root_of: impl FnMut(u32) -> u32) -> ComponentLabel
     ComponentLabels { labels, count: count as usize }
 }
 
-/// Extracts every component with at least two nodes as a standalone graph in
-/// one pass, returning for each the subgraph and the ascending mapping
+/// Extracts every component with at least two nodes as a standalone graph,
+/// returning for each the subgraph and the ascending mapping
 /// `new id -> original id`, ordered by component identifier.
 ///
 /// Unlike calling [`crate::ops::induced_subgraph`] per component (which pays
-/// an `O(n)` relabelling array per call), the total cost here is `O(n + m)`
-/// plus the builder sorts, independent of the component count — the
-/// difference between tractable and quadratic on raw real-world graphs with
-/// tens of thousands of small components. Singleton components are omitted:
-/// their subgraph is a single isolated node, which no distance computation
-/// can say anything interesting about.
+/// an `O(n)` relabelling array per call), the total cost here is `O(n + m)`,
+/// independent of the component count — the difference between tractable and
+/// quadratic on raw real-world graphs with tens of thousands of small
+/// components. Singleton components are omitted: their subgraph is a single
+/// isolated node, which no distance computation can say anything interesting
+/// about.
 pub fn component_subgraphs<G: NeighborSource>(
     graph: &G,
     labels: &ComponentLabels,
@@ -141,20 +141,9 @@ pub fn component_subgraphs<G: NeighborSource>(
         local[u] = list.len() as NodeId;
         list.push(u as NodeId);
     }
-    let mut builders: Vec<crate::GraphBuilder> =
-        members.iter().map(|m| crate::GraphBuilder::new(m.len())).collect();
-    for u in graph.node_ids() {
-        let s = slot[labels.labels[u as usize] as usize];
-        if s == usize::MAX {
-            continue;
-        }
-        for (v, w) in graph.neighbors(u) {
-            if u < v {
-                builders[s].add_edge(local[u as usize], local[v as usize], w);
-            }
-        }
-    }
-    builders.into_iter().zip(members).map(|(b, m)| (b.build(), m)).collect()
+    // Every neighbor of a member is a member of the same component, and local
+    // ids ascend with original ids, so each list is copied as is.
+    members.into_iter().map(|m| (ops::extract_subgraph(graph, &m, &local), m)).collect()
 }
 
 /// Extracts the largest connected component as a standalone graph.
@@ -162,16 +151,13 @@ pub fn component_subgraphs<G: NeighborSource>(
 /// Returns the subgraph and the mapping `new id -> original id`.
 pub fn largest_component(graph: &Graph) -> (Graph, Vec<NodeId>) {
     let labels = connected_components(graph);
-    match labels.largest() {
-        None => (Graph::empty(0), Vec::new()),
-        Some(target) => {
-            let keep: Vec<NodeId> = (0..graph.num_nodes() as NodeId)
-                .filter(|&u| labels.labels[u as usize] == target)
-                .collect();
-            let sub = ops::induced_subgraph(graph, &keep);
-            (sub, keep)
-        }
-    }
+    let keep: Vec<NodeId> = match labels.largest() {
+        None => Vec::new(),
+        Some(target) => (0..graph.num_nodes() as NodeId)
+            .filter(|&u| labels.labels[u as usize] == target)
+            .collect(),
+    };
+    (ops::induced_subgraph(graph, &keep), keep)
 }
 
 #[cfg(test)]

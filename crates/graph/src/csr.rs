@@ -61,6 +61,10 @@ fn validate_csr(offsets: &[usize], targets: &[NodeId], weights: &[Weight]) {
             assert!((v as usize) < n, "arc target {v} out of range (n = {n})");
             assert_ne!(v as usize, u, "self loops are not allowed");
             assert!(weights[i] > 0, "edge weights must be strictly positive");
+            assert!(
+                i == window[0] || targets[i - 1] < v,
+                "adjacency list of node {u} is not strictly increasing"
+            );
         }
     }
 }
@@ -102,7 +106,9 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if the arrays are inconsistent (wrong offset length, decreasing
-    /// offsets, targets out of range, zero weights, or self loops).
+    /// offsets, targets out of range, zero weights, self loops, or an
+    /// adjacency list that is not strictly increasing: unsorted or holding a
+    /// parallel arc).
     pub fn from_csr(offsets: Vec<usize>, targets: Vec<NodeId>, weights: Vec<Weight>) -> Self {
         validate_csr(&offsets, &targets, &weights);
         Graph {
@@ -505,6 +511,21 @@ mod tests {
     #[should_panic(expected = "self loops")]
     fn from_csr_rejects_self_loops() {
         Graph::from_csr(vec![0, 1], vec![0], vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "adjacency list of node 0 is not strictly increasing")]
+    fn from_csr_rejects_unsorted_lists() {
+        // If accepted, `edge_weight` would binary-search an unsorted list:
+        // `has_edge(0, 3)` false while `edge_weight(3, 0)` is `Some(5)`.
+        Graph::from_csr(vec![0, 3, 4, 5, 6], vec![3, 2, 1, 0, 0, 0], vec![5, 6, 7, 7, 6, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "adjacency list of node 0 is not strictly increasing")]
+    fn from_csr_rejects_parallel_arcs() {
+        // If accepted, this would report 2 edges between 2 nodes.
+        Graph::from_csr(vec![0, 2, 4], vec![1, 1, 0, 0], vec![4, 9, 4, 9]);
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! Both text parsers are parallel: the input is split into newline-aligned
 //! chunks, every chunk is parsed on the rayon pool, and the per-chunk edge
 //! vectors are concatenated in chunk order. Because the merge is
-//! chunk-ordered and [`crate::GraphBuilder`] canonicalizes the edge set with
-//! a deterministic parallel sort, the resulting [`Graph`] is bit-identical at
-//! any thread count. Errors carry precise 1-based line numbers; when several
-//! lines are malformed the error reported is always the earliest one in file
-//! order, again independent of the chunking.
+//! chunk-ordered and [`crate::GraphBuilder`] sorts and deduplicates every
+//! adjacency list, which leaves no trace of the arc order, the resulting
+//! [`Graph`] is bit-identical at any thread count. Errors carry precise
+//! 1-based line numbers; when several lines are malformed the error reported
+//! is always the earliest one in file order, again independent of the
+//! chunking.
 
 pub mod binary;
 pub mod dimacs;

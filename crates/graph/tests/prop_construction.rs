@@ -1,0 +1,302 @@
+//! Graph construction against a reference canonicalization.
+//!
+//! `GraphBuilder::build` places arcs with a counting sort and sorts each
+//! adjacency list on its own; `induced_subgraph` and `component_subgraphs`
+//! copy the lists of an already-canonical graph. Every one of them must
+//! produce exactly the CSR arrays of the reference below: a
+//! `BTreeMap<(u, v), min w>` over the arcs, written here and sharing no code
+//! with the builder. Inputs carry parallel edges with different weights, self
+//! loops, zero weights, ids at or past the declared node count, isolated
+//! nodes, and empty and edgeless graphs. Half of the cases spread their ids
+//! over several of the builder's 4,096-node sort blocks. Every case runs at
+//! 1, 2 and 4 threads.
+
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+
+use cldiam_graph::ops::induced_subgraph;
+use cldiam_graph::{
+    component_subgraphs, connected_components, largest_component, Graph, GraphBuilder, NodeId,
+    Weight,
+};
+
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Gap between consecutive ids of a spread case: the 16 ids then reach node
+/// 22,485, in the sixth sort block.
+const SPREAD: u32 = 1_499;
+
+fn with_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool").install(op)
+}
+
+/// The canonical arc set of a graph: node count, direction, and the lightest
+/// weight of every arc `u → v` (both directions of an undirected edge).
+#[derive(Clone, Debug)]
+struct Reference {
+    num_nodes: usize,
+    directed: bool,
+    arcs: BTreeMap<(NodeId, NodeId), Weight>,
+}
+
+impl Reference {
+    /// Canonicalizes `(u, v, w, both)` insertions the way `GraphBuilder`
+    /// documents: a self loop is dropped without growing the node set, a
+    /// zero weight counts as 1, and `both` (or an undirected graph) adds the
+    /// two arcs of an edge.
+    fn canonicalize(
+        num_nodes: usize,
+        directed: bool,
+        edges: &[(NodeId, NodeId, Weight, bool)],
+    ) -> Self {
+        let mut reference = Reference { num_nodes, directed, arcs: BTreeMap::new() };
+        for &(u, v, w, both) in edges {
+            if u == v {
+                continue;
+            }
+            reference.num_nodes = reference.num_nodes.max(u.max(v) as usize + 1);
+            reference.insert(u, v, w.max(1));
+            if both || !directed {
+                reference.insert(v, u, w.max(1));
+            }
+        }
+        reference
+    }
+
+    fn insert(&mut self, u: NodeId, v: NodeId, w: Weight) {
+        let slot = self.arcs.entry((u, v)).or_insert(w);
+        *slot = (*slot).min(w);
+    }
+
+    /// The subgraph on `nodes`, node `nodes[i]` becoming node `i`.
+    fn induced(&self, nodes: &[NodeId]) -> Reference {
+        let position: BTreeMap<NodeId, NodeId> =
+            nodes.iter().enumerate().map(|(i, &u)| (u, i as NodeId)).collect();
+        let arcs = self
+            .arcs
+            .iter()
+            .filter_map(|(&(u, v), &w)| Some(((*position.get(&u)?, *position.get(&v)?), w)))
+            .collect();
+        Reference { num_nodes: nodes.len(), directed: self.directed, arcs }
+    }
+
+    /// Weakly connected components, each ascending, ordered by smallest
+    /// member.
+    fn components(&self) -> Vec<Vec<NodeId>> {
+        let mut adjacent = vec![Vec::new(); self.num_nodes];
+        for &(u, v) in self.arcs.keys() {
+            adjacent[u as usize].push(v);
+            adjacent[v as usize].push(u);
+        }
+        let mut seen = vec![false; self.num_nodes];
+        let mut components = Vec::new();
+        for first in 0..self.num_nodes {
+            if seen[first] {
+                continue;
+            }
+            seen[first] = true;
+            let mut members = vec![first as NodeId];
+            let mut next = 0;
+            while next < members.len() {
+                for &v in &adjacent[members[next] as usize] {
+                    if !seen[v as usize] {
+                        seen[v as usize] = true;
+                        members.push(v);
+                    }
+                }
+                next += 1;
+            }
+            members.sort_unstable();
+            components.push(members);
+        }
+        components
+    }
+
+    /// Asserts that `graph` stores exactly this arc set, forward and, when
+    /// directed, reverse.
+    fn assert_matches(&self, graph: &Graph, what: &str) {
+        let mut offsets = vec![0usize; self.num_nodes + 1];
+        for &(u, _) in self.arcs.keys() {
+            offsets[u as usize + 1] += 1;
+        }
+        for u in 0..self.num_nodes {
+            offsets[u + 1] += offsets[u];
+        }
+        let targets: Vec<NodeId> = self.arcs.keys().map(|&(_, v)| v).collect();
+        let weights: Vec<Weight> = self.arcs.values().copied().collect();
+        assert_eq!(graph.num_nodes(), self.num_nodes, "{what}: node count");
+        assert_eq!(graph.is_directed(), self.directed, "{what}: direction");
+        assert_eq!(graph.offsets(), &offsets[..], "{what}: offsets");
+        assert_eq!(graph.targets(), &targets[..], "{what}: targets");
+        assert_eq!(graph.weights(), &weights[..], "{what}: weights");
+        if self.directed {
+            let mut incoming = vec![Vec::new(); self.num_nodes];
+            for (&(u, v), &w) in &self.arcs {
+                incoming[v as usize].push((u, w));
+            }
+            for (v, expected) in incoming.iter().enumerate() {
+                let actual: Vec<_> = graph.in_neighbors(v as NodeId).collect();
+                assert_eq!(&actual, expected, "{what}: in-neighbors of {v}");
+            }
+        }
+    }
+}
+
+/// A builder input: declared node count, direction, and insertions
+/// `(u, v, w, both)`, where `both` sends a directed insertion through
+/// `add_edge` instead of `add_arc`.
+type Input = (usize, bool, Vec<(NodeId, NodeId, Weight, bool)>);
+
+/// Ids are drawn from `0..declared + 4`, so some reach past the declared
+/// node count; 16 ids and up to 48 insertions give parallel edges often,
+/// weights `0..=6` give zero weights and ties, and a declared count above
+/// every drawn id leaves isolated nodes.
+fn input() -> impl Strategy<Value = Input> {
+    (0usize..=12, 0u32..2, 0u32..2, 0usize..=48).prop_flat_map(|(declared, directed, spread, m)| {
+        let ids = declared as u32 + 4;
+        let stride = if spread == 1 { SPREAD } else { 1 };
+        collection::vec((0..ids, 0..ids, 0u32..=6, 0u32..2), m).prop_map(move |raw| {
+            let edges = raw
+                .into_iter()
+                .map(|(u, v, w, both)| (u * stride, v * stride, w, both == 1))
+                .collect();
+            (declared * stride as usize, directed == 1, edges)
+        })
+    })
+}
+
+fn build((declared, directed, edges): &Input) -> Graph {
+    let mut builder = if *directed {
+        GraphBuilder::new_directed(*declared)
+    } else {
+        GraphBuilder::new(*declared)
+    };
+    for &(u, v, w, both) in edges {
+        if both {
+            builder.add_edge(u, v, w);
+        } else {
+            builder.add_arc(u, v, w);
+        }
+    }
+    builder.build()
+}
+
+/// SplitMix64: a per-node draw from the case's `seed`.
+fn mix(seed: u64, u: NodeId) -> u64 {
+    let mut z = seed ^ u64::from(u).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// About two thirds of the nodes, ascending, and the same nodes shuffled.
+fn node_lists(num_nodes: usize, seed: u64) -> (Vec<NodeId>, Vec<NodeId>) {
+    let ascending: Vec<NodeId> =
+        (0..num_nodes as NodeId).filter(|&u| !mix(seed, u).is_multiple_of(3)).collect();
+    let mut shuffled = ascending.clone();
+    shuffled.sort_unstable_by_key(|&u| mix(seed, u) >> 2);
+    (ascending, shuffled)
+}
+
+fn check_build(input: &Input) {
+    let reference = Reference::canonicalize(input.0, input.1, &input.2);
+    for threads in THREAD_COUNTS {
+        let graph = with_pool(threads, || build(input));
+        reference.assert_matches(&graph, &format!("build at {threads} threads"));
+    }
+}
+
+fn check_induced_subgraph(input: &Input, seed: u64) {
+    let reference = Reference::canonicalize(input.0, input.1, &input.2);
+    let graph = build(input);
+    let (ascending, shuffled) = node_lists(graph.num_nodes(), seed);
+    for nodes in [&ascending, &shuffled] {
+        let expected = reference.induced(nodes);
+        for threads in THREAD_COUNTS {
+            let sub = with_pool(threads, || induced_subgraph(&graph, nodes));
+            expected.assert_matches(&sub, &format!("induced subgraph at {threads} threads"));
+        }
+    }
+}
+
+/// `component_subgraphs` takes undirected graphs only, so the input's
+/// direction is ignored.
+fn check_component_subgraphs(input: &Input) {
+    let undirected = (input.0, false, input.2.clone());
+    let reference = Reference::canonicalize(undirected.0, false, &undirected.2);
+    let graph = build(&undirected);
+    let expected: Vec<_> =
+        reference.components().into_iter().filter(|members| members.len() >= 2).collect();
+    for threads in THREAD_COUNTS {
+        let parts =
+            with_pool(threads, || component_subgraphs(&graph, &connected_components(&graph)));
+        assert_eq!(parts.len(), expected.len(), "component count at {threads} threads");
+        for ((sub, mapping), members) in parts.iter().zip(&expected) {
+            assert_eq!(mapping, members, "component members at {threads} threads");
+            reference
+                .induced(members)
+                .assert_matches(sub, &format!("component subgraph at {threads} threads"));
+        }
+    }
+}
+
+fn check_largest_component(input: &Input) {
+    let reference = Reference::canonicalize(input.0, input.1, &input.2);
+    let graph = build(input);
+    // The largest component; ties go to the one with the smallest member.
+    let mut best: Vec<NodeId> = Vec::new();
+    for members in reference.components() {
+        if members.len() > best.len() {
+            best = members;
+        }
+    }
+    for threads in THREAD_COUNTS {
+        let (sub, mapping) = with_pool(threads, || largest_component(&graph));
+        assert_eq!(mapping, best, "largest component members at {threads} threads");
+        reference
+            .induced(&best)
+            .assert_matches(&sub, &format!("largest component at {threads} threads"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn builder_matches_the_reference(input in input()) {
+        check_build(&input);
+    }
+
+    #[test]
+    fn induced_subgraph_matches_the_reference(input in input(), seed in 0u64..u64::MAX) {
+        check_induced_subgraph(&input, seed);
+    }
+
+    #[test]
+    fn component_subgraphs_match_the_reference(input in input()) {
+        check_component_subgraphs(&input);
+    }
+
+    #[test]
+    fn largest_component_matches_the_reference(input in input()) {
+        check_largest_component(&input);
+    }
+}
+
+/// Inputs the strategy draws too rarely to rely on: no nodes at all, a
+/// self loop alone (which adds no node), and nodes without edges, each
+/// undirected and directed.
+#[test]
+fn empty_and_edgeless_graphs_match_the_reference() {
+    for directed in [false, true] {
+        for input in
+            [(0, directed, vec![]), (0, directed, vec![(3, 3, 5, false)]), (5, directed, vec![])]
+        {
+            check_build(&input);
+            check_induced_subgraph(&input, 7);
+            check_component_subgraphs(&input);
+            check_largest_component(&input);
+        }
+    }
+}
