@@ -101,14 +101,6 @@ struct Options {
     no_time: bool,
 }
 
-/// The loaded graph in whichever CSR tier the flags selected; every
-/// undirected pipeline below is generic over [`NeighborSource`], so both
-/// variants feed the same code.
-enum GraphSource {
-    Dense(Graph),
-    Compressed(CompressedGraph),
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Algo {
     Cldiam,
@@ -382,16 +374,18 @@ fn cancel_token(options: &Options) -> CancelToken {
 }
 
 /// Wraps a dense graph in the tier the flags selected.
-fn tiered(graph: Graph, options: &Options) -> GraphSource {
+fn tiered(graph: Graph, options: &Options) -> SnapshotGraph {
     if options.compress {
-        GraphSource::Compressed(CompressedGraph::from_graph(&graph, options.shards))
+        SnapshotGraph::Compressed(CompressedGraph::from_graph(&graph, options.shards))
     } else {
-        GraphSource::Dense(graph)
+        SnapshotGraph::Dense(graph)
     }
 }
 
-/// Loads the input graph: a `gen:` spec or a file in any supported format.
-fn load_input(options: &Options) -> (GraphSource, String) {
+/// Loads the input graph, in whichever CSR tier the flags selected: a `gen:`
+/// spec or a file in any supported format. Every undirected pipeline below
+/// is generic over [`NeighborSource`], so both tiers feed the same code.
+fn load_input(options: &Options) -> (SnapshotGraph, String) {
     if let Some(spec_text) = options.input.strip_prefix("gen:") {
         let spec = GraphSpec::parse(spec_text).unwrap_or_else(|e| {
             eprintln!("bad gen: spec {spec_text:?}: {e}");
@@ -421,11 +415,7 @@ fn load_input(options: &Options) -> (GraphSource, String) {
         if from_snapshot {
             eprintln!("(loaded binary snapshot, text parse skipped)");
         }
-        let source = match graph {
-            SnapshotGraph::Dense(g) => GraphSource::Dense(g),
-            SnapshotGraph::Compressed(c) => GraphSource::Compressed(c),
-        };
-        return (source, label);
+        return (graph, label);
     }
     // Sniff the head so snapshot inputs can be served in their native tier
     // (and zero-copy under --mmap) without reading the whole file first.
@@ -444,8 +434,8 @@ fn load_input(options: &Options) -> (GraphSource, String) {
             SnapshotOptions { mmap: options.mmap, verify: options.verify_snapshot };
         let snap = read_snapshot_file(path, &snapshot_options).unwrap_or_else(|e| fail(&e));
         let source = match snap.graph {
-            SnapshotGraph::Compressed(c) => GraphSource::Compressed(c),
             SnapshotGraph::Dense(g) => tiered(g, options),
+            compressed @ SnapshotGraph::Compressed(_) => compressed,
         };
         return (source, label);
     }
@@ -545,24 +535,21 @@ fn run(options: &Options) {
     if options.largest_component {
         // Component extraction is dense machinery; a compressed source round
         // trips through the dense tier and is recompressed afterwards.
-        let was_compressed = matches!(source, GraphSource::Compressed(_));
-        let dense = match source {
-            GraphSource::Dense(g) => g,
-            GraphSource::Compressed(c) => c.to_graph(),
-        };
+        let was_compressed = matches!(source, SnapshotGraph::Compressed(_));
+        let dense = source.into_dense();
         let raw_nodes = dense.num_nodes();
         let (core, _) = largest_component(&dense);
         eprintln!("[cldiam] largest component: {} of {} nodes kept", core.num_nodes(), raw_nodes);
         proxy.push_str(" (largest component)");
         source = if was_compressed || options.compress {
-            GraphSource::Compressed(CompressedGraph::from_graph(&core, options.shards))
+            SnapshotGraph::Compressed(CompressedGraph::from_graph(&core, options.shards))
         } else {
-            GraphSource::Dense(core)
+            SnapshotGraph::Dense(core)
         };
     }
     let (nodes, edges, tier) = match &source {
-        GraphSource::Dense(g) => (g.num_nodes(), g.num_edges(), "dense csr".to_string()),
-        GraphSource::Compressed(c) => {
+        SnapshotGraph::Dense(g) => (g.num_nodes(), g.num_edges(), "dense csr".to_string()),
+        SnapshotGraph::Compressed(c) => {
             (c.num_nodes(), c.num_edges(), format!("compressed csr, {} shard(s)", c.num_shards()))
         }
     };
@@ -576,7 +563,7 @@ fn run(options: &Options) {
     }
 
     let mut results = match &source {
-        GraphSource::Dense(graph) if graph.is_directed() => {
+        SnapshotGraph::Dense(graph) if graph.is_directed() => {
             // parse_args narrowed directed inputs to the bounds engine, which
             // runs the whole digraph (no component split) with no oracle.
             let bounds_config = BoundsConfig::default()
@@ -587,8 +574,8 @@ fn run(options: &Options) {
             print_bounds_progress(&result);
             vec![result]
         }
-        GraphSource::Dense(graph) => run_undirected(graph, options),
-        GraphSource::Compressed(graph) => run_undirected(graph, options),
+        SnapshotGraph::Dense(graph) => run_undirected(graph, options),
+        SnapshotGraph::Compressed(graph) => run_undirected(graph, options),
     };
     if options.no_time {
         for result in &mut results {

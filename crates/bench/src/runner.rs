@@ -4,15 +4,13 @@
 use std::time::Instant;
 
 use cldiam_core::{
-    anytime_diameter_cancel, anytime_diameter_with_split_cancel, approximate_diameter,
-    approximation_ratio, AnytimeConfig, ClusterConfig,
+    anytime_diameter, approximate_diameter, approximation_ratio, AnytimeConfig, ClusterConfig,
 };
 use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId, INFINITY};
 use cldiam_mr::CostTracker;
 use cldiam_sssp::{
-    delta_stepping_with_scratch, diameter_lower_bound_with_split,
-    sssp_diameter_upper_bound_with_split, suggest_delta, BoundsOutcome, ComponentSplit,
-    SsspScratch,
+    bounds_diameter_directed, delta_stepping_with_scratch, diameter_lower_bound_with_split,
+    sssp_diameter_upper_bound, suggest_delta, BoundsOutcome, ComponentSplit, SsspScratch,
 };
 
 use crate::json::{object, Value};
@@ -127,20 +125,21 @@ pub fn run_bounds<G: NeighborSource>(
     cancel: &CancelToken,
 ) -> RunResult {
     let started = Instant::now();
-    let outcome = anytime_diameter_with_split_cancel(graph, config, split, cancel);
+    let outcome = anytime_diameter(graph, config, split, cancel);
     bounds_result(config, outcome, started.elapsed().as_secs_f64())
 }
 
 /// Runs the anytime bounds engine on a directed graph, which goes whole
 /// through the forward/backward engine (dense only: it needs in-arcs), under
-/// a cooperative [`CancelToken`] as in [`run_bounds`].
+/// a cooperative [`CancelToken`] as in [`run_bounds`]. The directed engine
+/// takes no oracle, so only `config.bounds` applies.
 pub fn run_bounds_directed(
     graph: &Graph,
     config: &AnytimeConfig,
     cancel: &CancelToken,
 ) -> RunResult {
     let started = Instant::now();
-    let outcome = anytime_diameter_cancel(graph, config, cancel);
+    let outcome = bounds_diameter_directed(graph, &config.bounds, cancel);
     bounds_result(config, outcome, started.elapsed().as_secs_f64())
 }
 
@@ -266,7 +265,7 @@ fn run_delta_stepping_scratch<G: NeighborSource>(
 /// Makes a Δ-stepping row an upper bound on a disconnected graph. A run
 /// from `source` only sees `source`'s component, so the estimate takes the
 /// max with one sweep per non-singleton component
-/// ([`sssp_diameter_upper_bound_with_split`]), and the row's time includes
+/// ([`sssp_diameter_upper_bound`]), and the row's time includes
 /// those sweeps. Rounds and work stay Δ-stepping's own.
 fn cover_all_components<G: NeighborSource>(
     mut result: RunResult,
@@ -278,7 +277,7 @@ fn cover_all_components<G: NeighborSource>(
         return result;
     }
     let started = Instant::now();
-    let bound = sssp_diameter_upper_bound_with_split(graph, source, split);
+    let bound = sssp_diameter_upper_bound(graph, source, split);
     result.time_s += started.elapsed().as_secs_f64();
     result.estimate = result.estimate.max(bound);
     result.approximation = approximation_ratio(result.estimate, result.lower_bound);

@@ -7,14 +7,13 @@
 //! and one clustering pass cooperate on the same shrinking interval instead
 //! of running as two unrelated fixed-budget pipelines.
 
-use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, INFINITY};
+use cldiam_graph::{CancelToken, Dist, NeighborSource, INFINITY};
 use cldiam_sssp::{
-    bounds_diameter_cancel, bounds_diameter_with_split_cancel, BoundsConfig, BoundsOutcome,
-    ComponentSplit, DiameterOracle, NO_ORACLE,
+    bounds_diameter, BoundsConfig, BoundsOutcome, ComponentSplit, DiameterOracle, NO_ORACLE,
 };
 
 use crate::config::ClusterConfig;
-use crate::diameter::approximate_diameter_cancel;
+use crate::diameter::ClDiam;
 
 /// The CL-DIAM quotient upper bound as a [`DiameterOracle`]: a full
 /// clustering + quotient pipeline run on whichever (component) graph the
@@ -36,17 +35,19 @@ impl DiameterOracle for QuotientOracle<'_> {
         if self.cancel.is_cancelled() {
             return INFINITY;
         }
-        approximate_diameter_cancel(graph, self.config, &self.cancel.child()).upper_bound
+        ClDiam::new(self.config.clone()).run(graph, &self.cancel.child()).upper_bound
     }
 }
 
-/// Configuration of the anytime bound-tightening run.
+/// Configuration of the anytime bound-tightening run ([`anytime_diameter`]).
 #[derive(Clone, Debug, Default)]
 pub struct AnytimeConfig {
     /// Engine knobs: SSSP budget, tolerance, oracle timing.
     pub bounds: BoundsConfig,
     /// Clustering configuration for the quotient upper-bound oracle;
-    /// `None` disables the oracle and runs pure interval tightening.
+    /// `None` disables the oracle and runs pure interval tightening. The
+    /// directed engine (`cldiam_sssp::bounds_diameter_directed`) takes no
+    /// oracle: CL-DIAM's clustering is undirected.
     pub cluster: Option<ClusterConfig>,
 }
 
@@ -65,22 +66,17 @@ impl AnytimeConfig {
     }
 }
 
-/// Runs the anytime engine over a precomputed component split (undirected
-/// graphs only — see [`anytime_diameter_cancel`] for the directed dispatch).
-pub fn anytime_diameter_with_split<G: NeighborSource>(
-    graph: &G,
-    config: &AnytimeConfig,
-    split: &ComponentSplit,
-) -> BoundsOutcome {
-    anytime_diameter_with_split_cancel(graph, config, split, &CancelToken::never())
-}
-
-/// [`anytime_diameter_with_split`] with a cooperative [`CancelToken`]. The
-/// engine polls the token at SSSP boundaries and the quotient oracle both
-/// declines to start and polls at decomposition boundaries once the shared
-/// flag is set, so an interrupted run still returns a valid best-so-far
-/// `[lb, ub]` bracket (marked `interrupted`, never `converged`).
-pub fn anytime_diameter_with_split_cancel<G: NeighborSource>(
+/// Runs the anytime `[lb, ub]` engine on an undirected graph over its
+/// [`ComponentSplit`], bounding every component in parallel, with the
+/// CL-DIAM quotient oracle when `config.cluster` is set.
+///
+/// The engine polls the cooperative [`CancelToken`] at SSSP boundaries, and
+/// the quotient oracle both declines to start and polls at decomposition
+/// boundaries once the shared flag is set, so an interrupted run still
+/// returns a valid best-so-far `[lb, ub]` bracket (marked `interrupted`,
+/// never `converged`). A caller that never cancels passes
+/// `&CancelToken::never()`.
+pub fn anytime_diameter<G: NeighborSource>(
     graph: &G,
     config: &AnytimeConfig,
     split: &ComponentSplit,
@@ -89,28 +85,22 @@ pub fn anytime_diameter_with_split_cancel<G: NeighborSource>(
     match &config.cluster {
         Some(c) => {
             let oracle = QuotientOracle { config: c, cancel };
-            bounds_diameter_with_split_cancel(graph, &config.bounds, Some(&oracle), split, cancel)
+            bounds_diameter(graph, &config.bounds, Some(&oracle), split, cancel)
         }
-        None => bounds_diameter_with_split_cancel(graph, &config.bounds, NO_ORACLE, split, cancel),
+        None => bounds_diameter(graph, &config.bounds, NO_ORACLE, split, cancel),
     }
 }
 
-/// Runs the anytime `[lb, ub]` engine: undirected graphs are component-split
-/// and bounded per component, directed graphs run the forward/backward
-/// engine (where the quotient oracle — whose clustering is undirected-only —
-/// is never consulted). The cooperative [`CancelToken`] is polled as
-/// [`anytime_diameter_with_split_cancel`] describes.
-pub fn anytime_diameter_cancel(
-    graph: &Graph,
+/// [`anytime_diameter`], uncancelled. The benchmark in `perfbench/` is its
+/// only caller and times it under this name.
+// lint:allow(twin-entry): perfbench times this call by name; the next
+// benchmark change calls `anytime_diameter` and deletes this forwarder.
+pub fn anytime_diameter_with_split<G: NeighborSource>(
+    graph: &G,
     config: &AnytimeConfig,
-    cancel: &CancelToken,
+    split: &ComponentSplit,
 ) -> BoundsOutcome {
-    if graph.is_directed() {
-        // CL-DIAM clustering is undirected; the directed engine runs without
-        // the oracle regardless of configuration.
-        return bounds_diameter_cancel(graph, &config.bounds, NO_ORACLE, cancel);
-    }
-    anytime_diameter_with_split_cancel(graph, config, &ComponentSplit::compute(graph), cancel)
+    anytime_diameter(graph, config, split, &CancelToken::never())
 }
 
 #[cfg(test)]
@@ -126,7 +116,8 @@ mod tests {
         let config = AnytimeConfig::default()
             .with_bounds(BoundsConfig::default().with_quotient_after(2))
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(7));
-        let outcome = anytime_diameter_cancel(&g, &config, &CancelToken::never());
+        let split = ComponentSplit::compute(&g);
+        let outcome = anytime_diameter(&g, &config, &split, &CancelToken::never());
         assert!(outcome.lower <= exact && exact <= outcome.upper);
         for it in &outcome.iterations {
             assert!(it.lower <= exact && exact <= it.upper);
@@ -140,7 +131,8 @@ mod tests {
         let config = AnytimeConfig::default()
             .with_bounds(BoundsConfig::default().with_max_sssp(3).with_quotient_after(2))
             .with_cluster(ClusterConfig::default().with_tau(16).with_seed(3));
-        let outcome = anytime_diameter_cancel(&g, &config, &CancelToken::never());
+        let split = ComponentSplit::compute(&g);
+        let outcome = anytime_diameter(&g, &config, &split, &CancelToken::never());
         assert!(
             outcome.iterations.iter().any(|it| it.source.is_none()),
             "quotient oracle never consulted"
@@ -155,7 +147,7 @@ mod tests {
         let split = ComponentSplit::compute(&g);
         assert_eq!(
             anytime_diameter_with_split(&g, &config, &split),
-            anytime_diameter_cancel(&g, &config, &CancelToken::never())
+            anytime_diameter(&g, &config, &split, &CancelToken::never())
         );
     }
 
@@ -163,8 +155,10 @@ mod tests {
     fn no_oracle_matches_raw_engine() {
         let g = mesh(8, WeightModel::UniformUnit, 9);
         let config = AnytimeConfig::default();
-        let raw = bounds_diameter_cancel(&g, &config.bounds, NO_ORACLE, &CancelToken::never());
-        assert_eq!(anytime_diameter_cancel(&g, &config, &CancelToken::never()), raw);
+        let split = ComponentSplit::compute(&g);
+        let never = CancelToken::never();
+        let raw = bounds_diameter(&g, &config.bounds, NO_ORACLE, &split, &never);
+        assert_eq!(anytime_diameter(&g, &config, &split, &never), raw);
     }
 
     #[test]
@@ -176,7 +170,7 @@ mod tests {
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(7));
         let token = CancelToken::never();
         token.cancel();
-        let outcome = anytime_diameter_cancel(&g, &config, &token);
+        let outcome = anytime_diameter(&g, &config, &ComponentSplit::compute(&g), &token);
         assert!(outcome.interrupted);
         assert!(!outcome.converged);
         // The admitted first SSSP keeps the bracket non-trivial even when
@@ -192,8 +186,9 @@ mod tests {
         let config = AnytimeConfig::default()
             .with_bounds(BoundsConfig::default().with_max_sssp(100).with_quotient_after(2))
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(3));
+        let split = ComponentSplit::compute(&g);
         let run =
-            |limit| anytime_diameter_cancel(&g, &config, &CancelToken::with_check_limit(limit));
+            |limit| anytime_diameter(&g, &config, &split, &CancelToken::with_check_limit(limit));
         let first = run(3);
         assert!(first.lower <= exact && exact <= first.upper);
         for _ in 0..4 {

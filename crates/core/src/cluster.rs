@@ -35,17 +35,15 @@ pub const GAMMA: f64 = 2.772_588_722_239_781;
 /// and disconnected graphs alike (nodes unreachable from every selected center
 /// end up as singleton clusters, matching the paper's convention of treating
 /// components independently).
-pub fn cluster<G: NeighborSource>(graph: &G, config: &ClusterConfig) -> Clustering {
-    cluster_cancel(graph, config, &CancelToken::never())
-}
-
-/// [`cluster`] with a cooperative [`CancelToken`], polled at stage and
-/// Δ-growing wave boundaries. A cancelled run degrades gracefully: whatever
-/// the completed stages covered keeps its clusters, every still-uncovered
-/// node becomes a singleton, and the result is always a *valid* clustering
-/// (per-node distances remain genuine upper bounds), just coarser than an
+///
+/// The cooperative [`CancelToken`] is polled at stage and Δ-growing wave
+/// boundaries; a caller that never cancels passes `&CancelToken::never()`.
+/// A cancelled run degrades gracefully: whatever the completed stages
+/// covered keeps its clusters, every still-uncovered node becomes a
+/// singleton, and the result is always a *valid* clustering (per-node
+/// distances remain genuine upper bounds), just coarser than an
 /// uninterrupted run's.
-pub fn cluster_cancel<G: NeighborSource>(
+pub fn cluster<G: NeighborSource>(
     graph: &G,
     config: &ClusterConfig,
     cancel: &CancelToken,
@@ -229,7 +227,7 @@ mod tests {
     #[test]
     fn clusters_cover_every_node_on_mesh() {
         let g = mesh(16, WeightModel::UniformUnit, 3);
-        let clustering = cluster(&g, &default_config(4, 7));
+        let clustering = cluster(&g, &default_config(4, 7), &CancelToken::never());
         clustering.validate(&g).expect("valid clustering");
         assert!(clustering.num_clusters() < g.num_nodes());
         assert!(clustering.num_clusters() >= 1);
@@ -239,7 +237,7 @@ mod tests {
     #[test]
     fn works_on_road_networks_with_original_weights() {
         let (g, _) = largest_component(&road_network(25, 25, 5));
-        let clustering = cluster(&g, &default_config(4, 11));
+        let clustering = cluster(&g, &default_config(4, 11), &CancelToken::never());
         clustering.validate(&g).expect("valid clustering");
         assert_distances_are_upper_bounds(&g, &clustering);
         assert!(clustering.radius > 0);
@@ -248,7 +246,7 @@ mod tests {
     #[test]
     fn works_on_power_law_graphs() {
         let g = preferential_attachment(800, 3, WeightModel::UniformUnit, 2);
-        let clustering = cluster(&g, &default_config(4, 3));
+        let clustering = cluster(&g, &default_config(4, 3), &CancelToken::never());
         clustering.validate(&g).expect("valid clustering");
         assert_distances_are_upper_bounds(&g, &clustering);
     }
@@ -258,19 +256,19 @@ mod tests {
         // 400 nodes with τ = 2 so the staged growth actually runs (the
         // stopping threshold 8·τ·log n is well below n).
         let g = mesh(20, WeightModel::UniformUnit, 3);
-        let a = cluster(&g, &default_config(2, 9));
-        let b = cluster(&g, &default_config(2, 9));
+        let a = cluster(&g, &default_config(2, 9), &CancelToken::never());
+        let b = cluster(&g, &default_config(2, 9), &CancelToken::never());
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.dist, b.dist);
-        let c = cluster(&g, &default_config(2, 10));
+        let c = cluster(&g, &default_config(2, 10), &CancelToken::never());
         assert_ne!(a.assignment, c.assignment);
     }
 
     #[test]
     fn larger_tau_gives_more_clusters_and_smaller_radius() {
         let g = mesh(24, WeightModel::UniformUnit, 3);
-        let coarse = cluster(&g, &default_config(1, 5));
-        let fine = cluster(&g, &default_config(16, 5));
+        let coarse = cluster(&g, &default_config(1, 5), &CancelToken::never());
+        let fine = cluster(&g, &default_config(16, 5), &CancelToken::never());
         assert!(fine.num_clusters() > coarse.num_clusters());
         assert!(fine.radius <= coarse.radius);
     }
@@ -278,7 +276,7 @@ mod tests {
     #[test]
     fn handles_disconnected_graphs_with_singletons() {
         let g = cldiam_graph::Graph::from_edges(6, &[(0, 1, 2), (1, 2, 2), (4, 5, 3)]);
-        let clustering = cluster(&g, &default_config(1, 1));
+        let clustering = cluster(&g, &default_config(1, 1), &CancelToken::never());
         clustering.validate(&g).expect("valid clustering");
         // Node 3 is isolated: it must be its own (singleton) cluster.
         assert_eq!(clustering.assignment[3], 3);
@@ -288,14 +286,14 @@ mod tests {
     #[test]
     fn handles_tiny_graphs() {
         let empty = cldiam_graph::Graph::empty(0);
-        let c0 = cluster(&empty, &default_config(2, 1));
+        let c0 = cluster(&empty, &default_config(2, 1), &CancelToken::never());
         assert_eq!(c0.num_clusters(), 0);
         let single = cldiam_graph::Graph::empty(1);
-        let c1 = cluster(&single, &default_config(2, 1));
+        let c1 = cluster(&single, &default_config(2, 1), &CancelToken::never());
         assert_eq!(c1.num_clusters(), 1);
         assert_eq!(c1.assignment, vec![0]);
         let pair = path(2, 5);
-        let c2 = cluster(&pair, &default_config(2, 1));
+        let c2 = cluster(&pair, &default_config(2, 1), &CancelToken::never());
         c2.validate(&pair).expect("valid clustering");
     }
 
@@ -303,7 +301,7 @@ mod tests {
     fn small_tau_on_small_graph_skips_staged_growth() {
         // When n < 8·τ·log n every node becomes a singleton immediately.
         let g = path(10, 1);
-        let clustering = cluster(&g, &default_config(64, 1));
+        let clustering = cluster(&g, &default_config(64, 1), &CancelToken::never());
         assert_eq!(clustering.num_clusters(), 10);
         assert_eq!(clustering.radius, 0);
         assert_eq!(clustering.stages, 0);
@@ -312,7 +310,7 @@ mod tests {
     #[test]
     fn growing_steps_and_rounds_are_reported() {
         let g = mesh(20, WeightModel::UniformUnit, 4);
-        let clustering = cluster(&g, &default_config(2, 6));
+        let clustering = cluster(&g, &default_config(2, 6), &CancelToken::never());
         assert!(clustering.growing_steps > 0);
         assert!(clustering.metrics.rounds >= clustering.growing_steps);
         assert!(clustering.metrics.work() > 0);
@@ -322,10 +320,16 @@ mod tests {
     #[test]
     fn delta_end_tracks_initial_policy() {
         let g = mesh(16, WeightModel::UniformUnit, 8);
-        let from_min =
-            cluster(&g, &default_config(2, 3).with_initial_delta(InitialDelta::MinWeight));
-        let from_avg =
-            cluster(&g, &default_config(2, 3).with_initial_delta(InitialDelta::AvgWeight));
+        let from_min = cluster(
+            &g,
+            &default_config(2, 3).with_initial_delta(InitialDelta::MinWeight),
+            &CancelToken::never(),
+        );
+        let from_avg = cluster(
+            &g,
+            &default_config(2, 3).with_initial_delta(InitialDelta::AvgWeight),
+            &CancelToken::never(),
+        );
         // Starting from the minimum weight requires more doublings but ends in
         // the same ballpark; both must exceed their starting value.
         assert!(from_min.delta_end >= Dist::from(g.min_weight().unwrap()));
@@ -335,7 +339,7 @@ mod tests {
     #[test]
     fn step_cap_limits_growing_steps_per_phase() {
         let g = mesh(20, WeightModel::UniformUnit, 4);
-        let capped = cluster(&g, &default_config(2, 6).with_step_cap(2));
+        let capped = cluster(&g, &default_config(2, 6).with_step_cap(2), &CancelToken::never());
         capped.validate(&g).expect("valid clustering");
         // With a cap the algorithm still terminates and covers every node.
         assert_eq!(capped.assignment.len(), g.num_nodes());
@@ -349,12 +353,12 @@ mod tests {
         let g = mesh(14, WeightModel::UniformUnit, 3);
         let pre = CancelToken::never();
         pre.cancel();
-        let degenerate = cluster_cancel(&g, &default_config(2, 5), &pre);
+        let degenerate = cluster(&g, &default_config(2, 5), &pre);
         degenerate.validate(&g).expect("valid clustering");
         assert_eq!(degenerate.num_clusters(), g.num_nodes());
         assert_eq!(degenerate.radius, 0);
 
-        let partial = cluster_cancel(&g, &default_config(2, 5), &CancelToken::with_check_limit(4));
+        let partial = cluster(&g, &default_config(2, 5), &CancelToken::with_check_limit(4));
         partial.validate(&g).expect("valid clustering");
         assert_distances_are_upper_bounds(&g, &partial);
     }
@@ -362,10 +366,9 @@ mod tests {
     #[test]
     fn check_limit_cancellation_is_deterministic() {
         let g = mesh(12, WeightModel::UniformUnit, 8);
-        let first = cluster_cancel(&g, &default_config(2, 2), &CancelToken::with_check_limit(5));
+        let first = cluster(&g, &default_config(2, 2), &CancelToken::with_check_limit(5));
         for _ in 0..4 {
-            let again =
-                cluster_cancel(&g, &default_config(2, 2), &CancelToken::with_check_limit(5));
+            let again = cluster(&g, &default_config(2, 2), &CancelToken::with_check_limit(5));
             assert_eq!(first.assignment, again.assignment);
             assert_eq!(first.dist, again.dist);
             assert_eq!(first.radius, again.radius);

@@ -40,16 +40,14 @@ use crate::state::GrowState;
 ///
 /// The preliminary `CLUSTER` call (used only for its radius estimate) runs
 /// with the same configuration; its cost is included in the returned metrics.
-pub fn cluster2<G: NeighborSource>(graph: &G, config: &ClusterConfig) -> Clustering {
-    cluster2_cancel(graph, config, &CancelToken::never())
-}
-
-/// [`cluster2`] with a cooperative [`CancelToken`], polled at iteration and
-/// Δ-growing wave boundaries (the preliminary `CLUSTER` run shares the same
-/// token). Cancellation degrades gracefully exactly as in
-/// [`crate::cluster::cluster_cancel`]: completed iterations keep their
-/// clusters and the rest become singletons, which is always valid.
-pub fn cluster2_cancel<G: NeighborSource>(
+///
+/// The cooperative [`CancelToken`] is polled at iteration and Δ-growing wave
+/// boundaries (the preliminary `CLUSTER` run shares the same token); a
+/// caller that never cancels passes `&CancelToken::never()`. Cancellation
+/// degrades gracefully exactly as in [`crate::cluster::cluster`]: completed
+/// iterations keep their clusters and the rest become singletons, which is
+/// always valid.
+pub fn cluster2<G: NeighborSource>(
     graph: &G,
     config: &ClusterConfig,
     cancel: &CancelToken,
@@ -166,7 +164,7 @@ mod tests {
     #[test]
     fn produces_a_valid_clustering_on_mesh() {
         let g = mesh(14, WeightModel::UniformUnit, 3);
-        let clustering = cluster2(&g, &config(2, 5));
+        let clustering = cluster2(&g, &config(2, 5), &CancelToken::never());
         clustering.validate(&g).expect("valid clustering");
         assert!(clustering.num_clusters() >= 1);
         assert!(clustering.num_clusters() <= g.num_nodes());
@@ -175,7 +173,7 @@ mod tests {
     #[test]
     fn distances_are_upper_bounds_on_true_distances() {
         let g = mesh(12, WeightModel::UniformUnit, 9);
-        let clustering = cluster2(&g, &config(2, 2));
+        let clustering = cluster2(&g, &config(2, 2), &CancelToken::never());
         for &c in &clustering.centers {
             let sp = dijkstra(&g, c);
             for u in 0..g.num_nodes() {
@@ -194,8 +192,8 @@ mod tests {
     #[test]
     fn is_deterministic_in_the_seed() {
         let g = mesh(10, WeightModel::UniformUnit, 1);
-        let a = cluster2(&g, &config(2, 7));
-        let b = cluster2(&g, &config(2, 7));
+        let a = cluster2(&g, &config(2, 7), &CancelToken::never());
+        let b = cluster2(&g, &config(2, 7), &CancelToken::never());
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.dist, b.dist);
     }
@@ -203,7 +201,7 @@ mod tests {
     #[test]
     fn works_on_road_networks() {
         let (g, _) = largest_component(&road_network(18, 18, 4));
-        let clustering = cluster2(&g, &config(2, 3));
+        let clustering = cluster2(&g, &config(2, 3), &CancelToken::never());
         clustering.validate(&g).expect("valid clustering");
     }
 
@@ -213,8 +211,8 @@ mod tests {
         // ≤ log n iterations grows a cluster by at most 2·R_CL of additional
         // light distance.
         let g = mesh(16, WeightModel::UniformUnit, 6);
-        let c1 = cluster(&g, &config(2, 9));
-        let c2 = cluster2(&g, &config(2, 9));
+        let c1 = cluster(&g, &config(2, 9), &CancelToken::never());
+        let c2 = cluster2(&g, &config(2, 9), &CancelToken::never());
         let log_n = (g.num_nodes() as f64).log2().ceil() as u64;
         let bound = 2 * c1.radius.max(1) * (log_n + 1);
         assert!(
@@ -227,8 +225,12 @@ mod tests {
 
     #[test]
     fn handles_empty_and_singleton_graphs() {
-        assert_eq!(cluster2(&cldiam_graph::Graph::empty(0), &config(1, 1)).num_clusters(), 0);
-        let one = cluster2(&cldiam_graph::Graph::empty(1), &config(1, 1));
+        assert_eq!(
+            cluster2(&cldiam_graph::Graph::empty(0), &config(1, 1), &CancelToken::never())
+                .num_clusters(),
+            0
+        );
+        let one = cluster2(&cldiam_graph::Graph::empty(1), &config(1, 1), &CancelToken::never());
         assert_eq!(one.num_clusters(), 1);
         assert_eq!(one.assignment, vec![0]);
     }
@@ -238,13 +240,13 @@ mod tests {
         let g = mesh(12, WeightModel::UniformUnit, 6);
         let pre = CancelToken::never();
         pre.cancel();
-        let degenerate = cluster2_cancel(&g, &config(2, 4), &pre);
+        let degenerate = cluster2(&g, &config(2, 4), &pre);
         degenerate.validate(&g).expect("valid clustering");
         assert_eq!(degenerate.num_clusters(), g.num_nodes());
 
-        let partial = cluster2_cancel(&g, &config(2, 4), &CancelToken::with_check_limit(6));
+        let partial = cluster2(&g, &config(2, 4), &CancelToken::with_check_limit(6));
         partial.validate(&g).expect("valid clustering");
-        let again = cluster2_cancel(&g, &config(2, 4), &CancelToken::with_check_limit(6));
+        let again = cluster2(&g, &config(2, 4), &CancelToken::with_check_limit(6));
         assert_eq!(partial.assignment, again.assignment);
         assert_eq!(partial.dist, again.dist);
     }

@@ -13,8 +13,8 @@ use cldiam_graph::{CancelToken, Dist, NeighborSource, INFINITY};
 use cldiam_mr::CostMetrics;
 use cldiam_sssp::{diameter_lower_bound, exact_diameter};
 
-use crate::cluster::cluster_cancel;
-use crate::cluster2::cluster2_cancel;
+use crate::cluster::cluster;
+use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
 use crate::config::ClusterConfig;
 use crate::quotient::{quotient_graph, QuotientGraph};
@@ -82,51 +82,35 @@ impl ClDiam {
         ClDiam { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// Runs the graph decomposition stage only.
+    /// Runs the graph decomposition stage only, uncancelled.
     pub fn decompose<G: NeighborSource>(&self, graph: &G) -> Clustering {
-        self.decompose_cancel(graph, &CancelToken::never())
-    }
-
-    /// [`ClDiam::decompose`] with a cooperative [`CancelToken`]. A cancelled
-    /// decomposition is still a valid clustering — completed stages keep
-    /// their clusters, the rest become singletons — so every downstream
-    /// stage (quotient, diameter bound) stays sound, merely coarser.
-    pub fn decompose_cancel<G: NeighborSource>(
-        &self,
-        graph: &G,
-        cancel: &CancelToken,
-    ) -> Clustering {
-        if self.config.use_cluster2 {
-            cluster2_cancel(graph, &self.config, cancel)
-        } else {
-            cluster_cancel(graph, &self.config, cancel)
-        }
+        self.clustering(graph, &CancelToken::never())
     }
 
     /// Runs the full pipeline: decomposition, quotient construction and
     /// quotient-diameter computation.
-    pub fn run<G: NeighborSource>(&self, graph: &G) -> DiameterEstimate {
-        self.run_cancel(graph, &CancelToken::never())
+    ///
+    /// Only the decomposition polls the cooperative [`CancelToken`] (a
+    /// caller that never cancels passes `&CancelToken::never()`). A
+    /// cancelled decomposition is still a valid clustering — completed
+    /// stages keep their clusters, the rest become singletons — and the
+    /// quotient stage always completes (it is cheap relative to the
+    /// decomposition and the estimate would be useless without it), so the
+    /// returned `upper_bound` is exactly as sound as an uninterrupted run's:
+    /// a degraded clustering just makes it looser.
+    pub fn run<G: NeighborSource>(&self, graph: &G, cancel: &CancelToken) -> DiameterEstimate {
+        let clustering = self.clustering(graph, cancel);
+        self.estimate_from_clustering(graph, &clustering)
     }
 
-    /// [`ClDiam::run`] with a cooperative [`CancelToken`]. Only the
-    /// decomposition polls the token; the quotient stage always completes
-    /// (it is cheap relative to the decomposition and the estimate would be
-    /// useless without it), so the returned `upper_bound` is exactly as
-    /// sound as an uninterrupted run's — a degraded clustering just makes
-    /// it looser.
-    pub fn run_cancel<G: NeighborSource>(
-        &self,
-        graph: &G,
-        cancel: &CancelToken,
-    ) -> DiameterEstimate {
-        let clustering = self.decompose_cancel(graph, cancel);
-        self.estimate_from_clustering(graph, &clustering)
+    /// The decomposition the configuration selects: `CLUSTER`, or `CLUSTER2`
+    /// under [`ClusterConfig::use_cluster2`].
+    fn clustering<G: NeighborSource>(&self, graph: &G, cancel: &CancelToken) -> Clustering {
+        if self.config.use_cluster2 {
+            cluster2(graph, &self.config, cancel)
+        } else {
+            cluster(graph, &self.config, cancel)
+        }
     }
 
     /// Builds the quotient of an existing clustering and finishes the
@@ -187,22 +171,13 @@ impl ClDiam {
     }
 }
 
-/// Convenience function: runs `CL-DIAM` on `graph` with `config`.
+/// Convenience function: runs `CL-DIAM` on `graph` with `config`, uncancelled
+/// (see [`ClDiam::run`] for a run under a [`CancelToken`]).
 pub fn approximate_diameter<G: NeighborSource>(
     graph: &G,
     config: &ClusterConfig,
 ) -> DiameterEstimate {
-    ClDiam::new(config.clone()).run(graph)
-}
-
-/// [`approximate_diameter`] with a cooperative [`CancelToken`] (see
-/// [`ClDiam::run_cancel`]).
-pub fn approximate_diameter_cancel<G: NeighborSource>(
-    graph: &G,
-    config: &ClusterConfig,
-    cancel: &CancelToken,
-) -> DiameterEstimate {
-    ClDiam::new(config.clone()).run_cancel(graph, cancel)
+    ClDiam::new(config.clone()).run(graph, &CancelToken::never())
 }
 
 #[cfg(test)]
@@ -331,22 +306,15 @@ mod tests {
         // way down to the all-singletons case (quotient == graph).
         let g = mesh(10, WeightModel::UniformUnit, 4);
         let exact = exact_diameter(&g);
+        let driver = ClDiam::new(config(2, 6));
         for limit in [1, 3, 8] {
-            let estimate = approximate_diameter_cancel(
-                &g,
-                &config(2, 6),
-                &CancelToken::with_check_limit(limit),
-            );
+            let estimate = driver.run(&g, &CancelToken::with_check_limit(limit));
             assert!(
                 estimate.upper_bound >= exact,
                 "limit {limit}: estimate {} below true diameter {exact}",
                 estimate.upper_bound
             );
-            let again = approximate_diameter_cancel(
-                &g,
-                &config(2, 6),
-                &CancelToken::with_check_limit(limit),
-            );
+            let again = driver.run(&g, &CancelToken::with_check_limit(limit));
             assert_eq!(estimate, again, "limit {limit}: cancelled run not deterministic");
         }
     }
@@ -385,7 +353,7 @@ mod tests {
         let driver = ClDiam::new(config(2, 3));
         let clustering = driver.decompose(&g);
         let a = driver.estimate_from_clustering(&g, &clustering);
-        let b = driver.run(&g);
+        let b = driver.run(&g, &CancelToken::never());
         assert_eq!(a.upper_bound, b.upper_bound);
         assert_eq!(a.num_clusters, b.num_clusters);
     }

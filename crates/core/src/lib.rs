@@ -53,18 +53,12 @@ pub mod growing;
 pub mod quotient;
 pub mod state;
 
-pub use bounds::{
-    anytime_diameter_cancel, anytime_diameter_with_split, anytime_diameter_with_split_cancel,
-    AnytimeConfig,
-};
-pub use cluster::{cluster, cluster_cancel};
-pub use cluster2::{cluster2, cluster2_cancel};
+pub use bounds::{anytime_diameter, anytime_diameter_with_split, AnytimeConfig};
+pub use cluster::cluster;
+pub use cluster2::cluster2;
 pub use clustering::Clustering;
 pub use config::{ClusterConfig, InitialDelta};
-pub use diameter::{
-    approximate_diameter, approximate_diameter_cancel, approximation_ratio, ClDiam,
-    DiameterEstimate,
-};
+pub use diameter::{approximate_diameter, approximation_ratio, ClDiam, DiameterEstimate};
 pub use growing::{delta_growing_step, partial_growth, GrowScratch, GrowthOutcome, StepStats};
 pub use quotient::{quotient_graph, QuotientGraph};
 pub use state::{eff_below_threshold, eff_within_threshold, GrowState, EFF_INFINITY, NO_CENTER};

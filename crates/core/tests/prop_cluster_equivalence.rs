@@ -20,8 +20,7 @@ use rand_xoshiro::Xoshiro256PlusPlus;
 
 use cldiam_core::cluster::GAMMA;
 use cldiam_core::{
-    cluster2_cancel, cluster_cancel, partial_growth, ClusterConfig, Clustering, GrowScratch,
-    GrowState,
+    cluster, cluster2, partial_growth, ClusterConfig, Clustering, GrowScratch, GrowState,
 };
 use cldiam_graph::{CancelToken, Dist, Graph, GraphBuilder, NodeId, Weight};
 use cldiam_mr::CostTracker;
@@ -303,8 +302,8 @@ proptest! {
                 for (pool, threads) in pools().iter().zip(THREAD_COUNTS) {
                     let got = pool.install(|| {
                         (
-                            cluster_cancel(&graph, &config, &token(budget)),
-                            cluster2_cancel(&graph, &config, &token(budget)),
+                            cluster(&graph, &config, &token(budget)),
+                            cluster2(&graph, &config, &token(budget)),
                         )
                     });
                     prop_assert_eq!(

@@ -20,7 +20,7 @@ use rand_xoshiro::Xoshiro256PlusPlus;
 
 use cldiam_core::quotient::COMBINER_SLOTS;
 use cldiam_core::{cluster, cluster2, quotient_graph, ClusterConfig, Clustering, QuotientGraph};
-use cldiam_graph::{CompressedGraph, Dist, Graph, GraphBuilder, NodeId, Weight};
+use cldiam_graph::{CancelToken, CompressedGraph, Dist, Graph, GraphBuilder, NodeId, Weight};
 use cldiam_mr::CostMetrics;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -154,8 +154,8 @@ proptest! {
         let config = ClusterConfig::default().with_tau(tau).with_seed(algo_seed);
         let all_nodes: Vec<NodeId> = (0..n as NodeId).collect();
         let clusterings = [
-            ("CLUSTER", cluster(&graph, &config)),
-            ("CLUSTER2", cluster2(&graph, &config)),
+            ("CLUSTER", cluster(&graph, &config, &CancelToken::never())),
+            ("CLUSTER2", cluster2(&graph, &config, &CancelToken::never())),
             ("singletons", hand_made(all_nodes.clone(), all_nodes, vec![0; n])),
             ("one cluster", hand_made(vec![0; n], vec![0], vec![1; n])),
         ];

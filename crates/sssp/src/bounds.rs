@@ -21,13 +21,16 @@
 //! classic sweep-chain lower bound is folded into the same SSSPs, and an
 //! optional *oracle* — in production CL-DIAM's quotient upper bound, wired
 //! up in `cldiam-core` — is consulted once mid-run to cap every interval.
+//! [`bounds_diameter`] runs undirected graphs, component by component.
 //!
-//! Directed graphs run a forward+backward Dijkstra pair per iteration
-//! (Roditty–Vassilevska Williams frame diameter approximation this way,
-//! arXiv:1207.3622). The interval rules above are only sound when every
-//! node reaches every other, so the engine detects strong connectivity from
-//! the first pair's reach counts: strongly connected digraphs get the full
-//! interval machinery with the directed rules
+//! Directed graphs go through [`bounds_diameter_directed`], which takes no
+//! oracle (CL-DIAM's clustering is undirected) and runs a forward+backward
+//! Dijkstra pair per iteration (Roditty–Vassilevska Williams frame diameter
+//! approximation this way, arXiv:1207.3622). The interval rules above are
+//! only sound when every node reaches every other, so the engine detects
+//! strong connectivity from the first pair's reach counts: strongly
+//! connected digraphs get the full interval machinery with the directed
+//! rules
 //!
 //! ```text
 //! ecc_lb[v] ≥ max(d(v, s), ecc_f(s) − d(s, v))
@@ -168,7 +171,7 @@ impl DiameterOracle for NoOracle {
 }
 
 /// `None` with the oracle type fixed, for engine calls without an oracle:
-/// `bounds_diameter_cancel(&g, &config, NO_ORACLE, &cancel)`.
+/// `bounds_diameter(&g, &config, NO_ORACLE, &split, &cancel)`.
 pub const NO_ORACLE: Option<&NoOracle> = None;
 
 /// `upper ≤ tolerance · lower`, with the interval closed and finite.
@@ -346,15 +349,15 @@ fn bound_connected<G: NeighborSource, O: DiameterOracle>(
     }
 }
 
-/// Runs the engine on a *directed* graph: a forward+backward Dijkstra pair
+/// The anytime `[lb, ub]` diameter bounds engine on a *directed* graph, run
+/// whole (no component split, no oracle): a forward+backward Dijkstra pair
 /// per iteration. Strongly connected inputs get the interval machinery;
 /// anything else falls back to the alternating 2-dSweep chain, which
-/// certifies a lower bound only. Cancellation is polled once per iteration
-/// after the first forward/backward pair.
-fn bound_directed<O: DiameterOracle>(
+/// certifies a lower bound only. The [`CancelToken`] is polled once per
+/// iteration after the first forward/backward pair.
+pub fn bounds_diameter_directed(
     graph: &Graph,
     config: &BoundsConfig,
-    oracle: Option<&O>,
     cancel: &CancelToken,
 ) -> BoundsOutcome {
     let n = graph.num_nodes();
@@ -426,7 +429,6 @@ fn bound_directed<O: DiameterOracle>(
     }
 
     let mut state = Intervals::new(n);
-    let mut oracle_spent = oracle.is_none();
     let mut source = first;
     let mut next_is_sweep = true;
     loop {
@@ -453,22 +455,6 @@ fn bound_directed<O: DiameterOracle>(
         });
         if within_tolerance(state.diam_lb, state.diam_ub(), config.tolerance) {
             break;
-        }
-        if !oracle_spent && runs >= config.quotient_after {
-            oracle_spent = true;
-            if let Some(oracle) = oracle {
-                state.apply_cap(oracle.diameter_upper_bound(graph));
-                iterations.push(BoundsIteration {
-                    source: None,
-                    sssp_runs: runs,
-                    lower: state.diam_lb,
-                    upper: state.diam_ub(),
-                    open: state.open_count(),
-                });
-                if within_tolerance(state.diam_lb, state.diam_ub(), config.tolerance) {
-                    break;
-                }
-            }
         }
         if runs + 2 > budget {
             break;
@@ -502,9 +488,11 @@ fn bound_directed<O: DiameterOracle>(
     }
 }
 
-/// The anytime bounds engine over a precomputed [`ComponentSplit`]
-/// (undirected inputs only — directed graphs are never split; call
-/// [`bounds_diameter_cancel`]).
+/// The anytime `[lb, ub]` diameter bounds engine on an undirected graph,
+/// over its [`ComponentSplit`]: compute the split once with
+/// [`ComponentSplit::compute`] and share it with the other bound drivers.
+/// Directed graphs are never split; they go through
+/// [`bounds_diameter_directed`].
 ///
 /// Disconnected graphs bound every non-singleton component in parallel,
 /// each with the full per-component budget; the diameter interval of the
@@ -514,15 +502,16 @@ fn bound_directed<O: DiameterOracle>(
 /// Every component gets its own *child* [`CancelToken`] (fresh checkpoint
 /// counter over the shared flag/deadline), so a logical check budget stops
 /// each component after the same number of phase boundaries at any thread
-/// count — the degraded result is deterministic for a fixed cadence.
-pub fn bounds_diameter_with_split_cancel<G: NeighborSource, O: DiameterOracle>(
+/// count — the degraded result is deterministic for a fixed cadence. A
+/// caller that never cancels passes `&CancelToken::never()`.
+pub fn bounds_diameter<G: NeighborSource, O: DiameterOracle>(
     graph: &G,
     config: &BoundsConfig,
     oracle: Option<&O>,
     split: &ComponentSplit,
     cancel: &CancelToken,
 ) -> BoundsOutcome {
-    assert!(!graph.is_directed(), "bounds_diameter_with_split_cancel expects an undirected graph");
+    assert!(!graph.is_directed(), "bounds_diameter expects an undirected graph");
     if graph.num_nodes() == 0 {
         return BoundsOutcome::trivial();
     }
@@ -551,31 +540,6 @@ pub fn bounds_diameter_with_split_cancel<G: NeighborSource, O: DiameterOracle>(
     combined
 }
 
-/// The anytime `[lb, ub]` diameter bounds engine.
-///
-/// Undirected graphs are component-split internally (compute the split once
-/// with [`ComponentSplit::compute`] and call
-/// [`bounds_diameter_with_split_cancel`] to share it with the other bound
-/// drivers; it also states the [`CancelToken`] determinism contract);
-/// directed graphs run the forward/backward engine on the whole graph.
-pub fn bounds_diameter_cancel<O: DiameterOracle>(
-    graph: &Graph,
-    config: &BoundsConfig,
-    oracle: Option<&O>,
-    cancel: &CancelToken,
-) -> BoundsOutcome {
-    if graph.is_directed() {
-        return bound_directed(graph, config, oracle, cancel);
-    }
-    bounds_diameter_with_split_cancel(
-        graph,
-        config,
-        oracle,
-        &ComponentSplit::compute(graph),
-        cancel,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,8 +547,14 @@ mod tests {
     use cldiam_gen::{mesh, path, rmat, road_network, RmatParams, WeightModel};
     use cldiam_graph::{Graph, GraphBuilder};
 
+    /// The engine without an oracle or a deadline, on either kind of graph.
     fn run(graph: &Graph, config: &BoundsConfig) -> BoundsOutcome {
-        bounds_diameter_cancel(graph, config, NO_ORACLE, &CancelToken::never())
+        let never = CancelToken::never();
+        if graph.is_directed() {
+            bounds_diameter_directed(graph, config, &never)
+        } else {
+            bounds_diameter(graph, config, NO_ORACLE, &ComponentSplit::compute(graph), &never)
+        }
     }
 
     /// A fixed-answer oracle for the cap tests.
@@ -681,7 +651,8 @@ mod tests {
         // An exact oracle must close the interval the moment it fires.
         let oracle = Fixed(exact);
         let config = BoundsConfig::default().with_quotient_after(1);
-        let outcome = bounds_diameter_cancel(&g, &config, Some(&oracle), &CancelToken::never());
+        let split = ComponentSplit::compute(&g);
+        let outcome = bounds_diameter(&g, &config, Some(&oracle), &split, &CancelToken::never());
         assert!(outcome.converged);
         assert_eq!(outcome.upper, exact);
         assert!(
@@ -796,7 +767,8 @@ mod tests {
         let exact = exact_diameter(&g);
         let cancel = CancelToken::never();
         cancel.cancel();
-        let outcome = bounds_diameter_cancel(&g, &BoundsConfig::default(), NO_ORACLE, &cancel);
+        let split = ComponentSplit::compute(&g);
+        let outcome = bounds_diameter(&g, &BoundsConfig::default(), NO_ORACLE, &split, &cancel);
         // Even a pre-cancelled token admits one SSSP, so the lower bound is
         // non-trivial and the interval still brackets the exact diameter.
         assert!(outcome.interrupted);
@@ -811,8 +783,9 @@ mod tests {
         let g = mesh(8, WeightModel::UniformUnit, 17);
         let exact = exact_diameter(&g);
         let config = BoundsConfig::default().with_max_sssp(1_000);
+        let split = ComponentSplit::compute(&g);
         let run =
-            || bounds_diameter_cancel(&g, &config, NO_ORACLE, &CancelToken::with_check_limit(3));
+            || bounds_diameter(&g, &config, NO_ORACLE, &split, &CancelToken::with_check_limit(3));
         let first = run();
         assert!(first.interrupted && !first.converged);
         assert!(first.lower <= exact && exact <= first.upper);
@@ -836,15 +809,8 @@ mod tests {
         let g = b.build();
         let split = ComponentSplit::compute(&g);
         let config = BoundsConfig::default().with_max_sssp(1_000);
-        let run = || {
-            bounds_diameter_with_split_cancel(
-                &g,
-                &config,
-                NO_ORACLE,
-                &split,
-                &CancelToken::with_check_limit(2),
-            )
-        };
+        let run =
+            || bounds_diameter(&g, &config, NO_ORACLE, &split, &CancelToken::with_check_limit(2));
         let first = run();
         assert!(first.interrupted);
         for _ in 0..5 {

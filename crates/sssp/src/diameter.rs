@@ -35,8 +35,10 @@ pub fn eccentricity<G: NeighborSource>(graph: &G, source: NodeId) -> Dist {
 /// [`diameter_lower_bound`] and [`sssp_diameter_upper_bound`] each need the
 /// per-component subgraphs; computing the `O(n + m)` union-find and split in
 /// each of them made a single CLI run pay it twice (three times with the
-/// bounds engine). Callers that run several drivers compute one split with
-/// [`ComponentSplit::compute`] and pass it to the `*_with_split` variants.
+/// bounds engine). Callers compute one split with [`ComponentSplit::compute`]
+/// and pass it to every driver that takes one:
+/// [`sssp_diameter_upper_bound`], [`diameter_lower_bound_with_split`] and
+/// the bounds engine [`crate::bounds::bounds_diameter`].
 #[derive(Clone, Debug)]
 pub struct ComponentSplit {
     /// The component labelling of the original graph.
@@ -93,14 +95,9 @@ fn local_id(mapping: &[NodeId], node: NodeId) -> NodeId {
 /// other, in parallel) and the bounds are combined with `max`. Each sweep
 /// runs on the component's own subgraph ([`component_subgraphs`], `O(n + m)`
 /// to split), so fragmented graphs pay for their components' sizes, not
-/// `components × n`.
-pub fn sssp_diameter_upper_bound<G: NeighborSource>(graph: &G, source: NodeId) -> Dist {
-    sssp_diameter_upper_bound_with_split(graph, source, &ComponentSplit::compute(graph))
-}
-
-/// [`sssp_diameter_upper_bound`] over a precomputed [`ComponentSplit`],
-/// letting several bound drivers share one split.
-pub fn sssp_diameter_upper_bound_with_split<G: NeighborSource>(
+/// `components × n`. The components come from `split`, the graph's
+/// [`ComponentSplit`], which the caller shares with its other bound drivers.
+pub fn sssp_diameter_upper_bound<G: NeighborSource>(
     graph: &G,
     source: NodeId,
     split: &ComponentSplit,
@@ -153,6 +150,8 @@ pub fn diameter_lower_bound<G: NeighborSource>(graph: &G, sweeps: usize, seed: u
 
 /// [`diameter_lower_bound`] over a precomputed [`ComponentSplit`], letting
 /// several bound drivers share one split.
+// lint:allow(twin-entry): perfbench times this call by name; the next
+// benchmark change makes the split an argument of `diameter_lower_bound`.
 pub fn diameter_lower_bound_with_split<G: NeighborSource>(
     graph: &G,
     sweeps: usize,
@@ -279,8 +278,9 @@ mod tests {
     fn upper_bound_is_at_least_diameter() {
         let g = mesh(9, WeightModel::UniformUnit, 4);
         let exact = exact_diameter(&g);
+        let split = ComponentSplit::compute(&g);
         for source in [0, 40, 80] {
-            let ub = sssp_diameter_upper_bound(&g, source);
+            let ub = sssp_diameter_upper_bound(&g, source, &split);
             assert!(ub >= exact);
             assert!(ub <= 2 * exact);
         }
@@ -362,7 +362,7 @@ mod tests {
         let g = cldiam_graph::Graph::from_edges(5, &[(1, 2, 10), (2, 3, 10), (3, 4, 10)]);
         let exact = exact_diameter(&g);
         assert_eq!(exact, 30);
-        let ub = sssp_diameter_upper_bound(&g, 0);
+        let ub = sssp_diameter_upper_bound(&g, 0, &ComponentSplit::compute(&g));
         assert!(ub >= exact, "upper bound {ub} below exact diameter {exact}");
         assert!(ub <= 2 * exact);
     }
@@ -377,8 +377,9 @@ mod tests {
         );
         let exact = exact_diameter(&g);
         assert_eq!(exact, 14);
+        let split = ComponentSplit::compute(&g);
         for source in 0..9 {
-            let ub = sssp_diameter_upper_bound(&g, source);
+            let ub = sssp_diameter_upper_bound(&g, source, &split);
             assert!(ub >= exact, "source {source}: upper bound {ub} below {exact}");
             assert!(ub <= 2 * exact, "source {source}: upper bound {ub} not within 2x");
         }
@@ -423,7 +424,7 @@ mod tests {
         // Isolated nodes (singleton components) are skipped, not swept.
         let g = cldiam_graph::Graph::from_edges(64, &[(10, 20, 5), (20, 30, 5)]);
         assert_eq!(exact_diameter(&g), 10);
-        assert!(sssp_diameter_upper_bound(&g, 0) >= 10);
+        assert!(sssp_diameter_upper_bound(&g, 0, &ComponentSplit::compute(&g)) >= 10);
         let lb = diameter_lower_bound(&g, 3, 9);
         assert!(lb <= 10 && lb > 0);
     }

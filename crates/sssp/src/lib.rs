@@ -50,15 +50,14 @@ pub use batch::{
     batched_eccentricities, multi_source_dijkstra, DijkstraScratch, ScratchPool, SsspDirection,
 };
 pub use bounds::{
-    bounds_diameter_cancel, bounds_diameter_with_split_cancel, BoundsConfig, BoundsIteration,
-    BoundsOutcome, DiameterOracle, NoOracle, NO_ORACLE,
+    bounds_diameter, bounds_diameter_directed, BoundsConfig, BoundsIteration, BoundsOutcome,
+    DiameterOracle, NoOracle, NO_ORACLE,
 };
 pub use delta_stepping::{
     delta_stepping, delta_stepping_with_scratch, suggest_delta, DeltaSteppingOutcome, SsspScratch,
 };
 pub use diameter::{
     all_eccentricities, diameter_lower_bound, diameter_lower_bound_with_split, eccentricity,
-    exact_diameter, sssp_diameter_upper_bound, sssp_diameter_upper_bound_with_split,
-    sweep_chain_lower_bound, ComponentSplit,
+    exact_diameter, sssp_diameter_upper_bound, sweep_chain_lower_bound, ComponentSplit,
 };
 pub use dijkstra::{dijkstra, ShortestPaths};

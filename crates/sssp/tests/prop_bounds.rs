@@ -13,14 +13,20 @@ use proptest::prelude::*;
 
 use cldiam_graph::{CancelToken, Graph, GraphBuilder, NodeId, Weight};
 use cldiam_sssp::{
-    bounds_diameter_cancel, dijkstra, exact_diameter, BoundsConfig, BoundsOutcome, ComponentSplit,
+    bounds_diameter, dijkstra, exact_diameter, BoundsConfig, BoundsOutcome, ComponentSplit,
     DijkstraScratch, SsspDirection, NO_ORACLE,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn run(graph: &Graph, config: &BoundsConfig) -> BoundsOutcome {
-    bounds_diameter_cancel(graph, config, NO_ORACLE, &CancelToken::never())
+    bounds_diameter(
+        graph,
+        config,
+        NO_ORACLE,
+        &ComponentSplit::compute(graph),
+        &CancelToken::never(),
+    )
 }
 
 fn with_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {

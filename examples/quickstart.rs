@@ -12,7 +12,7 @@
 
 use cldiam::graph::edgelist::parse_edge_list;
 use cldiam::prelude::*;
-use cldiam::sssp::{exact_diameter, sssp_diameter_upper_bound};
+use cldiam::sssp::{exact_diameter, sssp_diameter_upper_bound, ComponentSplit};
 
 fn main() {
     // A small weighted graph: two communities joined by a long bridge.
@@ -40,7 +40,7 @@ fn main() {
 
     // Baselines: exact diameter (feasible on a toy graph) and the SSSP bound.
     let exact = exact_diameter(&graph);
-    let sssp_bound = sssp_diameter_upper_bound(&graph, 0);
+    let sssp_bound = sssp_diameter_upper_bound(&graph, 0, &ComponentSplit::compute(&graph));
     let lower = diameter_lower_bound(&graph, 4, 1);
     println!("\nreference values");
     println!("  exact diameter       : {exact}");

@@ -3,6 +3,7 @@
 //! the equivalence between the logical and the MapReduce execution paths.
 
 use cldiam::gen::GraphSpec;
+use cldiam::graph::CancelToken;
 use cldiam::prelude::*;
 use cldiam_core::{cluster, cluster2, quotient_graph, ClDiam};
 use cldiam_testkit::{MrConfig, MrEngine};
@@ -22,7 +23,7 @@ fn clustering_invariants_hold_on_every_family() {
         let graph = spec.generate_connected(seed);
         for tau in [1usize, 4] {
             let config = ClusterConfig::default().with_tau(tau).with_seed(seed);
-            let clustering = cluster(&graph, &config);
+            let clustering = cluster(&graph, &config, &CancelToken::never());
             clustering.validate(&graph).unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
             // Distances must upper-bound the true distance to the center.
             for &c in clustering.centers.iter().take(20) {
@@ -48,7 +49,7 @@ fn cluster2_invariants_hold_on_every_family() {
     for (spec, seed) in families() {
         let graph = spec.generate_connected(seed);
         let config = ClusterConfig::default().with_tau(2).with_seed(seed);
-        let clustering = cluster2(&graph, &config);
+        let clustering = cluster2(&graph, &config, &CancelToken::never());
         clustering.validate(&graph).unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
     }
 }
@@ -58,7 +59,7 @@ fn quotient_graph_structure_matches_clustering() {
     for (spec, seed) in families() {
         let graph = spec.generate_connected(seed);
         let config = ClusterConfig::default().with_tau(4).with_seed(seed);
-        let clustering = cluster(&graph, &config);
+        let clustering = cluster(&graph, &config, &CancelToken::never());
         let quotient = quotient_graph(&graph, &clustering);
         assert_eq!(quotient.graph.num_nodes(), clustering.num_clusters(), "{}", spec.label());
         // Every quotient edge connects two distinct clusters and its weight is
@@ -79,7 +80,7 @@ fn tau_controls_cluster_count_monotonically_in_expectation() {
     let mut last = 0usize;
     for tau in [1usize, 2, 4, 8] {
         let config = ClusterConfig::default().with_tau(tau).with_seed(5);
-        let clustering = cluster(&graph, &config);
+        let clustering = cluster(&graph, &config, &CancelToken::never());
         let count = clustering.num_clusters();
         assert!(
             count + count / 2 >= last,
@@ -92,9 +93,13 @@ fn tau_controls_cluster_count_monotonically_in_expectation() {
 #[test]
 fn step_cap_reduces_growing_steps() {
     let graph = GraphSpec::RoadNetwork { rows: 20, cols: 20 }.generate_connected(8);
-    let unbounded = cluster(&graph, &ClusterConfig::default().with_tau(2).with_seed(8));
-    let capped =
-        cluster(&graph, &ClusterConfig::default().with_tau(2).with_seed(8).with_step_cap(4));
+    let unbounded =
+        cluster(&graph, &ClusterConfig::default().with_tau(2).with_seed(8), &CancelToken::never());
+    let capped = cluster(
+        &graph,
+        &ClusterConfig::default().with_tau(2).with_seed(8).with_step_cap(4),
+        &CancelToken::never(),
+    );
     capped.validate(&graph).expect("capped clustering is valid");
     // The capped variant still terminates, covers everything, and performs
     // work of the same order (the cap bounds steps *per phase*, so the total
@@ -109,7 +114,7 @@ fn decomposition_reuse_is_consistent_with_full_run() {
     let driver = ClDiam::new(ClusterConfig::default().with_tau(4).with_seed(2));
     let clustering = driver.decompose(&graph);
     let via_reuse = driver.estimate_from_clustering(&graph, &clustering);
-    let via_run = driver.run(&graph);
+    let via_run = driver.run(&graph, &CancelToken::never());
     assert_eq!(via_reuse.upper_bound, via_run.upper_bound);
     assert_eq!(via_reuse.num_clusters, via_run.num_clusters);
     assert_eq!(via_reuse.radius, via_run.radius);
@@ -117,7 +122,6 @@ fn decomposition_reuse_is_consistent_with_full_run() {
 
 #[test]
 fn mapreduce_growth_matches_shared_memory_growth() {
-    use cldiam::graph::CancelToken;
     use cldiam_core::{partial_growth, GrowScratch, GrowState};
     use cldiam_testkit::mr_impl::mr_partial_growth;
 

@@ -10,7 +10,7 @@
 
 use cldiam::gen::{GraphSpec, WeightModel};
 use cldiam::prelude::*;
-use cldiam::sssp::{exact_diameter, sssp_diameter_upper_bound};
+use cldiam::sssp::{exact_diameter, sssp_diameter_upper_bound, ComponentSplit};
 use cldiam_core::InitialDelta;
 
 /// Runs CL-DIAM on the given spec and checks the estimate against the exact
@@ -85,7 +85,7 @@ fn cldiam_beats_sssp_bound_quality_on_high_diameter_graphs() {
     let exact = exact_diameter(&graph);
     let config = ClusterConfig::default().with_tau(4).with_seed(13);
     let estimate = approximate_diameter(&graph, &config);
-    let sssp_bound = sssp_diameter_upper_bound(&graph, 0);
+    let sssp_bound = sssp_diameter_upper_bound(&graph, 0, &ComponentSplit::compute(&graph));
     assert!(estimate.upper_bound >= exact);
     assert!(sssp_bound >= exact);
     assert!(

@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use cldiam::graph::io::{binary, dimacs, edgelist};
 use cldiam::graph::{detect_format, largest_component, load_graph, FileFormat, Graph};
 use cldiam::prelude::*;
-use cldiam::sssp::{diameter_lower_bound, exact_diameter, sssp_diameter_upper_bound};
+use cldiam::sssp::{
+    diameter_lower_bound, exact_diameter, sssp_diameter_upper_bound, ComponentSplit,
+};
 
 const ROADS_GR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/roads.gr");
 const SOCIAL_TSV: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/social.tsv");
@@ -55,8 +57,9 @@ fn fixtures_survive_disconnection_in_the_sssp_bounds() {
     // must bracket the per-component diameter from every source.
     let raw = load_graph(ROADS_GR).unwrap();
     let exact = exact_diameter(&raw);
+    let split = ComponentSplit::compute(&raw);
     for source in [0, 12, 13] {
-        assert!(sssp_diameter_upper_bound(&raw, source) >= exact, "source {source}");
+        assert!(sssp_diameter_upper_bound(&raw, source, &split) >= exact, "source {source}");
     }
     for seed in 0..4 {
         assert!(diameter_lower_bound(&raw, 4, seed) <= exact);

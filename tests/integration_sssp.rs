@@ -6,7 +6,7 @@ use cldiam::gen::{GraphSpec, WeightModel};
 use cldiam::graph::traversal::double_sweep_hop_diameter;
 use cldiam::prelude::*;
 use cldiam::sssp::{
-    diameter_lower_bound, exact_diameter, sssp_diameter_upper_bound, suggest_delta,
+    diameter_lower_bound, exact_diameter, sssp_diameter_upper_bound, suggest_delta, ComponentSplit,
 };
 use cldiam_mr::CostTracker;
 use cldiam_testkit::bellman_ford;
@@ -50,7 +50,7 @@ fn diameter_bounds_bracket_the_exact_value() {
         let graph = spec.generate_connected(seed);
         let exact = exact_diameter(&graph);
         let lower = diameter_lower_bound(&graph, 4, seed);
-        let upper = sssp_diameter_upper_bound(&graph, 0);
+        let upper = sssp_diameter_upper_bound(&graph, 0, &ComponentSplit::compute(&graph));
         assert!(lower <= exact, "{}: lower {lower} > exact {exact}", spec.label());
         assert!(upper >= exact, "{}: upper {upper} < exact {exact}", spec.label());
         assert!(upper <= exact * 2, "{}: upper {upper} > 2x exact {exact}", spec.label());

@@ -12,7 +12,9 @@ use cldiam::graph::CancelToken;
 use cldiam::prelude::*;
 use cldiam_core::{cluster, quotient_graph};
 use cldiam_sssp::diameter::all_eccentricities;
-use cldiam_sssp::{bounds_diameter_cancel, delta_stepping, suggest_delta, BoundsConfig, NO_ORACLE};
+use cldiam_sssp::{
+    bounds_diameter, delta_stepping, suggest_delta, BoundsConfig, ComponentSplit, NO_ORACLE,
+};
 use cldiam_testkit::{MrConfig, MrEngine};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -37,7 +39,7 @@ fn full_pipeline_is_bit_identical_across_thread_counts() {
     assert_identical(|| {
         let graph = mesh(12, WeightModel::UniformUnit, 7);
         let config = ClusterConfig::default().with_tau(4).with_seed(7);
-        let clustering = cluster(&graph, &config);
+        let clustering = cluster(&graph, &config, &CancelToken::never());
         let quotient = quotient_graph(&graph, &clustering);
         let estimate = approximate_diameter(&graph, &config);
         (
@@ -101,9 +103,10 @@ fn bounds_engine_is_identical_across_thread_counts() {
         let connected = mesh(10, WeightModel::UniformUnit, 5);
         let disconnected = rmat(RmatParams::paper(7), WeightModel::UniformUnit, 13);
         let config = BoundsConfig::default().with_max_sssp(12);
-        (
-            bounds_diameter_cancel(&connected, &config, NO_ORACLE, &CancelToken::never()),
-            bounds_diameter_cancel(&disconnected, &config, NO_ORACLE, &CancelToken::never()),
-        )
+        let bounds = |graph| {
+            let split = ComponentSplit::compute(graph);
+            bounds_diameter(graph, &config, NO_ORACLE, &split, &CancelToken::never())
+        };
+        (bounds(&connected), bounds(&disconnected))
     });
 }

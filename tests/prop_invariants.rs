@@ -12,6 +12,7 @@
 
 use proptest::prelude::*;
 
+use cldiam::graph::CancelToken;
 use cldiam::prelude::*;
 use cldiam::sssp::exact_diameter;
 use cldiam_core::cluster;
@@ -75,7 +76,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let config = ClusterConfig::default().with_tau(tau).with_seed(seed);
-        let clustering = cluster(&graph, &config);
+        let clustering = cluster(&graph, &config, &CancelToken::never());
         prop_assert!(clustering.validate(&graph).is_ok());
         for &c in &clustering.centers {
             let sp = dijkstra(&graph, c);

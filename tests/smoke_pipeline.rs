@@ -13,6 +13,7 @@
 //!   diameter.
 
 use cldiam::gen::GraphSpec;
+use cldiam::graph::CancelToken;
 use cldiam::prelude::*;
 use cldiam::sssp::exact_diameter;
 use cldiam_core::{cluster, quotient_graph};
@@ -29,7 +30,7 @@ fn smoke(spec: GraphSpec, tau: usize, seed: u64) {
 
     // Stage 1+2: CLUSTER decomposition, validated as a genuine partition.
     let config = ClusterConfig::default().with_tau(tau).with_seed(seed);
-    let clustering = cluster(&graph, &config);
+    let clustering = cluster(&graph, &config, &CancelToken::never());
     clustering.validate(&graph).unwrap_or_else(|e| panic!("{label}: invalid clustering: {e}"));
 
     // Stage 3: quotient graph — one node per cluster.

@@ -11,6 +11,7 @@
 //! | `clock-discipline` | no `Instant::now` / `SystemTime::now` outside the approved timing modules (deadline handling in `cancel.rs`, bench), so `--timeout-checks` determinism can't regress |
 //! | `hash-determinism` | no std-hasher `HashMap::new` / `HashSet::new` (& friends) in library crates — use the fixed-seed hasher, sort before emitting, or justify with an allow tag |
 //! | `dead-pub`         | every module-level `pub fn` under `crates/*/src` (bar the test-serving `testkit` and `modelcheck`) has a caller outside test code; a cross-file pass, see [`scan_dead_pub`] |
+//! | `twin-entry`       | no module-level `pub fn` under `crates/*/src` (bar `testkit` and `modelcheck`) is named `*_cancel`, `*_with_split` or `*_with_scratch`: one entry point per algorithm takes the token, split or scratch as an argument |
 //!
 //! A finding is silenced by a justification tag on the same line or the
 //! line directly above:
@@ -74,6 +75,8 @@ pub struct RuleSet {
     pub clock_discipline: bool,
     /// `hash-determinism`
     pub hash_determinism: bool,
+    /// `twin-entry`
+    pub twin_entry: bool,
 }
 
 impl RuleSet {
@@ -83,6 +86,7 @@ impl RuleSet {
             || self.fs_choke_point
             || self.clock_discipline
             || self.hash_determinism
+            || self.twin_entry
     }
 }
 
@@ -95,7 +99,9 @@ impl RuleSet {
 /// * wall-clock reads are approved only in `crates/graph/src/cancel.rs`
 ///   (cooperative deadlines), `crates/bench/` and examples;
 /// * the std-hasher rule covers `crates/*/src` only (vendored shims do not
-///   feed ordered output).
+///   feed ordered output);
+/// * the twin-entry rule covers the shipped crates' `src/` (not the
+///   test-serving crates).
 pub fn rules_for_path(rel: &str) -> RuleSet {
     if rel.contains("tests/fixtures/") {
         return RuleSet::default();
@@ -121,6 +127,7 @@ pub fn rules_for_path(rel: &str) -> RuleSet {
     rules.clock_discipline =
         rel != "crates/graph/src/cancel.rs" && !rel.starts_with("crates/bench/");
     rules.hash_determinism = rel.starts_with("crates/");
+    rules.twin_entry = is_crate_src(rel) && !serves_tests(rel);
     rules
 }
 
@@ -563,6 +570,26 @@ pub fn scan_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
         }
     }
 
+    if rules.twin_entry {
+        for (at, name) in module_level_pub_fns(&code) {
+            let Some(suffix) = TWIN_SUFFIXES.iter().find(|suffix| name.ends_with(*suffix)) else {
+                continue;
+            };
+            if in_test_mod(at) {
+                continue;
+            }
+            push(
+                at,
+                "twin-entry",
+                format!(
+                    "`pub fn {name}` is a `{suffix}` twin that fills in one argument of \
+                     another entry point; take the argument instead, or justify with \
+                     `// lint:allow(twin-entry): <why>`"
+                ),
+            );
+        }
+    }
+
     out.sort_by_key(|d| (d.line, d.col, d.rule));
     // Overlapping patterns (`std::fs::File::create` hits both `std::fs::`
     // and `File::create`) collapse to one diagnostic per line and rule.
@@ -614,9 +641,16 @@ fn find_pattern(code: &str, pat: &str) -> Vec<usize> {
     out
 }
 
-/// Crates whose `pub fn`s `dead-pub` does not check and whose calls keep
-/// nothing alive: both exist to serve tests.
-const DEAD_PUB_SKIPPED: [&str; 2] = ["crates/testkit/", "crates/modelcheck/"];
+/// Is `rel` in a crate that exists to serve tests (`cldiam-testkit`,
+/// `cldiam-modelcheck`)? `dead-pub` and `twin-entry` do not check its
+/// `pub fn`s, and its calls keep nothing alive.
+fn serves_tests(rel: &str) -> bool {
+    ["crates/testkit/", "crates/modelcheck/"].iter().any(|krate| rel.starts_with(krate))
+}
+
+/// Name endings of an entry point's twin that fills in one argument with a
+/// default (`twin-entry`).
+const TWIN_SUFFIXES: [&str; 3] = ["_cancel", "_with_split", "_with_scratch"];
 
 /// Is `rel` under some `crates/<name>/src/`?
 fn is_crate_src(rel: &str) -> bool {
@@ -630,7 +664,7 @@ fn is_crate_src(rel: &str) -> bool {
 fn is_caller_path(rel: &str) -> bool {
     let in_tests_dir = rel.contains("/tests/") || rel.starts_with("tests/");
     !in_tests_dir
-        && !DEAD_PUB_SKIPPED.iter().any(|skip| rel.starts_with(skip))
+        && !serves_tests(rel)
         && (is_crate_src(rel)
             || ["src/", "examples/", "xtask/src/", "perfbench/src/"]
                 .iter()

@@ -96,7 +96,7 @@ fn diagnostics_render_as_path_line_col_rule() {
 fn fixture_paths_are_exempt_from_every_rule() {
     // Scanning a fixture under its real path produces nothing — that is how
     // the violating files in tests/fixtures/ stay out of `cargo xtask lint`.
-    for name in ["io_panic.rs", "safety.rs", "fs_clock_hash.rs"] {
+    for name in ["io_panic.rs", "safety.rs", "fs_clock_hash.rs", "twin_entry.rs"] {
         let rel = format!("xtask/tests/fixtures/{name}");
         let diags = scan_source(Path::new(&rel), &fixture(name));
         assert_eq!(findings(&diags), vec![], "{name}: {diags:#?}");
@@ -126,6 +126,49 @@ fn rule_scoping_matches_the_approved_locations() {
     assert!(test_file.safety_comment);
     assert!(!test_file.fs_choke_point);
     assert!(!test_file.clock_discipline);
+}
+
+#[test]
+fn twin_entry_fixture_flags_the_untagged_public_twins() {
+    // `solve_cancel`, `solve_with_split`, `sweep_with_scratch` and the
+    // bare-tagged `bare_tag_cancel`; not the tagged twin, the non-`pub`
+    // ones, methods or test-module helpers.
+    let diags = scan_source(Path::new("crates/graph/src/fixture.rs"), &fixture("twin_entry.rs"));
+    assert_eq!(
+        findings(&diags),
+        vec![(8, "twin-entry"), (12, "twin-entry"), (16, "twin-entry"), (21, "twin-entry")],
+        "full diagnostics: {diags:#?}"
+    );
+    assert!(diags[0].message.contains("take the argument instead"), "{}", diags[0].message);
+}
+
+#[test]
+fn twin_entry_tag_keeps_a_pinned_twin() {
+    // The justified tag above `pinned_with_split` is the only thing that
+    // keeps it quiet: without the tag it is reported like the others.
+    let src = fixture("twin_entry.rs");
+    let lines = |src: &str| -> Vec<usize> {
+        scan_source(Path::new("crates/graph/src/fixture.rs"), src).iter().map(|d| d.line).collect()
+    };
+    assert!(!lines(&src).contains(&27));
+    let untagged = src.replace("lint:allow(twin-entry): a benchmark", "a benchmark");
+    assert!(lines(&untagged).contains(&27), "untagged twin not reported");
+}
+
+#[test]
+fn twin_entry_rule_covers_shipped_crate_sources_only() {
+    assert!(rules_for_path("crates/core/src/bounds.rs").twin_entry);
+    assert!(rules_for_path("crates/bench/src/runner.rs").twin_entry);
+    for rel in [
+        "crates/testkit/src/lib.rs",
+        "crates/modelcheck/src/rt.rs",
+        "crates/core/tests/prop_cluster_equivalence.rs",
+        "src/lib.rs",
+        "vendor/rayon/src/lib.rs",
+        "examples/quickstart.rs",
+    ] {
+        assert!(!rules_for_path(rel).twin_entry, "{rel}");
+    }
 }
 
 /// A small in-memory workspace for the cross-file `dead-pub` rule: every
