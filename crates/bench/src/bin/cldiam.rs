@@ -82,8 +82,7 @@ struct Options {
     delta: Option<u32>,
     cluster2: bool,
     algo: Algo,
-    bounds_budget: usize,
-    tolerance: f64,
+    bounds: BoundsConfig,
     timeout_ms: Option<u64>,
     timeout_checks: Option<u64>,
     no_quotient: bool,
@@ -169,8 +168,7 @@ fn parse_args() -> Options {
         delta: None,
         cluster2: false,
         algo: Algo::Both,
-        bounds_budget: 64,
-        tolerance: 1.0,
+        bounds: BoundsConfig::default(),
         timeout_ms: None,
         timeout_checks: None,
         no_quotient: false,
@@ -233,14 +231,14 @@ fn parse_args() -> Options {
                 }
             }
             "--bounds-budget" => match value(&mut args, "--bounds-budget").parse() {
-                Ok(n) if n >= 1 => options.bounds_budget = n,
+                Ok(n) if n >= 1 => options.bounds.max_sssp = n,
                 _ => {
                     eprintln!("--bounds-budget expects a positive integer");
                     usage()
                 }
             },
             "--tolerance" => match value(&mut args, "--tolerance").parse::<f64>() {
-                Ok(f) if f.is_finite() && f >= 1.0 => options.tolerance = f,
+                Ok(f) if f.is_finite() && f >= 1.0 => options.bounds.tolerance = f,
                 _ => {
                     eprintln!("--tolerance expects a finite number >= 1.0");
                     usage()
@@ -502,9 +500,6 @@ fn run_undirected<G: NeighborSource>(graph: &G, options: &Options) -> Vec<RunRes
         .with_tau(tau)
         .with_seed(options.seed)
         .with_cluster2(options.cluster2);
-    let bounds_config = BoundsConfig::default()
-        .with_max_sssp(options.bounds_budget)
-        .with_tolerance(options.tolerance);
 
     let mut results = Vec::new();
     // One connectivity pass serves the reference lower bound, the Δ-stepping
@@ -520,7 +515,7 @@ fn run_undirected<G: NeighborSource>(graph: &G, options: &Options) -> Vec<RunRes
         }
     } else {
         let cluster = if options.no_quotient { None } else { Some(config.clone()) };
-        let anytime = AnytimeConfig { bounds: bounds_config, cluster };
+        let anytime = AnytimeConfig { bounds: options.bounds, cluster };
         let result = run_bounds(graph, &anytime, &split, &cancel_token(options));
         print_bounds_progress(&result);
         results.push(result);
@@ -566,11 +561,7 @@ fn run(options: &Options) {
         SnapshotGraph::Dense(graph) if graph.is_directed() => {
             // parse_args narrowed directed inputs to the bounds engine, which
             // runs the whole digraph (no component split) with no oracle.
-            let bounds_config = BoundsConfig::default()
-                .with_max_sssp(options.bounds_budget)
-                .with_tolerance(options.tolerance);
-            let anytime = AnytimeConfig { bounds: bounds_config, cluster: None };
-            let result = run_bounds_directed(graph, &anytime, &cancel_token(options));
+            let result = run_bounds_directed(graph, &options.bounds, &cancel_token(options));
             print_bounds_progress(&result);
             vec![result]
         }

@@ -10,7 +10,8 @@ use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId, INFINITY};
 use cldiam_mr::CostTracker;
 use cldiam_sssp::{
     bounds_diameter_directed, delta_stepping_with_scratch, diameter_lower_bound_with_split,
-    sssp_diameter_upper_bound, suggest_delta, BoundsOutcome, ComponentSplit, SsspScratch,
+    sssp_diameter_upper_bound, suggest_delta, BoundsConfig, BoundsOutcome, ComponentSplit,
+    SsspScratch,
 };
 
 use crate::json::{object, Value};
@@ -126,37 +127,43 @@ pub fn run_bounds<G: NeighborSource>(
 ) -> RunResult {
     let started = Instant::now();
     let outcome = anytime_diameter(graph, config, split, cancel);
-    bounds_result(config, outcome, started.elapsed().as_secs_f64())
+    bounds_result(&config.bounds, config.cluster.is_some(), outcome, started)
 }
 
 /// Runs the anytime bounds engine on a directed graph, which goes whole
 /// through the forward/backward engine (dense only: it needs in-arcs), under
 /// a cooperative [`CancelToken`] as in [`run_bounds`]. The directed engine
-/// takes no oracle, so only `config.bounds` applies.
+/// takes no oracle.
 pub fn run_bounds_directed(
     graph: &Graph,
-    config: &AnytimeConfig,
+    config: &BoundsConfig,
     cancel: &CancelToken,
 ) -> RunResult {
     let started = Instant::now();
-    let outcome = bounds_diameter_directed(graph, &config.bounds, cancel);
-    bounds_result(config, outcome, started.elapsed().as_secs_f64())
+    let outcome = bounds_diameter_directed(graph, config, cancel);
+    bounds_result(config, false, outcome, started)
 }
 
-fn bounds_result(config: &AnytimeConfig, outcome: BoundsOutcome, time_s: f64) -> RunResult {
+/// The row of a bounds run that began at `started`.
+fn bounds_result(
+    config: &BoundsConfig,
+    oracle: bool,
+    outcome: BoundsOutcome,
+    started: Instant,
+) -> RunResult {
     RunResult {
         algorithm: "bounds".to_string(),
         estimate: outcome.upper,
         lower_bound: outcome.lower,
         approximation: approximation_ratio(outcome.upper, outcome.lower),
-        time_s,
+        time_s: started.elapsed().as_secs_f64(),
         rounds: outcome.sssp_runs as u64,
         work: 0,
         detail: format!(
             "budget={} tolerance={} oracle={} converged={} interrupted={} sssp={}",
-            config.bounds.max_sssp,
-            config.bounds.tolerance,
-            if config.cluster.is_some() { "quotient" } else { "off" },
+            config.max_sssp,
+            config.tolerance,
+            if oracle { "quotient" } else { "off" },
             outcome.converged,
             outcome.interrupted,
             outcome.sssp_runs

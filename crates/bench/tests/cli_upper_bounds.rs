@@ -1,11 +1,16 @@
 //! Every estimate the `cldiam` CLI reports is an upper bound: no row may sit
 //! below the reference lower bound of the same run, on disconnected inputs
-//! too, and a row without a bound reports no ratio either.
+//! too, nor below the exact diameter when every node is its own cluster and
+//! the quotient passes 2,000 nodes, and a row without a bound reports no
+//! ratio either.
 
 use std::path::Path;
 use std::process::Command;
 
 use cldiam_bench::json::{from_str, Value};
+use cldiam_gen::GraphSpec;
+use cldiam_graph::largest_component;
+use cldiam_sssp::exact_diameter;
 
 const CLDIAM: &str = env!("CARGO_BIN_EXE_cldiam");
 
@@ -87,4 +92,71 @@ fn a_row_without_an_upper_bound_reports_no_ratio() {
             assert!(approximation.as_f64().is_some(), "{algorithm}: bounded row has no ratio");
         }
     }
+}
+
+/// Runs `cldiam gen:SPEC --tau 100000 --seed SEED` (every node its own
+/// cluster, so the quotient is the graph) with `--algo both`, `--algo
+/// bounds` and an interrupted `--algo bounds`, each dense and `--compress`,
+/// and asserts `lower_bound ≤ exact ≤ estimate` on every row, where `exact`
+/// is the exact diameter of the same generated graph. Returns `exact` and the
+/// CL-DIAM rows' estimates.
+fn assert_rows_bracket_the_exact_diameter(spec: &str, seed: u64, lcc: bool) -> (u64, Vec<u64>) {
+    let raw = GraphSpec::parse(spec).expect("valid spec").generate(seed);
+    let exact = if lcc { exact_diameter(&largest_component(&raw).0) } else { exact_diameter(&raw) };
+    let input = format!("gen:{spec}");
+    let seed = seed.to_string();
+    let json = std::env::temp_dir().join(format!(
+        "cldiam-cli-{}-{}.json",
+        spec.replace(':', "-"),
+        std::process::id()
+    ));
+    let mut cldiam = Vec::new();
+    for algo in [
+        &["--algo", "both"][..],
+        &["--algo", "bounds"],
+        &["--algo", "bounds", "--timeout-checks", "2"],
+    ] {
+        for compress in [&[][..], &["--compress"]] {
+            let mut args = vec!["--tau", "100000", "--seed", seed.as_str()];
+            if lcc {
+                args.push("--largest-component");
+            }
+            args.extend_from_slice(algo);
+            args.extend_from_slice(compress);
+            for row in report_rows(&input, &args, &json) {
+                let algorithm = row.get("algorithm").as_str().expect("algorithm name");
+                let estimate = row.get("estimate").as_u64().expect("finite estimate");
+                let lower = row.get("lower_bound").as_u64().expect("lower bound");
+                assert!(
+                    lower <= exact && exact <= estimate,
+                    "cldiam {input} {args:?}, {algorithm}: [{lower}, {estimate}] misses the \
+                     exact diameter {exact}"
+                );
+                if algorithm == "CL-DIAM" {
+                    cldiam.push(estimate);
+                }
+            }
+        }
+    }
+    (exact, cldiam)
+}
+
+#[test]
+fn singleton_clusters_of_a_road_lcc_estimate_its_exact_diameter() {
+    // τ = 100,000 leaves each of the 3,533 nodes its own cluster: R = 0 and
+    // Φ(G_C) is the graph's own diameter. A sweep estimate of Φ, which is a
+    // lower bound, once reported 66,560 here.
+    let (exact, cldiam) = assert_rows_bracket_the_exact_diameter("road:60x60", 1, true);
+    assert_eq!(exact, 74_706);
+    assert_eq!(cldiam, [exact, exact], "CL-DIAM rows, dense and compressed");
+}
+
+#[test]
+fn singleton_clusters_of_a_disconnected_gnm_bracket_its_exact_diameter() {
+    // 2,100 singleton clusters over many components, so again R = 0 and
+    // Φ(G_C) is the diameter. A sweep estimate of Φ once reported 8,133,274
+    // here.
+    let (exact, cldiam) = assert_rows_bracket_the_exact_diameter("gnm:2100:2600", 4, false);
+    assert_eq!(exact, 8_148_990);
+    assert_eq!(cldiam, [exact, exact], "CL-DIAM rows, dense and compressed");
 }

@@ -53,13 +53,9 @@ pub struct ClusterConfig {
     /// `CLUSTER` because the refined decomposition "does not seem to provide a
     /// significant improvement in practice".
     pub use_cluster2: bool,
-    /// If the quotient graph has at most this many nodes its diameter is
-    /// computed exactly (all-pairs Dijkstra); above it, an iterated
-    /// farthest-sweep estimate is used, mirroring the paper's requirement that
-    /// the quotient fit in one reducer's memory.
+    /// No library code reads it (`CL-DIAM` solves `Φ(G_C)` exactly at every
+    /// size); only perfbench's threshold check does, until ROADMAP item 7.
     pub exact_quotient_threshold: usize,
-    /// Number of farthest-node sweeps for the approximate quotient diameter.
-    pub quotient_sweeps: usize,
 }
 
 impl Default for ClusterConfig {
@@ -71,7 +67,6 @@ impl Default for ClusterConfig {
             max_growing_steps_per_phase: None,
             use_cluster2: false,
             exact_quotient_threshold: 2_000,
-            quotient_sweeps: 8,
         }
     }
 }

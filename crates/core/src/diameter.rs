@@ -1,23 +1,23 @@
 //! `CL-DIAM`: cluster-based diameter approximation (Section 4 / Section 5).
 //!
 //! The driver decomposes the graph (with `CLUSTER`, or `CLUSTER2` when
-//! requested), builds the weighted quotient graph, computes (or tightly
-//! estimates) the quotient diameter `Φ(G_C)` and returns
+//! requested), builds the weighted quotient graph, computes its exact
+//! diameter `Φ(G_C)` with the anytime bounds engine and returns
 //! `Φ_approx(G) = Φ(G_C) + 2·R`, which is an upper bound on the true weighted
 //! diameter whenever the per-node distances are genuine upper bounds — which
 //! they are by construction in this implementation. A quotient edge weight
 //! too large for a `Weight` would have to be clamped, so such a quotient
 //! reports no bound (`INFINITY`) instead.
 
-use cldiam_graph::{CancelToken, Dist, NeighborSource, INFINITY};
+use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, INFINITY};
 use cldiam_mr::CostMetrics;
-use cldiam_sssp::{diameter_lower_bound, exact_diameter};
+use cldiam_sssp::{bounds_diameter, BoundsConfig, ComponentSplit, NO_ORACLE};
 
 use crate::cluster::cluster;
 use crate::cluster2::cluster2;
 use crate::clustering::Clustering;
 use crate::config::ClusterConfig;
-use crate::quotient::{quotient_graph, QuotientGraph};
+use crate::quotient::quotient_graph;
 
 /// Result of a `CL-DIAM` run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,9 +33,9 @@ pub struct DiameterEstimate {
     pub num_clusters: usize,
     /// Number of edges of the quotient graph.
     pub quotient_edges: usize,
-    /// Whether the quotient diameter was computed exactly (all-pairs) or
-    /// estimated with farthest-node sweeps. Also `false` when a quotient
-    /// edge weight overflowed.
+    /// Whether `Φ(G_C)` is the quotient's exact diameter; `false` when a
+    /// quotient edge weight overflowed, or when a cancelled token stopped the
+    /// quotient's bounds run early (see [`ClDiam::estimate_from_clustering`]).
     pub quotient_exact: bool,
     /// Number of Δ-growing steps performed by the decomposition.
     pub growing_steps: u64,
@@ -90,17 +90,15 @@ impl ClDiam {
     /// Runs the full pipeline: decomposition, quotient construction and
     /// quotient-diameter computation.
     ///
-    /// Only the decomposition polls the cooperative [`CancelToken`] (a
-    /// caller that never cancels passes `&CancelToken::never()`). A
-    /// cancelled decomposition is still a valid clustering — completed
-    /// stages keep their clusters, the rest become singletons — and the
-    /// quotient stage always completes (it is cheap relative to the
-    /// decomposition and the estimate would be useless without it), so the
-    /// returned `upper_bound` is exactly as sound as an uninterrupted run's:
-    /// a degraded clustering just makes it looser.
+    /// The decomposition polls the cooperative [`CancelToken`] (a caller
+    /// that never cancels passes `&CancelToken::never()`). A cancelled
+    /// decomposition is still a valid clustering — completed stages keep
+    /// their clusters, the rest become singletons — and the quotient stage
+    /// still bounds `Φ(G_C)` soundly (see [`Self::estimate_from_clustering`]),
+    /// so `upper_bound` stays an upper bound, just a looser one.
     pub fn run<G: NeighborSource>(&self, graph: &G, cancel: &CancelToken) -> DiameterEstimate {
         let clustering = self.clustering(graph, cancel);
-        self.estimate_from_clustering(graph, &clustering)
+        self.estimate_from_clustering(graph, &clustering, cancel)
     }
 
     /// The decomposition the configuration selects: `CLUSTER`, or `CLUSTER2`
@@ -122,13 +120,20 @@ impl ClDiam {
     /// clamped, which shortens it, so `Φ(G_C) + 2·R` could fall below the
     /// diameter: such a quotient yields `upper_bound = INFINITY` and
     /// `quotient_exact = false`.
+    ///
+    /// Once `cancel`'s shared flag is set (a wall deadline or an explicit
+    /// cancel, never a check budget), the quotient's bounds run stops after
+    /// one SSSP per component, reporting its upper bound as `Φ(G_C)` and
+    /// `quotient_exact = false`: a deadline that cut the decomposition short
+    /// is not overrun by an exact solve of the near-singleton quotient.
     pub fn estimate_from_clustering<G: NeighborSource>(
         &self,
         graph: &G,
         clustering: &Clustering,
+        cancel: &CancelToken,
     ) -> DiameterEstimate {
         let quotient = quotient_graph(graph, clustering);
-        let (quotient_diameter, quotient_exact) = self.quotient_diameter(&quotient);
+        let (quotient_diameter, quotient_exact) = Self::quotient_diameter(&quotient.graph, cancel);
         let (upper_bound, quotient_exact) = if quotient.overflow_edges > 0 {
             (INFINITY, false)
         } else {
@@ -155,19 +160,20 @@ impl ClDiam {
         }
     }
 
-    /// Diameter of the quotient graph: exact (batched all-pairs Dijkstra
-    /// through `cldiam_sssp::batch`) below the configured size threshold,
-    /// estimated with farthest-node sweep chains above it.
-    fn quotient_diameter(&self, quotient: &QuotientGraph) -> (Dist, bool) {
-        let q = &quotient.graph;
-        if q.num_nodes() <= 1 {
-            return (0, true);
-        }
-        if q.num_nodes() <= self.config.exact_quotient_threshold {
-            (exact_diameter(q), true)
-        } else {
-            (diameter_lower_bound(q, self.config.quotient_sweeps, self.config.seed), false)
-        }
+    /// An upper bound on the quotient's diameter and whether it is exact, from
+    /// the bounds engine with no oracle, tolerance 1.0 and a budget of one
+    /// SSSP per quotient node, over the quotient's components. Each SSSP
+    /// closes its source's interval, so an uncancelled run converges at every
+    /// quotient size; its worst case is all-pairs, sequential per component.
+    fn quotient_diameter(q: &Graph, cancel: &CancelToken) -> (Dist, bool) {
+        let config = BoundsConfig::default().with_max_sssp(q.num_nodes()).with_tolerance(1.0);
+        let split = ComponentSplit::compute(q);
+        // Pass the token only once its shared flag is set: a check budget
+        // alone would cut short the quotient run of every check-limited run.
+        let never = CancelToken::never();
+        let cancel = if cancel.is_cancelled() { cancel } else { &never };
+        let outcome = bounds_diameter(q, &config, NO_ORACLE, &split, cancel);
+        (outcome.upper, outcome.converged)
     }
 }
 
@@ -186,6 +192,7 @@ mod tests {
     use crate::config::InitialDelta;
     use cldiam_gen::{mesh, path, preferential_attachment, road_network, WeightModel};
     use cldiam_graph::largest_component;
+    use cldiam_sssp::exact_diameter;
 
     fn config(tau: usize, seed: u64) -> ClusterConfig {
         ClusterConfig::default().with_tau(tau).with_seed(seed)
@@ -320,6 +327,24 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_token_stops_the_quotient_run_after_one_sssp_per_component() {
+        // Cancelled before the run, the decomposition leaves every node a
+        // singleton, so the quotient is the graph. One SSSP per component
+        // bounds its diameter soundly but not exactly. A check budget never
+        // sets the shared flag, so its run still solves the quotient exactly.
+        let g = mesh(10, WeightModel::UniformUnit, 4);
+        let exact = exact_diameter(&g);
+        let driver = ClDiam::new(config(2, 6));
+        let cancelled = CancelToken::never();
+        cancelled.cancel();
+        let estimate = driver.run(&g, &cancelled);
+        assert_eq!(estimate.num_clusters, g.num_nodes());
+        assert!(!estimate.quotient_exact);
+        assert!(estimate.upper_bound >= exact, "{} below {exact}", estimate.upper_bound);
+        assert!(driver.run(&g, &CancelToken::with_check_limit(1)).quotient_exact);
+    }
+
+    #[test]
     fn overflowing_quotient_weight_reports_no_upper_bound() {
         // 0 -1- 1 -MAX- 2 -1- 3 -1- 4 -MAX- 5 -1- 6, clustered {0,1}, {2,3,4}
         // and {5,6} around 0, 3 and 6. Both heavy edges augment to MAX + 2,
@@ -341,7 +366,8 @@ mod tests {
             metrics: CostMetrics::default(),
         };
         assert_eq!(quotient_graph(&g, &clustering).overflow_edges, 2);
-        let estimate = ClDiam::default().estimate_from_clustering(&g, &clustering);
+        let never = CancelToken::never();
+        let estimate = ClDiam::default().estimate_from_clustering(&g, &clustering, &never);
         assert_eq!(exact_diameter(&g), 2 * Dist::from(max) + 4);
         assert_eq!(estimate.upper_bound, INFINITY);
         assert!(!estimate.quotient_exact);
@@ -352,8 +378,9 @@ mod tests {
         let g = mesh(10, WeightModel::UniformUnit, 2);
         let driver = ClDiam::new(config(2, 3));
         let clustering = driver.decompose(&g);
-        let a = driver.estimate_from_clustering(&g, &clustering);
-        let b = driver.run(&g, &CancelToken::never());
+        let never = CancelToken::never();
+        let a = driver.estimate_from_clustering(&g, &clustering, &never);
+        let b = driver.run(&g, &never);
         assert_eq!(a.upper_bound, b.upper_bound);
         assert_eq!(a.num_clusters, b.num_clusters);
     }

@@ -28,9 +28,8 @@
 //!   rayon workers of a batch, so a batch over `k` sources allocates
 //!   `O(min(k, threads))` scratches instead of `k`.
 //! * [`multi_source_dijkstra`] / [`batched_eccentricities`] — the parallel
-//!   drivers consumed by `exact_diameter`, `all_eccentricities`, the
-//!   per-component sweep chains of `diameter_lower_bound`, and (through
-//!   `exact_diameter`) the quotient-diameter stage of `CL-DIAM`.
+//!   drivers consumed by `exact_diameter`, `all_eccentricities` and the
+//!   per-component sweep chains of `diameter_lower_bound`.
 //!
 //! Every quantity read out of a scratch ([`DijkstraScratch::eccentricity`],
 //! [`DijkstraScratch::farthest_node`]) is a pure function of the source and

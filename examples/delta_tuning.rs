@@ -15,6 +15,7 @@
 //! ```
 
 use cldiam::gen::{mesh, WeightModel};
+use cldiam::graph::CancelToken;
 use cldiam::prelude::*;
 use cldiam::sssp::diameter_lower_bound;
 use cldiam_core::InitialDelta;
@@ -48,7 +49,7 @@ fn main() {
             ClusterConfig::default().with_tau(tau).with_seed(seed).with_initial_delta(policy);
         let driver = ClDiam::new(config);
         let clustering = driver.decompose(&graph);
-        let estimate = driver.estimate_from_clustering(&graph, &clustering);
+        let estimate = driver.estimate_from_clustering(&graph, &clustering, &CancelToken::never());
         println!(
             "{name:<42} {:>12} {:>10.4} {:>8} {:>10}",
             estimate.upper_bound,

@@ -113,8 +113,9 @@ fn decomposition_reuse_is_consistent_with_full_run() {
     let graph = GraphSpec::Mesh { side: 14 }.generate_connected(2);
     let driver = ClDiam::new(ClusterConfig::default().with_tau(4).with_seed(2));
     let clustering = driver.decompose(&graph);
-    let via_reuse = driver.estimate_from_clustering(&graph, &clustering);
-    let via_run = driver.run(&graph, &CancelToken::never());
+    let never = CancelToken::never();
+    let via_reuse = driver.estimate_from_clustering(&graph, &clustering, &never);
+    let via_run = driver.run(&graph, &never);
     assert_eq!(via_reuse.upper_bound, via_run.upper_bound);
     assert_eq!(via_reuse.num_clusters, via_run.num_clusters);
     assert_eq!(via_reuse.radius, via_run.radius);

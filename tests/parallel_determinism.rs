@@ -33,15 +33,30 @@ fn assert_identical<R: PartialEq + std::fmt::Debug + Send>(op: impl Fn() -> R + 
     }
 }
 
+/// A sparse R-MAT: 512 nodes in one large component, ten small ones and
+/// many isolated nodes.
+fn sparse_rmat() -> Graph {
+    rmat(RmatParams { edge_factor: 1, ..RmatParams::paper(9) }, WeightModel::UniformUnit, 3)
+}
+
 #[test]
 fn full_pipeline_is_bit_identical_across_thread_counts() {
     // generate → CLUSTER → quotient → estimate, everything inside the pool.
+    // The sparse R-MAT runs with τ above its node count, so its quotient is
+    // the graph itself, all singletons and disconnected, and the bounds run
+    // that solves Φ(G_C) bounds its components in parallel.
+    let sparse = sparse_rmat();
+    assert!(ComponentSplit::compute(&sparse).parts.len() >= 2, "the R-MAT is not fragmented");
+    let singletons = ClusterConfig::default().with_tau(sparse.num_nodes() + 1).with_seed(7);
+    assert_eq!(approximate_diameter(&sparse, &singletons).num_clusters, sparse.num_nodes());
     assert_identical(|| {
         let graph = mesh(12, WeightModel::UniformUnit, 7);
         let config = ClusterConfig::default().with_tau(4).with_seed(7);
         let clustering = cluster(&graph, &config, &CancelToken::never());
         let quotient = quotient_graph(&graph, &clustering);
         let estimate = approximate_diameter(&graph, &config);
+        let sparse = sparse_rmat();
+        let sparse_estimate = approximate_diameter(&sparse, &singletons);
         (
             graph,
             clustering,
@@ -51,6 +66,8 @@ fn full_pipeline_is_bit_identical_across_thread_counts() {
             // `estimate` carries the MrMetrics (rounds, messages, node
             // updates, peak memory) — all compared bit-for-bit.
             estimate,
+            sparse,
+            sparse_estimate,
         )
     });
 }

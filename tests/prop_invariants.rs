@@ -6,15 +6,18 @@
 //! * `CLUSTER` produces a partition whose recorded distances upper-bound the
 //!   true distances to the centers;
 //! * the quotient-based estimate `Φ(G_C) + 2R` never underestimates the true
-//!   diameter;
+//!   diameter, also when the quotient passes 2,000 nodes, and every other
+//!   bound brackets it on the dense and the compressed tier;
 //! * the graph builder and the MR primitives behave like their sequential
 //!   specifications.
 
 use proptest::prelude::*;
 
-use cldiam::graph::CancelToken;
+use cldiam::core::{anytime_diameter, AnytimeConfig};
+use cldiam::gen::{gnm_random, road_network};
+use cldiam::graph::{largest_component, CancelToken, CompressedGraph, NeighborSource};
 use cldiam::prelude::*;
-use cldiam::sssp::exact_diameter;
+use cldiam::sssp::{exact_diameter, sssp_diameter_upper_bound, BoundsConfig, ComponentSplit};
 use cldiam_core::cluster;
 use cldiam_testkit::{bellman_ford, primitives, MrConfig, MrEngine};
 
@@ -128,5 +131,102 @@ proptest! {
             prop_assert_eq!(scan[i], acc);
             acc += v;
         }
+    }
+}
+
+/// Strategy: a graph of 2,001–2,500 nodes, so that an all-singleton
+/// clustering's quotient passes 2,000 nodes too. Either a `road_network`
+/// largest component (connected, two draws in three) or a sparse
+/// `gnm_random` graph (disconnected), rebuilt through [`rebuild`].
+fn large_graph() -> impl Strategy<Value = Graph> {
+    ((0u32..3, 0u64..1_000_000), (0usize..4, 0usize..4, 2usize..6, 0usize..4)).prop_map(
+        |((family, seed), (a, b, dup_every, heavy))| {
+            let base = if family < 2 {
+                largest_component(&road_network(47 + a, 47 + b, seed)).0
+            } else {
+                let n = 2_001 + 100 * a + 60 * b;
+                gnm_random(n, n * 5 / 4, WeightModel::UniformUnit, seed)
+            };
+            rebuild(&base, dup_every, heavy, seed)
+        },
+    )
+}
+
+/// `graph` rebuilt through `GraphBuilder`, with every `dup_every`-th edge
+/// added a second time at another weight (a parallel arc: the builder keeps
+/// the lighter copy) and `heavy` edges reweighted to within 8 of
+/// `Weight::MAX`.
+fn rebuild(graph: &Graph, dup_every: usize, heavy: usize, seed: u64) -> Graph {
+    let m = graph.num_edges();
+    let heavy_at: Vec<usize> = (0..heavy).map(|j| (seed as usize + 7_919 * j) % m).collect();
+    let mut builder = GraphBuilder::new(graph.num_nodes());
+    for (i, (u, v, w)) in graph.edges().enumerate() {
+        let w =
+            if heavy_at.contains(&i) { Weight::MAX - ((seed + i as u64) % 8) as Weight } else { w };
+        builder.add_edge(u, v, w);
+        if i % dup_every == 0 {
+            builder.add_edge(v, u, if i % 2 == 0 { w.saturating_add(3) } else { (w / 2).max(1) });
+        }
+    }
+    builder.build()
+}
+
+/// Every bound the library reports on `graph` against its `exact` diameter:
+/// CL-DIAM with `CLUSTER` and `CLUSTER2`, at τ = n (every node its own
+/// cluster, so the quotient is the graph) and at the CLI's τ rule; the
+/// anytime engine with the quotient oracle, complete and check-limited; and
+/// the sweep bounds.
+fn assert_bounds_bracket<G: NeighborSource>(graph: &G, exact: Dist, seed: u64) {
+    let n = graph.num_nodes();
+    let split = ComponentSplit::compute(graph);
+    for tau in [n, ClusterConfig::tau_for_quotient_target(n, 2_000)] {
+        for cluster2 in [false, true] {
+            let config =
+                ClusterConfig::default().with_tau(tau).with_seed(seed).with_cluster2(cluster2);
+            let estimate = approximate_diameter(graph, &config);
+            assert!(
+                estimate.upper_bound >= exact,
+                "τ {tau}, CLUSTER2 {cluster2}: estimate {} below the exact diameter {exact} \
+                 ({} clusters)",
+                estimate.upper_bound,
+                estimate.num_clusters
+            );
+        }
+    }
+    let anytime = AnytimeConfig::default()
+        .with_bounds(BoundsConfig::default().with_max_sssp(3).with_quotient_after(1))
+        .with_cluster(ClusterConfig::default().with_tau(n).with_seed(seed));
+    for (name, cancel) in
+        [("never", CancelToken::never()), ("check limit 2", CancelToken::with_check_limit(2))]
+    {
+        let outcome = anytime_diameter(graph, &anytime, &split, &cancel);
+        assert!(
+            outcome.lower <= exact && exact <= outcome.upper,
+            "anytime run ({name}): [{}, {}] misses the exact diameter {exact}",
+            outcome.lower,
+            outcome.upper
+        );
+    }
+    let source = (seed % n as u64) as NodeId;
+    assert!(sssp_diameter_upper_bound(graph, source, &split) >= exact);
+    assert!(diameter_lower_bound(graph, 4, seed) <= exact);
+}
+
+// Each case pays an all-pairs reference diameter and solves 2,000-node
+// quotients several times over: 8 cases take about half a minute in a debug
+// build.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn every_bound_brackets_the_exact_diameter_past_2000_nodes(
+        graph in large_graph(),
+        seed in 0u64..1000,
+    ) {
+        let n = graph.num_nodes();
+        prop_assert!((2_001..=2_500).contains(&n), "the strategy drew {} nodes", n);
+        let exact = exact_diameter(&graph);
+        assert_bounds_bracket(&graph, exact, seed);
+        assert_bounds_bracket(&CompressedGraph::from_graph(&graph, 1), exact, seed);
     }
 }
