@@ -320,7 +320,8 @@ mod tests {
     use cldiam_gen::{mesh, WeightModel};
 
     /// The paper's practical configuration: `CLUSTER`, initial `Δ` = average
-    /// edge weight, `τ` chosen so the quotient stays below `target` nodes.
+    /// edge weight, `τ` from the estimate that aims the quotient at `target`
+    /// nodes (see [`ClusterConfig::tau_for_quotient_target`]).
     fn practical_config(graph: &Graph, target: usize, seed: u64) -> ClusterConfig {
         let tau = ClusterConfig::tau_for_quotient_target(graph.num_nodes(), target);
         ClusterConfig::default().with_tau(tau).with_seed(seed)

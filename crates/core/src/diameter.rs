@@ -121,11 +121,11 @@ impl ClDiam {
     /// diameter: such a quotient yields `upper_bound = INFINITY` and
     /// `quotient_exact = false`.
     ///
-    /// Once `cancel`'s shared flag is set (a wall deadline or an explicit
-    /// cancel, never a check budget), the quotient's bounds run stops after
-    /// one SSSP per component, reporting its upper bound as `Φ(G_C)` and
-    /// `quotient_exact = false`: a deadline that cut the decomposition short
-    /// is not overrun by an exact solve of the near-singleton quotient.
+    /// The quotient's bounds run polls `cancel`'s wall deadline and shared
+    /// flag, never its check budget. Once either fires, before or during the
+    /// run, the run stops after at least one SSSP per component, reporting
+    /// its upper bound as `Φ(G_C)` and `quotient_exact = false`: a deadline
+    /// is not overrun by an exact solve of a large quotient.
     pub fn estimate_from_clustering<G: NeighborSource>(
         &self,
         graph: &G,
@@ -168,11 +168,10 @@ impl ClDiam {
     fn quotient_diameter(q: &Graph, cancel: &CancelToken) -> (Dist, bool) {
         let config = BoundsConfig::default().with_max_sssp(q.num_nodes()).with_tolerance(1.0);
         let split = ComponentSplit::compute(q);
-        // Pass the token only once its shared flag is set: a check budget
-        // alone would cut short the quotient run of every check-limited run.
-        let never = CancelToken::never();
-        let cancel = if cancel.is_cancelled() { cancel } else { &never };
-        let outcome = bounds_diameter(q, &config, NO_ORACLE, &split, cancel);
+        // A check budget would cut short the quotient run of every
+        // check-limited run, so only the deadline and the flag are passed on.
+        let cancel = cancel.without_check_limit();
+        let outcome = bounds_diameter(q, &config, NO_ORACLE, &split, &cancel);
         (outcome.upper, outcome.converged)
     }
 }
@@ -193,6 +192,7 @@ mod tests {
     use cldiam_gen::{mesh, path, preferential_attachment, road_network, WeightModel};
     use cldiam_graph::largest_component;
     use cldiam_sssp::exact_diameter;
+    use std::time::Duration;
 
     fn config(tau: usize, seed: u64) -> ClusterConfig {
         ClusterConfig::default().with_tau(tau).with_seed(seed)
@@ -342,6 +342,23 @@ mod tests {
         assert!(!estimate.quotient_exact);
         assert!(estimate.upper_bound >= exact, "{} below {exact}", estimate.upper_bound);
         assert!(driver.run(&g, &CancelToken::with_check_limit(1)).quotient_exact);
+    }
+
+    #[test]
+    fn an_expired_deadline_stops_the_quotient_run_before_anything_polls_it() {
+        // The clustering is computed beforehand, so nothing has polled the
+        // deadline, and the token's shared flag is still clear when the
+        // quotient run starts. The run must see the expired deadline itself
+        // and stop with a sound, inexact bound.
+        let g = mesh(10, WeightModel::UniformUnit, 4);
+        let exact = exact_diameter(&g);
+        let driver = ClDiam::new(config(2, 6));
+        let clustering = driver.decompose(&g);
+        let expired = CancelToken::with_deadline(Duration::ZERO);
+        assert!(!expired.is_cancelled());
+        let estimate = driver.estimate_from_clustering(&g, &clustering, &expired);
+        assert!(!estimate.quotient_exact);
+        assert!(estimate.upper_bound >= exact, "{} below {exact}", estimate.upper_bound);
     }
 
     #[test]

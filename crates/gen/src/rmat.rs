@@ -92,6 +92,17 @@ pub fn rmat(params: RmatParams, model: WeightModel, seed: u64) -> Graph {
     builder.build()
 }
 
+/// Draws one edge by descending the recursion one level per bit: at each
+/// level the jittered quadrant probabilities `a, b, c, d` split `[0, total)`
+/// and one draw `r` picks the quadrant, `a` top-left, `b` top-right (`col`
+/// bit), `c` bottom-left (`row` bit), `d` bottom-right (both bits).
+///
+/// The quadrant is chosen without a data-dependent branch: the three
+/// comparisons of `r` against the f64 partial sums `a`, `a + b` and
+/// `a + b + c` are combined with bitwise operators into the two bits. The
+/// draws, the sums and their order are those of an `if r < a … else if`
+/// chain, and `r` is finite, so the edges are the chain's too; the
+/// fingerprints in `tests/generator_fingerprints.rs` pin them.
 fn sample_edge<R: Rng>(params: &RmatParams, rng: &mut R) -> (NodeId, NodeId) {
     let (mut row, mut col) = (0u64, 0u64);
     let d = params.d();
@@ -101,17 +112,10 @@ fn sample_edge<R: Rng>(params: &RmatParams, rng: &mut R) -> (NodeId, NodeId) {
         let (a, b, c, dd) = (jitter(params.a), jitter(params.b), jitter(params.c), jitter(d));
         let total = a + b + c + dd;
         let r = rng.gen::<f64>() * total;
-        let bit = 1u64 << level;
-        if r < a {
-            // top-left: nothing to add
-        } else if r < a + b {
-            col |= bit;
-        } else if r < a + b + c {
-            row |= bit;
-        } else {
-            row |= bit;
-            col |= bit;
-        }
+        let ab = a + b;
+        let (past_a, past_ab, past_abc) = (r >= a, r >= ab, r >= ab + c);
+        row |= u64::from(past_a & past_ab) << level;
+        col |= u64::from(past_a & (!past_ab | past_abc)) << level;
     }
     (row as NodeId, col as NodeId)
 }

@@ -5,8 +5,13 @@ use rayon::prelude::*;
 use crate::csr::Graph;
 use crate::weight::{NodeId, Weight};
 
-/// Nodes per task of the parallel per-list sort in [`GraphBuilder::build`].
-const SORT_BLOCK: usize = 4096;
+/// Nodes per task of the parallel per-list sort in [`GraphBuilder::build`]
+/// and of the parallel copy in [`crate::ops::extract_subgraph`].
+pub(crate) const SORT_BLOCK: usize = 4096;
+
+/// Arcs below which [`GraphBuilder::build`] scatters in one part: every part
+/// walks the whole edge list, which a small graph does not repay.
+const SCATTER_MIN_ARCS: usize = 1 << 15;
 
 /// Accumulates weighted edges (undirected by default, directed via
 /// [`GraphBuilder::new_directed`]) and produces a [`Graph`].
@@ -23,8 +28,9 @@ const SORT_BLOCK: usize = 4096;
 /// * adjacency lists are sorted by target node.
 ///
 /// Building sorts no global edge array: a counting sort places each arc in
-/// its source's list, and only the lists themselves are sorted, in parallel,
-/// so that the large synthetic benchmark graphs can be materialized quickly.
+/// its source's list, in parallel over parts of the node range, and only the
+/// lists themselves are sorted, in parallel, so that the large synthetic
+/// benchmark graphs can be materialized quickly.
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     num_nodes: usize,
@@ -112,9 +118,10 @@ impl GraphBuilder {
     /// Four steps: count every node's arcs, scatter each arc into its
     /// source's slot range, sort and dedup each adjacency list on its own
     /// (keeping the lightest parallel arc), and compact the lists in place.
-    /// All but the per-list sorts take linear time. The lists are sorted
-    /// after the scatter, so the result does not depend on the order of the
-    /// scatter or on the thread count.
+    /// All but the per-list sorts take linear time. The scatter runs in one
+    /// part per pool thread, each owning a range of source nodes with about
+    /// equal arc counts; every list receives its arcs in the same order at
+    /// any part count, so the result does not depend on the thread count.
     pub fn build(self) -> Graph {
         let directed = self.directed;
         let n = self.num_nodes;
@@ -136,23 +143,9 @@ impl GraphBuilder {
             *slot = end;
         }
 
-        // Scatter: each range's cursor counts down from its end, so afterwards
-        // `offsets[u]` is the start of `u`'s range. Walking the edges backwards
-        // leaves every list in input order, which is often already sorted.
         let mut targets = vec![0 as NodeId; end];
         let mut weights = vec![0 as Weight; end];
-        let mut place = |u: NodeId, v: NodeId, w: Weight| {
-            let cursor = &mut offsets[u as usize];
-            *cursor -= 1;
-            targets[*cursor] = v;
-            weights[*cursor] = w;
-        };
-        for &(u, v, w) in self.edges.iter().rev() {
-            place(u, v, w);
-            if symmetric {
-                place(v, u, w);
-            }
-        }
+        scatter(&self.edges, symmetric, &mut offsets[..n], &mut targets, &mut weights);
         drop(self.edges);
 
         if sort_lists(&offsets, &mut targets, &mut weights) > 0 {
@@ -166,9 +159,79 @@ impl GraphBuilder {
     }
 }
 
-/// Sorts every adjacency list with [`sort_adjacency`], in parallel over
-/// blocks of [`SORT_BLOCK`] nodes, and returns the number of arcs dropped.
-fn sort_lists(offsets: &[usize], targets: &mut [NodeId], weights: &mut [Weight]) -> usize {
+/// Places every arc of `edges` in its source's slot range. `cursors[u]` is
+/// the end of `u`'s range on entry and counts down as arcs are placed, so on
+/// return it is the start. Walking the edges backwards leaves every list in
+/// input order, which is often already sorted.
+///
+/// The nodes are cut into one part per pool thread with about equal arc
+/// counts, found by binary search on the cursors. Each part owns its nodes'
+/// cursors and slot ranges, walks all of `edges` backwards and places only
+/// the arcs its nodes leave, so every list receives its arcs in the order of
+/// one sequential walk, whatever the part count.
+fn scatter(
+    edges: &[(NodeId, NodeId, Weight)],
+    symmetric: bool,
+    cursors: &mut [usize],
+    targets: &mut [NodeId],
+    weights: &mut [Weight],
+) {
+    let arcs = targets.len();
+    let parts = if arcs < SCATTER_MIN_ARCS { 1 } else { rayon::current_num_threads().max(1) };
+    // The cursors are inclusive prefix sums of the degrees: the arcs of the
+    // nodes below `cut` end at `cursors[cut - 1]`.
+    let cuts: Vec<(usize, usize)> = (1..=parts)
+        .map(|k| {
+            let cut = if k == parts {
+                cursors.len()
+            } else {
+                cursors.partition_point(|&end| end < arcs * k / parts)
+            };
+            (cut, cut.checked_sub(1).map_or(0, |last| cursors[last]))
+        })
+        .collect();
+    let mut blocks = Vec::with_capacity(parts);
+    let (mut first, mut base) = (0, 0);
+    let (mut rest_cursors, mut rest_targets, mut rest_weights) = (cursors, targets, weights);
+    for (cut, arc_cut) in cuts {
+        let (part_cursors, tail_cursors) =
+            std::mem::take(&mut rest_cursors).split_at_mut(cut - first);
+        let (part_targets, tail_targets) =
+            std::mem::take(&mut rest_targets).split_at_mut(arc_cut - base);
+        let (part_weights, tail_weights) =
+            std::mem::take(&mut rest_weights).split_at_mut(arc_cut - base);
+        (rest_cursors, rest_targets, rest_weights) = (tail_cursors, tail_targets, tail_weights);
+        blocks.push((first, base, part_cursors, part_targets, part_weights));
+        (first, base) = (cut, arc_cut);
+    }
+    blocks.into_par_iter().for_each(|(first, base, cursors, targets, weights)| {
+        let mut place = |u: NodeId, v: NodeId, w: Weight| {
+            // An owned source's offset is below the part's length; any other
+            // source wraps past it.
+            if let Some(cursor) = cursors.get_mut((u as usize).wrapping_sub(first)) {
+                *cursor -= 1;
+                targets[*cursor - base] = v;
+                weights[*cursor - base] = w;
+            }
+        };
+        for &(u, v, w) in edges.iter().rev() {
+            place(u, v, w);
+            if symmetric {
+                place(v, u, w);
+            }
+        }
+    });
+}
+
+/// Cuts `targets` and `weights` into the slot ranges of blocks of
+/// [`SORT_BLOCK`] consecutive lists of the CSR `offsets` (with `offsets[0]`
+/// at the start of both slices). Each block comes with its lists' bounds,
+/// `SORT_BLOCK + 1` offsets (fewer in the last block).
+pub(crate) fn list_blocks<'a>(
+    offsets: &'a [usize],
+    targets: &'a mut [NodeId],
+    weights: &'a mut [Weight],
+) -> Vec<(&'a [usize], &'a mut [NodeId], &'a mut [Weight])> {
     let n = offsets.len() - 1;
     let mut blocks = Vec::with_capacity(n.div_ceil(SORT_BLOCK));
     let (mut rest_targets, mut rest_weights) = (targets, weights);
@@ -181,6 +244,12 @@ fn sort_lists(offsets: &[usize], targets: &mut [NodeId], weights: &mut [Weight])
         blocks.push((bounds, block_targets, block_weights));
     }
     blocks
+}
+
+/// Sorts every adjacency list with [`sort_adjacency`], in parallel over
+/// blocks of [`SORT_BLOCK`] nodes, and returns the number of arcs dropped.
+fn sort_lists(offsets: &[usize], targets: &mut [NodeId], weights: &mut [Weight]) -> usize {
+    list_blocks(offsets, targets, weights)
         .into_par_iter()
         .map(|(bounds, targets, weights)| {
             let base = bounds[0];
@@ -380,5 +449,48 @@ mod tests {
         assert_eq!(dg.offsets(), ug.offsets());
         assert_eq!(dg.targets(), ug.targets());
         assert_eq!(dg.weights(), ug.weights());
+    }
+
+    #[test]
+    fn scatter_leaves_every_list_in_input_order_at_any_part_count() {
+        // Above the one-part floor, every part count must hand each list its
+        // arcs in input order, which lets an already-sorted list skip its
+        // sort. The sort would hide a wrong order, so the scatter is checked
+        // on its own; unique weights identify each arc.
+        let n = 300;
+        let edges: Vec<(NodeId, NodeId, Weight)> =
+            (0..40_000u32).map(|i| (i * 7 % 299, (i * 13 % 299) + 1, i + 1)).collect();
+        for symmetric in [false, true] {
+            let mut expected = vec![Vec::new(); n];
+            for &(u, v, w) in &edges {
+                expected[u as usize].push((v, w));
+                if symmetric {
+                    expected[v as usize].push((u, w));
+                }
+            }
+            let mut ends = Vec::with_capacity(n);
+            let mut end = 0;
+            for list in &expected {
+                end += list.len();
+                ends.push(end);
+            }
+            for threads in [1, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let (mut cursors, mut targets, mut weights) =
+                    (ends.clone(), vec![0; end], vec![0; end]);
+                pool.install(|| {
+                    scatter(&edges, symmetric, &mut cursors, &mut targets, &mut weights)
+                });
+                for (u, list) in expected.iter().enumerate() {
+                    let range = cursors[u]..ends[u];
+                    let placed: Vec<_> = targets[range.clone()]
+                        .iter()
+                        .copied()
+                        .zip(weights[range].iter().copied())
+                        .collect();
+                    assert_eq!(&placed, list, "list {u}, symmetric {symmetric}, {threads} threads");
+                }
+            }
+        }
     }
 }

@@ -133,6 +133,13 @@ impl CancelToken {
             checks: AtomicU64::new(0),
         }
     }
+
+    /// A child over the same shared flag and deadline that carries no check
+    /// budget: it stops on [`cancel`](Self::cancel) or an expired deadline,
+    /// never after a count of checkpoints.
+    pub fn without_check_limit(&self) -> Self {
+        CancelToken { check_limit: 0, ..self.child() }
+    }
 }
 
 impl Clone for CancelToken {
@@ -202,6 +209,23 @@ mod tests {
         // The deadline observation is published to siblings via the flag.
         assert!(sibling.is_cancelled());
         assert!(sibling.checkpoint());
+    }
+
+    #[test]
+    fn a_child_without_check_limit_sees_cancel_and_deadline_but_no_budget() {
+        let budgeted = CancelToken::with_check_limit(1);
+        let free = budgeted.without_check_limit();
+        for _ in 0..100 {
+            assert!(!free.checkpoint());
+        }
+        budgeted.cancel();
+        assert!(free.checkpoint());
+
+        let timed = CancelToken::with_check_limit(1).and_deadline(Duration::from_millis(0));
+        let free = timed.without_check_limit();
+        assert!(!timed.is_cancelled());
+        assert!(free.checkpoint());
+        assert!(timed.is_cancelled());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`cartesian_product`] implemented here is the general graph operation used
 //! by the generator crate to build that family.
 
-use crate::builder::{sort_adjacency, GraphBuilder};
+use rayon::prelude::*;
+
+use crate::builder::{list_blocks, sort_adjacency, GraphBuilder, SORT_BLOCK};
 use crate::csr::Graph;
 use crate::source::NeighborSource;
 use crate::weight::{NodeId, Weight};
@@ -68,39 +70,58 @@ pub fn induced_subgraph(graph: &Graph, nodes: &[NodeId]) -> Graph {
 /// otherwise kept as `i → new_id[v]`, where `new_id[v]` must be `v`'s index
 /// in `nodes`.
 ///
-/// Shared by [`induced_subgraph`] and [`crate::component_subgraphs`]. Each
-/// list is copied as is and, when `nodes` is not ascending, sorted on its
-/// own; a canonical graph has no parallel arcs, so nothing is deduplicated.
-/// [`Graph::from_csr`] checks the result.
+/// Shared by [`induced_subgraph`] and [`crate::component_subgraphs`]. Two
+/// passes over blocks of [`SORT_BLOCK`] members, each in parallel: the first
+/// counts every member's kept arcs, whose prefix sums size the CSR arrays
+/// exactly; the second copies each list into its slots and, when `nodes` is
+/// not ascending, sorts it on its own. A canonical graph has no parallel
+/// arcs, so nothing is deduplicated. [`Graph::from_csr`] checks the result.
 pub(crate) fn extract_subgraph<G: NeighborSource>(
     graph: &G,
     nodes: &[NodeId],
     new_id: &[NodeId],
 ) -> Graph {
     let ascending = nodes.windows(2).all(|pair| pair[0] < pair[1]);
-    // The members' degrees bound the kept arcs; a component keeps them all.
-    let capacity = nodes.iter().map(|&u| graph.degree(u)).sum();
-    let mut offsets = Vec::with_capacity(nodes.len() + 1);
-    let mut targets = Vec::with_capacity(capacity);
-    let mut weights = Vec::with_capacity(capacity);
-    let mut scratch = Vec::new();
-    offsets.push(0);
-    for &u in nodes {
-        let start = targets.len();
-        for (v, w) in graph.neighbors(u) {
+    let kept = |u: NodeId| {
+        graph.neighbors(u).filter_map(|(v, w)| {
             let nv = new_id[v as usize];
-            if nv != NodeId::MAX {
-                targets.push(nv);
-                weights.push(w);
+            (nv != NodeId::MAX).then_some((nv, w))
+        })
+    };
+    let mut offsets = vec![0usize; nodes.len() + 1];
+    offsets[1..].par_chunks_mut(SORT_BLOCK).zip(nodes.par_chunks(SORT_BLOCK)).for_each(
+        |(degrees, block)| {
+            for (degree, &u) in degrees.iter_mut().zip(block) {
+                *degree = kept(u).count();
             }
-        }
-        if !ascending {
-            sort_adjacency(&mut targets[start..], &mut weights[start..], &mut scratch);
-        }
-        offsets.push(targets.len());
+        },
+    );
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
     }
-    targets.shrink_to_fit();
-    weights.shrink_to_fit();
+    let arcs = offsets[nodes.len()];
+    let mut targets = vec![0 as NodeId; arcs];
+    let mut weights = vec![0 as Weight; arcs];
+    list_blocks(&offsets, &mut targets, &mut weights)
+        .into_par_iter()
+        .zip(nodes.par_chunks(SORT_BLOCK))
+        .for_each(|((bounds, targets, weights), block)| {
+            let base = bounds[0];
+            let mut scratch = Vec::new();
+            for (list, &u) in bounds.windows(2).zip(block) {
+                let range = list[0] - base..list[1] - base;
+                let (list_targets, list_weights) =
+                    (&mut targets[range.clone()], &mut weights[range]);
+                for ((target, weight), (nv, w)) in
+                    list_targets.iter_mut().zip(list_weights.iter_mut()).zip(kept(u))
+                {
+                    (*target, *weight) = (nv, w);
+                }
+                if !ascending {
+                    sort_adjacency(list_targets, list_weights, &mut scratch);
+                }
+            }
+        });
     if graph.is_directed() {
         Graph::from_directed_csr(offsets, targets, weights)
     } else {

@@ -9,7 +9,14 @@
 //! loops, zero weights, ids at or past the declared node count, isolated
 //! nodes, and empty and edgeless graphs. Half of the cases spread their ids
 //! over several of the builder's 4,096-node sort blocks. Every case runs at
-//! 1, 2 and 4 threads.
+//! 1, 2, 3 and 4 threads.
+//!
+//! The builder scatters large inputs in one part per thread, each owning a
+//! range of source nodes, and extraction copies blocks of 4,096 members in
+//! parallel. The drawn cases are too small for either, so fixed cases with
+//! tens of thousands of arcs cover them: one hub that every arc leaves (the
+//! other parts own no arc), fewer nodes than threads (parts own no node),
+//! and node lists that span several extraction blocks.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +28,7 @@ use cldiam_graph::{
     Weight,
 };
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 4];
 
 /// Gap between consecutive ids of a spread case: the 16 ids then reach node
 /// 22,485, in the sixth sort block.
@@ -298,5 +305,48 @@ fn empty_and_edgeless_graphs_match_the_reference() {
             check_component_subgraphs(&input);
             check_largest_component(&input);
         }
+    }
+}
+
+fn check_all(input: &Input) {
+    check_build(input);
+    check_induced_subgraph(input, 11);
+    check_component_subgraphs(input);
+    check_largest_component(input);
+}
+
+/// 45,000 arcs leave hub node 7,777 of 12,000 for targets that repeat with
+/// other weights, so the parts before and after the hub's own part are
+/// empty; undirected, every edge touches the hub instead.
+#[test]
+fn a_hub_that_every_arc_leaves_matches_the_reference() {
+    const HUB: NodeId = 7_777;
+    let edges: Vec<_> = (0..45_000u32).map(|i| (HUB, i * 7_919 % 12_000, i % 7, false)).collect();
+    for directed in [true, false] {
+        check_all(&(12_000, directed, edges.clone()));
+    }
+}
+
+/// Two nodes joined by 40,000 parallel edges and arcs of both directions:
+/// fewer nodes than threads, so some parts own no node.
+#[test]
+fn fewer_nodes_than_threads_match_the_reference() {
+    let edges: Vec<_> = (0..40_000u32).map(|i| (i % 2, 1 - i % 2, i % 11, i % 3 == 0)).collect();
+    for directed in [true, false] {
+        check_all(&(2, directed, edges.clone()));
+    }
+}
+
+/// A ring of 10,000 nodes with chords: its largest component and its
+/// induced subgraphs (about 6,700 members) span several 4,096-member
+/// extraction blocks.
+#[test]
+fn node_lists_over_several_blocks_match_the_reference() {
+    const N: u32 = 10_000;
+    let edges: Vec<_> = (0..N)
+        .flat_map(|u| [(u, (u + 1) % N, u % 5, false), (u, (u * 97 + 13) % N, u % 9, u % 4 == 0)])
+        .collect();
+    for directed in [true, false] {
+        check_all(&(N as usize, directed, edges.clone()));
     }
 }

@@ -7,11 +7,20 @@
 //! moves any other graph by one arc or one weight fails here instead of
 //! going unnoticed.
 //!
+//! Every fingerprint is computed at 1, 2 and 3 threads, so the parallel
+//! construction is pinned at an uneven part count too.
+//!
 //! A deliberate change to a generator's output must update the constants
 //! and say why; the failure message prints the new ones.
 
 use cldiam::gen::{GraphSpec, WeightModel};
 use cldiam::graph::{largest_component, Graph};
+
+const THREAD_COUNTS: [usize; 3] = [1, 2, 3];
+
+fn with_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool").install(op)
+}
 
 /// FNV-1a over the node count, then every offset, target and weight, each
 /// as little-endian bytes.
@@ -49,12 +58,18 @@ const GOLDEN: [(&str, u64, u64); 6] = [
 #[test]
 fn generated_graphs_match_their_golden_fingerprints() {
     let mut drifted = Vec::new();
-    for &(spec, raw_golden, lcc_golden) in &GOLDEN {
-        let raw = GraphSpec::parse(spec).expect("valid spec").generate(1);
-        let (lcc, _) = largest_component(&raw);
-        let (raw_hash, lcc_hash) = (fingerprint(&raw), fingerprint(&lcc));
-        if (raw_hash, lcc_hash) != (raw_golden, lcc_golden) {
-            drifted.push(format!("(\"{spec}\", {raw_hash:#018x}, {lcc_hash:#018x})"));
+    for threads in THREAD_COUNTS {
+        for &(spec, raw_golden, lcc_golden) in &GOLDEN {
+            let (raw_hash, lcc_hash) = with_pool(threads, || {
+                let raw = GraphSpec::parse(spec).expect("valid spec").generate(1);
+                let (lcc, _) = largest_component(&raw);
+                (fingerprint(&raw), fingerprint(&lcc))
+            });
+            if (raw_hash, lcc_hash) != (raw_golden, lcc_golden) {
+                drifted.push(format!(
+                    "(\"{spec}\", {raw_hash:#018x}, {lcc_hash:#018x}) at {threads} threads"
+                ));
+            }
         }
     }
     assert!(drifted.is_empty(), "generated graphs drifted; now:\n{}", drifted.join("\n"));
@@ -64,11 +79,12 @@ fn generated_graphs_match_their_golden_fingerprints() {
 fn reweighted_road_matches_its_golden_fingerprint() {
     // `generate_with` re-draws the weights through `ops::map_weights`.
     let spec = GraphSpec::parse("road:60x60").expect("valid spec");
-    let graph = spec.generate_with(WeightModel::UniformUnit, 1);
-    assert_eq!(
-        fingerprint(&graph),
-        0x5cc7a49f47688bf5,
-        "road:60x60 reweighted: {:#018x}",
-        fingerprint(&graph)
-    );
+    for threads in THREAD_COUNTS {
+        let hash =
+            with_pool(threads, || fingerprint(&spec.generate_with(WeightModel::UniformUnit, 1)));
+        assert_eq!(
+            hash, 0x5cc7a49f47688bf5,
+            "road:60x60 reweighted at {threads} threads: {hash:#018x}"
+        );
+    }
 }
