@@ -28,6 +28,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use crate::csr::WeightStats;
 use crate::io::varint::{encode_u64, read_varint, zigzag_decode, zigzag_encode};
 use crate::mmap::Mmap;
 use crate::source::NeighborSource;
@@ -125,10 +126,7 @@ pub struct CompressedGraph {
     num_nodes: usize,
     num_arcs: usize,
     /// Weight statistics of the dense source, preserved exactly.
-    min_weight: Weight,
-    max_weight: Weight,
-    /// Sum of weights over stored arcs (each undirected edge counted twice).
-    weight_sum: Dist,
+    weight_stats: WeightStats,
     coding: WeightCoding,
     /// Nodes per shard (the last shard may be shorter); ≥ 1.
     nodes_per_shard: usize,
@@ -158,13 +156,10 @@ impl CompressedGraph {
             }
             lo = hi;
         }
-        let weight_sum: Dist = graph.weights().iter().map(|&w| Dist::from(w)).sum();
         CompressedGraph {
             num_nodes: n,
             num_arcs: graph.num_arcs(),
-            min_weight: graph.min_weight().unwrap_or(0),
-            max_weight: graph.max_weight().unwrap_or(0),
-            weight_sum,
+            weight_stats: graph.weight_stats(),
             coding,
             nodes_per_shard,
             shards,
@@ -174,29 +169,17 @@ impl CompressedGraph {
     /// Reassembles a compressed graph from snapshot parts. Trusted input:
     /// the shards must have been produced by [`CompressedGraph::from_graph`]
     /// (directly or via a snapshot written from it).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         num_nodes: usize,
         num_arcs: usize,
-        min_weight: Weight,
-        max_weight: Weight,
-        weight_sum: Dist,
+        weight_stats: WeightStats,
         coding: WeightCoding,
         nodes_per_shard: usize,
         shards: Vec<Shard>,
     ) -> CompressedGraph {
         assert!(nodes_per_shard >= 1);
         assert_eq!(shards.len(), shard_count(num_nodes, nodes_per_shard));
-        CompressedGraph {
-            num_nodes,
-            num_arcs,
-            min_weight,
-            max_weight,
-            weight_sum,
-            coding,
-            nodes_per_shard,
-            shards,
-        }
+        CompressedGraph { num_nodes, num_arcs, weight_stats, coding, nodes_per_shard, shards }
     }
 
     /// Decompresses back into a dense [`Graph`], re-validating every CSR
@@ -302,16 +285,8 @@ impl CompressedGraph {
         &self.shards
     }
 
-    pub(crate) fn min_weight_raw(&self) -> Weight {
-        self.min_weight
-    }
-
-    pub(crate) fn max_weight_raw(&self) -> Weight {
-        self.max_weight
-    }
-
-    pub(crate) fn weight_sum(&self) -> Dist {
-        self.weight_sum
+    pub(crate) fn weight_stats(&self) -> WeightStats {
+        self.weight_stats
     }
 }
 
@@ -504,22 +479,19 @@ impl NeighborSource for CompressedGraph {
     }
 
     fn min_weight(&self) -> Option<Weight> {
-        (self.num_arcs > 0).then_some(self.min_weight)
+        self.weight_stats.min_weight(self.num_arcs)
     }
 
     fn max_weight(&self) -> Option<Weight> {
-        (self.num_arcs > 0).then_some(self.max_weight)
+        self.weight_stats.max_weight(self.num_arcs)
     }
 
     fn avg_weight(&self) -> Option<Weight> {
-        if self.num_arcs == 0 {
-            return None;
-        }
-        Some((self.weight_sum / self.num_arcs as Dist).max(1) as Weight)
+        self.weight_stats.avg_weight(self.num_arcs)
     }
 
     fn total_weight(&self) -> Dist {
-        self.weight_sum / 2
+        self.weight_stats.total_weight(false)
     }
 
     fn memory_bytes(&self) -> usize {

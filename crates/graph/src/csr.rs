@@ -41,11 +41,54 @@ pub struct Graph {
     weights: Storage<Weight>,
     /// Incoming-arc CSR; present exactly when the graph is directed.
     rev: Option<Box<ReverseCsr>>,
+    /// Statistics of `weights`, recorded at construction.
+    weight_stats: WeightStats,
+}
+
+/// The minimum, maximum and sum of a graph's stored arc weights, recorded
+/// once when the graph is built so that the weight statistics of both
+/// storage tiers are `O(1)` reads. All zero for an arcless graph; otherwise
+/// `min ≥ 1`, since every weight is positive.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct WeightStats {
+    pub(crate) min: Weight,
+    pub(crate) max: Weight,
+    /// Sum over stored arcs: an undirected edge counts twice.
+    pub(crate) sum: Dist,
+}
+
+impl WeightStats {
+    /// Smallest weight of a graph with `arcs` stored arcs.
+    pub(crate) fn min_weight(&self, arcs: usize) -> Option<Weight> {
+        (arcs > 0).then_some(self.min)
+    }
+
+    /// Largest weight of a graph with `arcs` stored arcs.
+    pub(crate) fn max_weight(&self, arcs: usize) -> Option<Weight> {
+        (arcs > 0).then_some(self.max)
+    }
+
+    /// Mean arc weight rounded down (at least 1) of a graph with `arcs`
+    /// stored arcs.
+    pub(crate) fn avg_weight(&self, arcs: usize) -> Option<Weight> {
+        (arcs > 0).then(|| (self.sum / arcs as Dist).max(1) as Weight)
+    }
+
+    /// Sum of the edge weights: each undirected edge once, each arc of a
+    /// directed graph once.
+    pub(crate) fn total_weight(&self, directed: bool) -> Dist {
+        if directed {
+            self.sum
+        } else {
+            self.sum / 2
+        }
+    }
 }
 
 /// Panics unless the CSR arrays are structurally valid (shared by the
-/// undirected and directed constructors).
-fn validate_csr(offsets: &[usize], targets: &[NodeId], weights: &[Weight]) {
+/// undirected and directed constructors). Returns the weight statistics,
+/// gathered in the same pass.
+fn validate_csr(offsets: &[usize], targets: &[NodeId], weights: &[Weight]) -> WeightStats {
     assert!(!offsets.is_empty(), "offsets must contain at least one entry");
     assert_eq!(
         *offsets.last().unwrap(),
@@ -55,6 +98,7 @@ fn validate_csr(offsets: &[usize], targets: &[NodeId], weights: &[Weight]) {
     assert_eq!(targets.len(), weights.len(), "targets and weights must be parallel");
     let n = offsets.len() - 1;
     assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be nondecreasing");
+    let mut stats = WeightStats { min: Weight::MAX, ..WeightStats::default() };
     for (u, window) in offsets.windows(2).enumerate() {
         for i in window[0]..window[1] {
             let v = targets[i];
@@ -65,7 +109,15 @@ fn validate_csr(offsets: &[usize], targets: &[NodeId], weights: &[Weight]) {
                 i == window[0] || targets[i - 1] < v,
                 "adjacency list of node {u} is not strictly increasing"
             );
+            stats.min = stats.min.min(weights[i]);
+            stats.max = stats.max.max(weights[i]);
+            stats.sum += Dist::from(weights[i]);
         }
+    }
+    if weights.is_empty() {
+        WeightStats::default()
+    } else {
+        stats
     }
 }
 
@@ -110,12 +162,13 @@ impl Graph {
     /// adjacency list that is not strictly increasing: unsorted or holding a
     /// parallel arc).
     pub fn from_csr(offsets: Vec<usize>, targets: Vec<NodeId>, weights: Vec<Weight>) -> Self {
-        validate_csr(&offsets, &targets, &weights);
+        let weight_stats = validate_csr(&offsets, &targets, &weights);
         Graph {
             offsets: offsets.into(),
             targets: targets.into(),
             weights: weights.into(),
             rev: None,
+            weight_stats,
         }
     }
 
@@ -124,12 +177,14 @@ impl Graph {
     ///
     /// This is the mmap fast path of the v2 snapshot loader: the arrays were
     /// validated in full when the snapshot was written, so the O(arcs)
-    /// re-validation of [`Graph::from_csr`] is skipped. Callers must only
-    /// pass storage produced by this crate's snapshot writer.
+    /// re-validation of [`Graph::from_csr`] is skipped, and `weight_stats`
+    /// comes from the snapshot's checksummed header. Callers must only pass
+    /// storage and statistics produced by this crate's snapshot writer.
     pub(crate) fn from_storage_unchecked(
         offsets: Storage<usize>,
         targets: Storage<NodeId>,
         weights: Storage<Weight>,
+        weight_stats: WeightStats,
     ) -> Self {
         assert!(!offsets.is_empty(), "offsets must contain at least one entry");
         assert_eq!(
@@ -138,7 +193,7 @@ impl Graph {
             "last offset must equal the number of arcs"
         );
         assert_eq!(targets.len(), weights.len(), "targets and weights must be parallel");
-        Graph { offsets, targets, weights, rev: None }
+        Graph { offsets, targets, weights, rev: None, weight_stats }
     }
 
     /// Builds a directed graph from forward CSR arrays; the reverse CSR is
@@ -153,13 +208,14 @@ impl Graph {
         targets: Vec<NodeId>,
         weights: Vec<Weight>,
     ) -> Self {
-        validate_csr(&offsets, &targets, &weights);
+        let weight_stats = validate_csr(&offsets, &targets, &weights);
         let rev = reverse_of(&offsets, &targets, &weights);
         Graph {
             offsets: offsets.into(),
             targets: targets.into(),
             weights: weights.into(),
             rev: Some(Box::new(rev)),
+            weight_stats,
         }
     }
 
@@ -183,6 +239,7 @@ impl Graph {
             targets: Vec::new().into(),
             weights: Vec::new().into(),
             rev: None,
+            weight_stats: WeightStats::default(),
         }
     }
 
@@ -320,14 +377,15 @@ impl Graph {
         self.edge_weight(u, v).is_some()
     }
 
-    /// Minimum edge weight, or `None` for an edgeless graph.
+    /// Minimum edge weight, or `None` for an edgeless graph. `O(1)`, like
+    /// every weight statistic: they are recorded when the graph is built.
     pub fn min_weight(&self) -> Option<Weight> {
-        self.weights.iter().copied().min()
+        self.weight_stats.min_weight(self.num_arcs())
     }
 
     /// Maximum edge weight, or `None` for an edgeless graph.
     pub fn max_weight(&self) -> Option<Weight> {
-        self.weights.iter().copied().max()
+        self.weight_stats.max_weight(self.num_arcs())
     }
 
     /// Average edge weight, or `None` for an edgeless graph.
@@ -335,22 +393,18 @@ impl Graph {
     /// The paper's practical configuration of `CLUSTER` uses this value as the
     /// initial guess for `Δ`.
     pub fn avg_weight(&self) -> Option<Weight> {
-        if self.weights.is_empty() {
-            return None;
-        }
-        let total: Dist = self.weights.iter().map(|&w| Dist::from(w)).sum();
-        Some((total / self.weights.len() as Dist).max(1) as Weight)
+        self.weight_stats.avg_weight(self.num_arcs())
     }
 
     /// Sum of all edge weights (each undirected edge counted once; each arc
     /// once for directed graphs).
     pub fn total_weight(&self) -> Dist {
-        let total: Dist = self.weights.iter().map(|&w| Dist::from(w)).sum();
-        if self.is_directed() {
-            total
-        } else {
-            total / 2
-        }
+        self.weight_stats.total_weight(self.is_directed())
+    }
+
+    /// The recorded weight statistics, for the snapshot writer.
+    pub(crate) fn weight_stats(&self) -> WeightStats {
+        self.weight_stats
     }
 
     /// Memory footprint of the CSR arrays (including the reverse CSR of a

@@ -56,7 +56,7 @@ use std::sync::Arc;
 use crate::compressed::{
     mapped_shard, weight_width, CompressedGraph, Shard, WeightCoding, GROUP, MAX_PALETTE,
 };
-use crate::csr::Graph;
+use crate::csr::{Graph, WeightStats};
 use crate::io::binary::{decode_validated_dense, fnv1a, MAGIC};
 use crate::io::{le_u32, le_u64, IoError};
 use crate::mmap::Mmap;
@@ -203,13 +203,7 @@ pub fn write_snapshot<W: Write>(payload: &SnapshotPayload<'_>, writer: W) -> std
                     payload: le_bytes_u32(graph.weights().iter().copied(), graph.weights().len()),
                 },
             ];
-            let stats = (
-                graph.num_nodes() as u64,
-                graph.num_arcs() as u64,
-                graph.min_weight().unwrap_or(0),
-                graph.max_weight().unwrap_or(0),
-                graph.weights().iter().map(|&w| u64::from(w)).sum::<u64>(),
-            );
+            let stats = (graph.num_nodes() as u64, graph.num_arcs() as u64, graph.weight_stats());
             (0u32, 1u32, 0u32, stats, sections)
         }
         SnapshotPayload::Compressed(c) => {
@@ -239,13 +233,7 @@ pub fn write_snapshot<W: Write>(payload: &SnapshotPayload<'_>, writer: W) -> std
                     payload: shard.blob.to_vec(),
                 });
             }
-            let stats = (
-                c.num_nodes() as u64,
-                c.num_arcs() as u64,
-                c.min_weight_raw(),
-                c.max_weight_raw(),
-                c.weight_sum(),
-            );
+            let stats = (c.num_nodes() as u64, c.num_arcs() as u64, c.weight_stats());
             (
                 FLAG_COMPRESSED | (coding_flag << CODING_SHIFT),
                 c.num_shards() as u32,
@@ -255,7 +243,7 @@ pub fn write_snapshot<W: Write>(payload: &SnapshotPayload<'_>, writer: W) -> std
             )
         }
     };
-    let (num_nodes, num_arcs, min_weight, max_weight, weight_sum) = stats;
+    let (num_nodes, num_arcs, weight_stats) = stats;
 
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(MAGIC);
@@ -264,9 +252,9 @@ pub fn write_snapshot<W: Write>(payload: &SnapshotPayload<'_>, writer: W) -> std
     header.extend_from_slice(&num_shards.to_le_bytes());
     header.extend_from_slice(&num_nodes.to_le_bytes());
     header.extend_from_slice(&num_arcs.to_le_bytes());
-    header.extend_from_slice(&min_weight.to_le_bytes());
-    header.extend_from_slice(&max_weight.to_le_bytes());
-    header.extend_from_slice(&weight_sum.to_le_bytes());
+    header.extend_from_slice(&weight_stats.min.to_le_bytes());
+    header.extend_from_slice(&weight_stats.max.to_le_bytes());
+    header.extend_from_slice(&weight_stats.sum.to_le_bytes());
     header.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     header.extend_from_slice(&nodes_per_shard.to_le_bytes());
     let hdr_sum = fnv1a(&header);
@@ -333,9 +321,7 @@ struct Layout {
     num_shards: usize,
     num_nodes: usize,
     num_arcs: usize,
-    min_weight: Weight,
-    max_weight: Weight,
-    weight_sum: u64,
+    weight_stats: WeightStats,
     nodes_per_shard: usize,
     entries: Vec<SectionEntry>,
 }
@@ -421,9 +407,7 @@ fn parse_layout(bytes: &[u8]) -> Result<Layout, IoError> {
         num_shards,
         num_nodes,
         num_arcs,
-        min_weight: u32_at(0x20),
-        max_weight: u32_at(0x24),
-        weight_sum: u64_at(0x28),
+        weight_stats: WeightStats { min: u32_at(0x20), max: u32_at(0x24), sum: u64_at(0x28) },
         nodes_per_shard: u32_at(0x34) as usize,
         entries,
     })
@@ -543,7 +527,7 @@ fn assemble_dense(
             if offsets.first() != Some(&0) || offsets.last() != Some(&arcs) {
                 return format_err("offsets do not span the arc array");
             }
-            Ok(Graph::from_storage_unchecked(offsets, targets, weights))
+            Ok(Graph::from_storage_unchecked(offsets, targets, weights, layout.weight_stats))
         }
         None => decode_validated_dense(
             n,
@@ -573,11 +557,11 @@ fn assemble_compressed(
             WeightCoding::Palette(table)
         }
         CODING_CONSTANT => {
-            WeightCoding::Constant(if layout.num_arcs > 0 { layout.min_weight } else { 1 })
+            WeightCoding::Constant(if layout.num_arcs > 0 { layout.weight_stats.min } else { 1 })
         }
         // The width is a pure function of the maximum weight, so the header
         // stats pin it without a dedicated field.
-        CODING_FIXED => WeightCoding::Fixed(weight_width(layout.max_weight)),
+        CODING_FIXED => WeightCoding::Fixed(weight_width(layout.weight_stats.max)),
         other => return format_err(format!("unknown weight coding {other}")),
     };
     if layout.nodes_per_shard == 0 {
@@ -628,9 +612,7 @@ fn assemble_compressed(
     Ok(CompressedGraph::from_parts(
         layout.num_nodes,
         layout.num_arcs,
-        layout.min_weight,
-        layout.max_weight,
-        layout.weight_sum,
+        layout.weight_stats,
         coding,
         layout.nodes_per_shard,
         shards,

@@ -10,9 +10,11 @@
 //!
 //! The trait deliberately mirrors the subset of `Graph`'s inherent API those
 //! engines use. Weight statistics are part of the contract because engine
-//! behaviour depends on them (`suggest_delta`, bucket-ring sizing): a
-//! representation must report the exact same values as the dense graph it
-//! encodes or determinism across tiers breaks.
+//! behaviour depends on them (`suggest_delta`, bucket-ring sizing, the
+//! Dijkstra kernel's choice of queue): a representation must report the
+//! exact same values as the dense graph it encodes or determinism across
+//! tiers breaks. Both tiers record them when the graph is built, so every
+//! run can read them in `O(1)`.
 
 use crate::weight::{Dist, NodeId, Weight};
 

@@ -17,15 +17,25 @@
 //! tens of thousands of arcs cover them: one hub that every arc leaves (the
 //! other parts own no arc), fewer nodes than threads (parts own no node),
 //! and node lists that span several extraction blocks.
+//!
+//! A graph records the minimum, maximum and sum of its arc weights when it
+//! is built, so its weight statistics are `O(1)` reads. On every dense
+//! construction path — the ones above, `from_csr`, `reversed`,
+//! `map_weights`, `cartesian_product`, decompression, and v1, v2 buffered
+//! and v2 mmap snapshot loads — they must equal a scan of `weights()`.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use cldiam_graph::ops::induced_subgraph;
+use cldiam_graph::io::binary::{parse_binary, write_binary};
+use cldiam_graph::io::snapshot::write_snapshot;
+use cldiam_graph::ops::{cartesian_product, induced_subgraph, map_weights};
 use cldiam_graph::{
-    component_subgraphs, connected_components, largest_component, Graph, GraphBuilder, NodeId,
-    Weight,
+    component_subgraphs, connected_components, largest_component, parse_snapshot_bytes,
+    read_snapshot_file, write_snapshot_file, CompressedGraph, Graph, GraphBuilder, NodeId,
+    SnapshotGraph, SnapshotOptions, SnapshotPayload, Weight,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 4];
@@ -146,6 +156,67 @@ impl Reference {
                 let actual: Vec<_> = graph.in_neighbors(v as NodeId).collect();
                 assert_eq!(&actual, expected, "{what}: in-neighbors of {v}");
             }
+        }
+        assert_weight_stats(graph, what);
+    }
+}
+
+/// Asserts that the weight statistics `graph` recorded when it was built
+/// equal a scan of its weight array.
+fn assert_weight_stats(graph: &Graph, what: &str) {
+    let weights = graph.weights();
+    let (arcs, sum) = (weights.len() as u64, weights.iter().map(|&w| u64::from(w)).sum::<u64>());
+    assert_eq!(graph.min_weight(), weights.iter().copied().min(), "{what}: min_weight");
+    assert_eq!(graph.max_weight(), weights.iter().copied().max(), "{what}: max_weight");
+    let avg = (arcs > 0).then(|| (sum / arcs).max(1) as Weight);
+    assert_eq!(graph.avg_weight(), avg, "{what}: avg_weight");
+    let total = if graph.is_directed() { sum } else { sum / 2 };
+    assert_eq!(graph.total_weight(), total, "{what}: total_weight");
+}
+
+/// The dense construction paths [`Reference::assert_matches`] does not see:
+/// rebuilding from the CSR arrays and reversing, and on undirected graphs
+/// reweighting, a product with a path, decompression, and the three
+/// snapshot loads.
+fn check_weight_stats_on_the_other_paths(input: &Input) {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let graph = build(input);
+    let arrays = (graph.offsets().to_vec(), graph.targets().to_vec(), graph.weights().to_vec());
+    assert_weight_stats(&graph.reversed(), "reversed");
+    if graph.is_directed() {
+        let (offsets, targets, weights) = arrays;
+        let rebuilt = Graph::from_directed_csr(offsets, targets, weights);
+        assert_weight_stats(&rebuilt, "from_directed_csr");
+        return;
+    }
+    assert_weight_stats(&Graph::from_csr(arrays.0, arrays.1, arrays.2), "from_csr");
+    let reweighted = map_weights(&graph, |u, v, w| w * 3 + (u ^ v) % 4);
+    assert_weight_stats(&reweighted, "map_weights");
+    let path = Graph::from_edges(3, &[(0, 1, 9), (1, 2, 1)]);
+    assert_weight_stats(&cartesian_product(&graph, &path), "cartesian_product");
+    assert_weight_stats(&CompressedGraph::from_graph(&graph, 2).to_graph(), "to_graph");
+
+    let mut v1 = Vec::new();
+    write_binary(&graph, &mut v1).expect("in-memory v1 write");
+    assert_weight_stats(&parse_binary(&v1).expect("v1 load"), "v1 load");
+    let payload = SnapshotPayload::Dense(&graph);
+    let mut v2 = Vec::new();
+    write_snapshot(&payload, &mut v2).expect("in-memory v2 write");
+    let buffered = parse_snapshot_bytes(&v2).expect("v2 buffered load").graph;
+    let path = std::env::temp_dir().join(format!(
+        "cldiam-weight-stats-{}-{}.cldg",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    write_snapshot_file(&payload, &path).expect("v2 file write");
+    let mapped = read_snapshot_file(&path, &SnapshotOptions { mmap: true, verify: false })
+        .expect("v2 mmap load")
+        .graph;
+    std::fs::remove_file(&path).expect("remove the snapshot file");
+    for (loaded, what) in [(buffered, "v2 buffered load"), (mapped, "v2 mmap load")] {
+        match loaded {
+            SnapshotGraph::Dense(g) => assert_weight_stats(&g, what),
+            SnapshotGraph::Compressed(_) => panic!("{what}: a dense snapshot loaded compressed"),
         }
     }
 }
@@ -289,6 +360,11 @@ proptest! {
     fn largest_component_matches_the_reference(input in input()) {
         check_largest_component(&input);
     }
+
+    #[test]
+    fn every_dense_construction_path_records_its_weight_statistics(input in input()) {
+        check_weight_stats_on_the_other_paths(&input);
+    }
 }
 
 /// Inputs the strategy draws too rarely to rely on: no nodes at all, a
@@ -304,6 +380,7 @@ fn empty_and_edgeless_graphs_match_the_reference() {
             check_induced_subgraph(&input, 7);
             check_component_subgraphs(&input);
             check_largest_component(&input);
+            check_weight_stats_on_the_other_paths(&input);
         }
     }
 }

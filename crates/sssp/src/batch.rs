@@ -10,20 +10,37 @@
 //! This module provides the shared engine those drivers batch through:
 //!
 //! * [`DijkstraScratch`] — the one Dijkstra kernel behind every exact SSSP
-//!   of the workspace: a reusable distance array plus a monotone radix heap
-//!   (Ahuja, Mehlhorn, Orlin and Tarjan, 1990). A push is one append to the
-//!   bucket indexed by the highest bit in which the key differs from the
-//!   last popped key; a pop refills bucket 0 by redistributing the lowest
-//!   non-empty bucket around its minimum. Repeated runs are allocation-free
-//!   after warm-up: the distance array is reset via the run's reached list
-//!   (`O(reached)`, never `O(n)`) and the buckets keep their capacity. The
-//!   eccentricity and farthest node are kept as nodes settle, so reading
-//!   them is `O(1)`. Forward, backward and generic [`NeighborSource`] runs
-//!   share one relax loop, which scans neighbours by internal iteration so
-//!   the compressed tier decodes each block in one tight loop. It tracks
-//!   distances only — no hop counts or parent pointers — because none of
-//!   the batched consumers need them; use [`crate::dijkstra::dijkstra`] for
-//!   the full shortest-path tree.
+//!   of the workspace: a reusable distance array plus two bucket queues,
+//!   one of which a run picks from the graph's weight range (an `O(1)` read
+//!   on both storage tiers).
+//!   - A *band ring* when every arc weighs at least `2^s`, for
+//!     `s = ⌊log₂ w_min⌋`, and the heaviest arc spans at most 62 bands of
+//!     width `2^s`. Each entry goes to the slot of its band in a 64-slot
+//!     ring with a one-word occupancy mask. No relaxation lands in the band
+//!     being popped, so each of its entries is final and a pop takes any of
+//!     them, with no redistribution. This is Δ-stepping with Δ ≤ `w_min`,
+//!     where every edge is heavy. Road networks take this path: the
+//!     `road:1500x1500` LCC of generator seed 1 weighs `[242, 1925]`, 15
+//!     bands of width 128.
+//!   - A monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990)
+//!     otherwise, e.g. for R-MAT's `[1, 10^6]`. A push is one append to the
+//!     bucket indexed by the highest bit in which the key differs from the
+//!     last popped key; a pop refills bucket 0 by redistributing the lowest
+//!     non-empty bucket around its minimum. On the `road:1500x1500` LCC
+//!     that moved each pushed entry 5.6 times; the band ring moves none,
+//!     and cut the bounds engine's time on the compressed `road:700x700`
+//!     LCC by a third (see README's *Performance* section).
+//!
+//!   Repeated runs are allocation-free after warm-up: the distance array is
+//!   reset via the run's reached list (`O(reached)`, never `O(n)`) and the
+//!   buckets keep their capacity. The eccentricity and farthest node are
+//!   maxima kept as nodes settle, so they do not depend on the pop order
+//!   within a band, and reading them is `O(1)`. Forward, backward and
+//!   generic [`NeighborSource`] runs share one relax loop, which scans
+//!   neighbours by internal iteration so the compressed tier decodes each
+//!   block in one tight loop. It tracks distances only — no hop counts or
+//!   parent pointers — because none of the batched consumers need them;
+//!   use [`crate::dijkstra::dijkstra`] for the full shortest-path tree.
 //! * [`ScratchPool`] — a lock-guarded free list of scratches shared by the
 //!   rayon workers of a batch, so a batch over `k` sources allocates
 //!   `O(min(k, threads))` scratches instead of `k`.
@@ -57,6 +74,15 @@ pub enum SsspDirection {
     Backward,
 }
 
+/// The queue of one Dijkstra run. Every pushed key is at least the last
+/// popped one, and a pop returns an entry whose key no later push can
+/// undercut: the [`RadixHeap`] pops a minimum, the [`BandRing`] any entry
+/// of the lowest band.
+trait SettleQueue {
+    fn push(&mut self, key: Dist, node: NodeId);
+    fn pop(&mut self) -> Option<(Dist, NodeId)>;
+}
+
 /// A monotone radix heap of `(key, node)` entries: every pushed key must be
 /// at least the last popped one, which Dijkstra guarantees. Bucket `i > 0`
 /// holds the keys whose highest bit differing from `last` is bit `i − 1`;
@@ -82,7 +108,9 @@ impl RadixHeap {
         self.occupied = 0;
         self.last = 0;
     }
+}
 
+impl SettleQueue for RadixHeap {
     #[inline]
     fn push(&mut self, key: Dist, node: NodeId) {
         debug_assert!(key >= self.last, "radix heap key {key} below last pop {}", self.last);
@@ -115,21 +143,147 @@ impl RadixHeap {
     }
 }
 
+/// Slots of a [`BandRing`]: one per bit of its occupancy mask.
+const BANDS: usize = 64;
+
+/// The band shift `s` of a graph whose arc weights span `[lo, hi]`, if its
+/// runs can settle whole bands on a [`BandRing`]; `None` selects the radix
+/// heap.
+///
+/// With `s = ⌊log₂ lo⌋`, a band of width `2^s` is no wider than the
+/// lightest arc, so settling a node of band `b` pushes only into bands
+/// `b + 1 ..= b + (hi >> s) + 1`, and the queued entries never span more
+/// than `(hi >> s) + 2` bands. The ring applies when they fit in its
+/// [`BANDS`] slots. An arcless graph (`None`) queues only its source, at
+/// shift 0.
+fn band_shift(weights: Option<(Weight, Weight)>) -> Option<u32> {
+    let Some((lo, hi)) = weights else { return Some(0) };
+    let shift = lo.checked_ilog2()?;
+    ((hi >> shift) as usize + 2 <= BANDS).then_some(shift)
+}
+
+/// A bucket queue over distance bands of width `2^shift`, for graphs whose
+/// lightest arc weighs at least `2^shift` (see [`band_shift`]). Band `b`
+/// lives in slot `b mod BANDS`. No relaxation from a node of the lowest
+/// occupied band lands in that band, so each of its entries already holds
+/// its node's final distance (or is stale): a pop takes the last entry of
+/// that band, in no particular key order, and nothing is redistributed.
+#[derive(Debug)]
+struct BandRing {
+    slots: [Vec<(Dist, NodeId)>; BANDS],
+    /// Bit `i` is set when slot `i` is non-empty.
+    occupied: u64,
+    /// The band of the last pop: every queued entry lies in one of the
+    /// `BANDS` bands from it on.
+    band: Dist,
+    shift: u32,
+}
+
+impl Default for BandRing {
+    fn default() -> Self {
+        BandRing { slots: std::array::from_fn(|_| Vec::new()), occupied: 0, band: 0, shift: 0 }
+    }
+}
+
+impl BandRing {
+    /// Empties the ring for bands of width `2^shift`, keeping slot capacity.
+    fn clear(&mut self, shift: u32) {
+        self.slots.iter_mut().for_each(Vec::clear);
+        self.occupied = 0;
+        self.band = 0;
+        self.shift = shift;
+    }
+}
+
+impl SettleQueue for BandRing {
+    #[inline]
+    fn push(&mut self, key: Dist, node: NodeId) {
+        let band = key >> self.shift;
+        debug_assert!(
+            band >= self.band && band - self.band < BANDS as Dist,
+            "band {band} outside the ring at band {}",
+            self.band
+        );
+        let slot = band as usize % BANDS;
+        self.occupied |= 1 << slot;
+        self.slots[slot].push((key, node));
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(Dist, NodeId)> {
+        if self.occupied == 0 {
+            return None;
+        }
+        // The lowest band is the first occupied slot at or after the last
+        // pop's, counting around the ring.
+        let from = (self.band as usize % BANDS) as u32;
+        self.band += Dist::from(self.occupied.rotate_right(from).trailing_zeros());
+        let slot = self.band as usize % BANDS;
+        let entry = self.slots[slot].pop();
+        if self.slots[slot].is_empty() {
+            self.occupied &= !(1 << slot);
+        }
+        entry
+    }
+}
+
+/// Dijkstra from `source` over the arcs `neighbors(u)` yields, settling in
+/// `queue`'s order into `dist` (all [`INFINITY`] on entry) and listing every
+/// reached node in `reached`. Returns the lexicographic max of
+/// `(distance, node)` over the settled nodes.
+fn settle_all<Q: SettleQueue, I>(
+    queue: &mut Q,
+    dist: &mut [Dist],
+    reached: &mut Vec<NodeId>,
+    source: NodeId,
+    neighbors: impl Fn(NodeId) -> I,
+) -> (Dist, NodeId)
+where
+    I: Iterator<Item = (NodeId, Weight)>,
+{
+    dist[source as usize] = 0;
+    reached.push(source);
+    queue.push(0, source);
+    let mut farthest = (0, source);
+    while let Some((d, u)) = queue.pop() {
+        if d > dist[u as usize] {
+            continue; // stale entry
+        }
+        farthest = farthest.max((d, u));
+        neighbors(u).for_each(|(v, w)| {
+            let candidate = d + Dist::from(w);
+            let slot = &mut dist[v as usize];
+            if candidate < *slot {
+                if *slot == INFINITY {
+                    reached.push(v);
+                }
+                *slot = candidate;
+                queue.push(candidate, v);
+            }
+        });
+    }
+    farthest
+}
+
 /// Reusable single-source shortest-path state: tentative distances, the
-/// radix heap, the reached list used for `O(reached)` resets, the farthest
-/// settled node, and a seen-bitmap for sweep chains (see
+/// two settle queues, the reached list used for `O(reached)` resets, the
+/// farthest settled node, and a seen-bitmap for sweep chains (see
 /// [`DijkstraScratch::sweep_mark`]).
 ///
 /// Every run — [`DijkstraScratch::run`] on any [`NeighborSource`] and both
 /// directions of [`DijkstraScratch::run_directed`] — goes through one relax
-/// loop. A push appends to a radix-heap bucket in `O(1)`; stale entries are
-/// skipped on pop. The eccentricity and farthest node are folded in as
-/// nodes settle, so [`DijkstraScratch::eccentricity`] and
-/// [`DijkstraScratch::farthest_node`] are `O(1)` reads.
+/// loop, monomorphized per queue. A run picks its queue once, from the
+/// graph's `O(1)` weight range: a ring of distance bands when the heaviest
+/// arc spans at most 62 bands of width `2^⌊log₂ w_min⌋`, a radix heap
+/// otherwise (see the module docs). A push appends to a bucket in
+/// `O(1)`; stale entries are skipped on pop. The eccentricity and farthest
+/// node are folded in as nodes settle, so [`DijkstraScratch::eccentricity`]
+/// and [`DijkstraScratch::farthest_node`] are `O(1)` reads.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<Dist>,
     heap: RadixHeap,
+    ring: BandRing,
     reached: Vec<NodeId>,
     /// Lexicographic max of `(distance, node)` over the settled nodes.
     farthest: (Dist, NodeId),
@@ -153,7 +307,8 @@ impl DijkstraScratch {
     ///
     /// Panics if `source` is not a node of `graph`.
     pub fn run<G: NeighborSource>(&mut self, graph: &G, source: NodeId) {
-        self.settle(graph.num_nodes(), source, |u| graph.neighbors(u));
+        let bands = band_shift(graph.min_weight().zip(graph.max_weight()));
+        self.settle(graph.num_nodes(), bands, source, |u| graph.neighbors(u));
     }
 
     /// [`DijkstraScratch::run`] with an explicit traversal direction. A
@@ -163,15 +318,23 @@ impl DijkstraScratch {
         match direction {
             SsspDirection::Forward => self.run(graph, source),
             SsspDirection::Backward => {
-                self.settle(graph.num_nodes(), source, |u| graph.in_neighbors(u))
+                // In-arcs carry the same weights as the out-arcs.
+                let bands = band_shift(graph.min_weight().zip(graph.max_weight()));
+                self.settle(graph.num_nodes(), bands, source, |u| graph.in_neighbors(u))
             }
         }
     }
 
-    /// The relax loop of every run: Dijkstra from `source` over the arcs
-    /// `neighbors(u)` yields, on a graph of `n` nodes.
-    fn settle<I>(&mut self, n: usize, source: NodeId, neighbors: impl Fn(NodeId) -> I)
-    where
+    /// Resets the scratch for a graph of `n` nodes and runs Dijkstra from
+    /// `source` over the arcs `neighbors(u)` yields: on the band ring at
+    /// shift `s` for `bands = Some(s)`, on the radix heap for `None`.
+    fn settle<I>(
+        &mut self,
+        n: usize,
+        bands: Option<u32>,
+        source: NodeId,
+        neighbors: impl Fn(NodeId) -> I,
+    ) where
         I: Iterator<Item = (NodeId, Weight)>,
     {
         assert!((source as usize) < n, "source {source} out of range (n = {n})");
@@ -181,30 +344,17 @@ impl DijkstraScratch {
         for v in self.reached.drain(..) {
             self.dist[v as usize] = INFINITY;
         }
-        self.heap.clear();
-
-        self.dist[source as usize] = 0;
-        self.reached.push(source);
-        self.heap.push(0, source);
-        self.farthest = (0, source);
-        while let Some((d, u)) = self.heap.pop() {
-            if d > self.dist[u as usize] {
-                continue; // stale entry
+        let Self { dist, heap, ring, reached, farthest, .. } = self;
+        *farthest = match bands {
+            Some(shift) => {
+                ring.clear(shift);
+                settle_all(ring, dist, reached, source, neighbors)
             }
-            self.farthest = self.farthest.max((d, u));
-            let Self { dist, heap, reached, .. } = self;
-            neighbors(u).for_each(|(v, w)| {
-                let candidate = d + Dist::from(w);
-                let slot = &mut dist[v as usize];
-                if candidate < *slot {
-                    if *slot == INFINITY {
-                        reached.push(v);
-                    }
-                    *slot = candidate;
-                    heap.push(candidate, v);
-                }
-            });
-        }
+            None => {
+                heap.clear();
+                settle_all(heap, dist, reached, source, neighbors)
+            }
+        };
     }
 
     /// Distance of `v` from the most recent run's source ([`INFINITY`] if
@@ -363,6 +513,55 @@ mod tests {
         // A cleared heap rewinds `last`, so small keys are valid again.
         heap.clear();
         check_radix_pops(&mut heap, &[&[3, 1, 2], &[2, 4]]);
+    }
+
+    #[test]
+    fn band_shift_takes_the_ring_exactly_while_the_bands_fit() {
+        // Unit bands: weights up to 62 span 64 bands, 63 would span 65.
+        assert_eq!(band_shift(Some((1, 62))), Some(0));
+        assert_eq!(band_shift(Some((1, 63))), None);
+        // A road-network range: 128 ≤ 242 < 256, and 1938 >> 7 = 15.
+        assert_eq!(band_shift(Some((242, 1938))), Some(7));
+        assert_eq!(band_shift(Some((1 << 31, u32::MAX))), Some(31));
+        // The band is no wider than the lightest arc, whatever its low bits.
+        assert_eq!(band_shift(Some(((1 << 20) - 1, 1 << 24))), Some(19));
+        assert_eq!(band_shift(Some(((1 << 20) + 1, 1 << 24))), Some(20));
+        // R-MAT's uniform weights spread far wider than 62 bands.
+        assert_eq!(band_shift(Some((1, 1_000_000))), None);
+        // An arcless graph queues only its source.
+        let arcless = cldiam_graph::Graph::empty(3);
+        assert_eq!(band_shift(arcless.min_weight().zip(arcless.max_weight())), Some(0));
+        let mut scratch = DijkstraScratch::new();
+        scratch.run(&arcless, 1);
+        assert_eq!((scratch.distance(0), scratch.distance(1)), (INFINITY, 0));
+        assert_eq!((scratch.eccentricity(), scratch.farthest_node()), (0, 1));
+    }
+
+    #[test]
+    fn band_ring_pops_band_by_band_around_the_wrap() {
+        // Bands of width 4. After the source, keys reach 63 bands ahead of
+        // the last pop; once band 1 is popped, band 64 shares slot 0 with
+        // the source's band 0.
+        let mut ring = BandRing::default();
+        ring.clear(2);
+        ring.push(0, 0);
+        assert_eq!(ring.pop(), Some((0, 0)));
+        for (node, key) in [(1, 7), (2, 4), (3, 255), (4, 20)] {
+            ring.push(key, node);
+        }
+        let (key, _) = ring.pop().expect("band 1 is queued");
+        assert_eq!(key >> 2, 1);
+        ring.push(258, 5);
+        let mut bands = vec![key >> 2];
+        while let Some((key, _)) = ring.pop() {
+            bands.push(key >> 2);
+        }
+        assert_eq!(bands, [1, 1, 5, 63, 64]);
+        // A cleared ring rewinds its band, so small keys are valid again.
+        ring.clear(0);
+        ring.push(0, 0);
+        assert_eq!(ring.pop(), Some((0, 0)));
+        assert_eq!(ring.pop(), None);
     }
 
     #[test]

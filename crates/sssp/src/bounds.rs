@@ -299,14 +299,15 @@ fn bound_connected<G: NeighborSource, O: DiameterOracle>(
             state.ub[v] = state.ub[v].min(ecc.saturating_add(d));
         }
         let sweep_target = scratch.farthest_node();
+        let upper = state.diam_ub();
         iterations.push(BoundsIteration {
             source: Some(original(source)),
             sssp_runs: runs,
             lower: state.diam_lb,
-            upper: state.diam_ub(),
+            upper,
             open: state.open_count(),
         });
-        if within_tolerance(state.diam_lb, state.diam_ub(), config.tolerance) {
+        if within_tolerance(state.diam_lb, upper, config.tolerance) {
             break;
         }
         // Mid-run oracle consult: cap every interval with the clustering
@@ -315,14 +316,15 @@ fn bound_connected<G: NeighborSource, O: DiameterOracle>(
             oracle_spent = true;
             if let Some(oracle) = oracle {
                 state.apply_cap(oracle.diameter_upper_bound(graph));
+                let upper = state.diam_ub();
                 iterations.push(BoundsIteration {
                     source: None,
                     sssp_runs: runs,
                     lower: state.diam_lb,
-                    upper: state.diam_ub(),
+                    upper,
                     open: state.open_count(),
                 });
-                if within_tolerance(state.diam_lb, state.diam_ub(), config.tolerance) {
+                if within_tolerance(state.diam_lb, upper, config.tolerance) {
                     break;
                 }
             }
@@ -446,14 +448,15 @@ pub fn bounds_diameter_directed(
             state.ub[v] = state.ub[v].min(db.saturating_add(ecc_f));
         }
         let sweep_target = fwd.farthest_node();
+        let upper = state.diam_ub();
         iterations.push(BoundsIteration {
             source: Some(source),
             sssp_runs: runs,
             lower: state.diam_lb,
-            upper: state.diam_ub(),
+            upper,
             open: state.open_count(),
         });
-        if within_tolerance(state.diam_lb, state.diam_ub(), config.tolerance) {
+        if within_tolerance(state.diam_lb, upper, config.tolerance) {
             break;
         }
         if runs + 2 > budget {

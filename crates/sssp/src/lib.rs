@@ -14,9 +14,13 @@
 //!   workspace.
 //! * [`batch`] — the batched multi-source engine: a reusable
 //!   [`DijkstraScratch`], the one Dijkstra kernel of every exact SSSP
-//!   (distances only, a monotone radix heap with `O(1)` pushes,
-//!   `O(reached)` resets, `O(1)` eccentricity and farthest-node reads, one
-//!   relax loop for forward and backward runs), a [`ScratchPool`] shared by
+//!   (distances only, `O(1)` pushes into a 64-slot band ring that pops
+//!   whole weight bands when the weights span at most 62 bands of width
+//!   `2^⌊log₂ w_min⌋`, as on road networks, or into a monotone radix heap
+//!   otherwise; `O(reached)` resets, `O(1)` eccentricity and farthest-node
+//!   reads, one relax loop for forward and backward runs; a third less
+//!   bounds-engine time on the compressed `road:700x700` LCC than with the
+//!   radix heap alone), a [`ScratchPool`] shared by
 //!   the workers of a batch, and the [`multi_source_dijkstra`] /
 //!   [`batched_eccentricities`] drivers behind every iterated-SSSP consumer
 //!   in the workspace.

@@ -13,12 +13,14 @@
 //! scratch reuse. The batched eccentricity driver is pinned against the
 //! sequential per-source Dijkstra loop under the same pools.
 //!
-//! The radix-heap kernel behind every exact SSSP, [`DijkstraScratch`], is
-//! pinned against the binary-heap [`dijkstra`] with one scratch reused
-//! across a sequence of graphs that grows and shrinks: every distance, the
+//! The kernel behind every exact SSSP, [`DijkstraScratch`], is pinned
+//! against the binary-heap [`dijkstra`] with one scratch reused across a
+//! sequence of graphs that grows and shrinks: every distance, the
 //! eccentricity, the farthest node (largest id among equally far nodes),
 //! the reach count, both directions of a directed run, and the node
-//! sequence of a sweep chain.
+//! sequence of a sweep chain. A run settles whole weight bands on a ring
+//! when the graph's weights fit it and falls back to a radix heap
+//! otherwise, so the sequences mix graphs on both sides of that choice.
 
 use std::collections::BTreeMap;
 
@@ -218,18 +220,46 @@ proptest! {
     }
 }
 
+/// Weights in `lo..=hi`, each end drawn a quarter of the time so that the
+/// graph's lightest and heaviest arcs often sit exactly on them.
+fn weight_in(lo: Weight, hi: Weight) -> impl Strategy<Value = Weight> {
+    (0usize..4, lo..=hi).prop_map(move |(end, w)| [lo, hi, w, w][end])
+}
+
+/// The weight range `[lo, hi]` of the band family. `lo` is `2^k − 1`, `2^k`
+/// or `2^k + 1` for `k` in `1..=31`, and with `s = ⌊log₂ lo⌋`, `hi >> s` is
+/// 1 to 3, so that queued nodes often share a band, or 61 to 64, on both
+/// sides of the ring's limit of 62 (capped at `Weight::MAX`). A band one bit
+/// too wide holds nodes that a later pop from the same band still improves,
+/// and a settled node's stale distance then shows in the eccentricity; a
+/// ring one band too short wraps onto the band being popped.
+fn band_limit_range((k, near, span, jitter): (u32, usize, usize, u64)) -> (Weight, Weight) {
+    let lo = [(1u64 << k) - 1, 1 << k, (1 << k) + 1][near];
+    let shift = lo.ilog2();
+    let bands = [1, 2, 3, 61, 62, 63, 64][span];
+    let hi = ((bands << shift) | (jitter & ((1 << shift) - 1))).max(lo);
+    (lo as Weight, hi.min(u64::from(Weight::MAX)) as Weight)
+}
+
 /// A random graph of 1..=40 nodes for the kernel suite. Unit weights make
 /// many nodes tie on distance, so the farthest-node tie-break is exercised;
-/// the widest family draws weights up to `Weight::MAX`. Without `spine` the
-/// graph is usually disconnected, and each extra edge may come with a twin
-/// of another weight (a multi-edge the builder collapses to its lightest).
+/// the widest family draws weights up to `Weight::MAX`, and the band family
+/// straddles the ring's limit (see [`band_limit_range`]). Without `spine`
+/// the graph is usually disconnected, and each extra edge may come with a
+/// twin of another weight (a multi-edge the builder collapses to its
+/// lightest).
 fn kernel_graph(directed: bool) -> impl Strategy<Value = Graph> {
-    (1usize..=40, 0usize..4, 0usize..2).prop_flat_map(move |(n, family, spine)| {
-        let max_w = [1, 30, 4_000_000, Weight::MAX][family];
-        let path_weights = proptest::collection::vec(1..=max_w, if spine == 1 { n - 1 } else { 0 });
+    let band_draw = (1u32..=31, 0usize..3, 0usize..7, 0u64..=u64::from(Weight::MAX));
+    (1usize..=40, 0usize..5, 0usize..2, band_draw).prop_flat_map(move |(n, family, spine, band)| {
+        let (lo, hi) = match family {
+            4 => band_limit_range(band),
+            _ => (1, [1, 30, 4_000_000, Weight::MAX][family]),
+        };
+        let path_weights =
+            proptest::collection::vec(weight_in(lo, hi), if spine == 1 { n - 1 } else { 0 });
         // (u, v, w, (twin?, twin weight))
         let extra_edges = proptest::collection::vec(
-            (0..n as u32, 0..n as u32, 1..=max_w, (0usize..2, 1..=max_w)),
+            (0..n as u32, 0..n as u32, weight_in(lo, hi), (0usize..2, weight_in(lo, hi))),
             0..(3 * n),
         );
         (path_weights, extra_edges).prop_map(move |(pw, extra)| {
