@@ -1,80 +1,34 @@
-//! End-to-end diameter approximation of a graph file (or generator spec).
+//! The `cldiam` command-line tool: CL-DIAM, the Δ-stepping baseline and the
+//! anytime bounds engine on a graph file or a generator spec. `cldiam --help`
+//! lists the inputs and flags.
 //!
-//! ```text
-//! cldiam <INPUT> [options]
-//!
-//! INPUT:
-//!   PATH            a graph file: DIMACS .gr, SNAP/TSV edge list, or a
-//!                   binary .cldg snapshot (format auto-detected)
-//!   gen:SPEC        a synthetic workload, e.g. gen:mesh:32, gen:rmat:10,
-//!                   gen:road:40x40, gen:ba:2000:8, gen:gnm:1000:4000,
-//!                   gen:roads:3:20x20
-//!
-//! options:
-//!   --tau N         CLUSTER batch size τ (default: auto from --quotient)
-//!   --quotient N    quotient-size target for the auto τ rule (default 2000)
-//!   --delta D       Δ-stepping bucket width (default: sweep a grid, keep
-//!                   the fewest-rounds configuration)
-//!   --cluster2      decompose with CLUSTER2 (Algorithm 2) instead of CLUSTER
-//!   --algo A        cldiam | delta | both | bounds (default both)
-//!   --bounds-budget N
-//!                   SSSP budget per component for --algo bounds (default 64)
-//!   --tolerance F   stop the bounds engine at ub ≤ F·lb (default 1.0: exact)
-//!   --timeout-ms N  wall-clock deadline for --algo bounds: the engine stops
-//!                   at the next SSSP boundary past the deadline and reports
-//!                   the best-so-far [lb, ub] with interrupted=true
-//!   --timeout-checks N
-//!                   logical deadline: stop after N cancellation checkpoints
-//!                   per component (deterministic, unlike wall-clock time)
-//!   --no-quotient   disable the CL-DIAM quotient oracle inside --algo bounds
-//!   --directed      keep arc directions (text inputs only; implies
-//!                   --algo bounds, the only direction-aware algorithm)
-//!   --symmetrize    explicitly request the default symmetrizing load and
-//!                   silence the one-way-arc warning
-//!   --seed K        RNG seed (default 1)
-//!   --threads N     worker-pool size (default: CLDIAM_THREADS, then hardware)
-//!   --largest-component
-//!                   extract the largest connected component before running
-//!                   (what the paper does with every real-world graph);
-//!                   in --directed mode: the largest *weakly* connected one
-//!   --cache         reuse/write a binary .cldg snapshot next to the input
-//!   --compress      hold the graph as delta-varint compressed CSR (and write
-//!                   compressed snapshot payloads under --cache)
-//!   --shards N      split the compressed payload into N node-range shards
-//!                   (implies --compress)
-//!   --mmap          serve .cldg payloads zero-copy from a memory mapping
-//!                   (needs --cache or a .cldg input)
-//!   --verify-snapshot
-//!                   verify payload checksums on the mmap path too (buffered
-//!                   loads always verify)
-//!   --json PATH     write the JSON report rows to PATH ("-" for stdout)
-//!   --no-time       report wall-clock fields as 0 so output is byte-identical
-//!                   across runs and thread counts (used by the CI matrix)
-//! ```
-//!
-//! The program prints the Table 2-style text row and exits non-zero on any
-//! parse error (with the offending line number for text formats).
+//! The program prints the Table 2-style text row (and the JSON rows with
+//! `--json`). It exits 2 on a usage error and 1 when the input cannot be
+//! loaded (naming the offending line for text formats), holds no node, or the
+//! JSON cannot be written.
 
+use std::fmt::Display;
 use std::io::Read;
 use std::path::Path;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use cldiam_bench::json::Value;
 use cldiam_bench::report::{render_table, to_json, ResultRow};
 use cldiam_bench::runner::{
     reference_lower_bound, run_bounds, run_bounds_directed, run_cldiam, run_delta_stepping,
     RunResult,
 };
-use cldiam_bench::threads::{configured_threads, install_with_threads};
+use cldiam_bench::threads::install_with_threads;
 use cldiam_core::{AnytimeConfig, ClusterConfig};
 use cldiam_gen::GraphSpec;
 use cldiam_graph::{
     detect_format, largest_component, load_graph_as, load_graph_cached_with, read_snapshot_file,
     CacheOptions, CancelToken, CompressedGraph, EdgeDirection, FileFormat, Graph, NeighborSource,
-    SnapshotGraph, SnapshotOptions,
+    SnapshotGraph, SnapshotOptions, INFINITY,
 };
 use cldiam_sssp::{BoundsConfig, ComponentSplit};
 
+#[derive(Default)]
 struct Options {
     input: String,
     tau: Option<usize>,
@@ -100,10 +54,11 @@ struct Options {
     no_time: bool,
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Default, PartialEq)]
 enum Algo {
     Cldiam,
     Delta,
+    #[default]
     Both,
     Bounds,
 }
@@ -117,11 +72,21 @@ const USAGE: &str =
                      \u{20}             [--compress] [--shards N] [--mmap] [--verify-snapshot]\n\
                      \u{20}             [--json PATH] [--no-time]";
 
-fn usage() -> ! {
-    eprintln!(
-        "{USAGE}\nrun `cldiam --help` or see the README's \"Supported file formats\" section"
-    );
-    std::process::exit(2);
+/// Prints `message` on stderr and exits with `code`.
+fn exit_with(code: i32, message: impl Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(code);
+}
+
+/// A usage error: `error`, then the synopsis, on stderr; exit code 2.
+fn usage(error: impl Display) -> ! {
+    exit_with(
+        2,
+        format_args!(
+            "{error}\n{USAGE}\nrun `cldiam --help` or see the README's \"Supported file formats\" \
+             section"
+        ),
+    )
 }
 
 /// Requested help goes to stdout and exits 0, unlike a usage error.
@@ -160,200 +125,129 @@ fn help() -> ! {
     std::process::exit(0);
 }
 
+/// The argument after `flag`, its value; a missing one is a usage error.
+fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| usage(format_args!("{flag} requires a value")))
+}
+
+/// The value of `flag` as a `T` that `valid` accepts; any other value is a
+/// usage error saying what `flag` expects.
+fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    valid: impl Fn(&T) -> bool,
+    expects: &str,
+) -> T {
+    match next_value(args, flag).parse() {
+        Ok(value) if valid(&value) => value,
+        _ => usage(format_args!("{flag} expects {expects}")),
+    }
+}
+
+/// The value of `flag` as a positive integer.
+fn positive<T: FromStr + PartialOrd + From<u8>>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> T {
+    flag_value(args, flag, |n| *n >= T::from(1), "a positive integer")
+}
+
+/// `--directed` and `--timeout-*` need the bounds engine, the one
+/// direction-aware and interruptible algorithm: they narrow the default
+/// `both` to it and reject `cldiam` and `delta` with `error`.
+fn require_bounds(algo: &mut Algo, error: &str) {
+    match algo {
+        Algo::Bounds => {}
+        Algo::Both => *algo = Algo::Bounds,
+        Algo::Cldiam | Algo::Delta => usage(error),
+    }
+}
+
 fn parse_args() -> Options {
-    let mut options = Options {
-        input: String::new(),
-        tau: None,
-        target_quotient: 2_000,
-        delta: None,
-        cluster2: false,
-        algo: Algo::Both,
-        bounds: BoundsConfig::default(),
-        timeout_ms: None,
-        timeout_checks: None,
-        no_quotient: false,
-        directed: false,
-        symmetrize: false,
-        seed: 1,
-        threads: configured_threads(),
-        largest_component: false,
-        cache: false,
-        compress: false,
-        shards: 1,
-        mmap: false,
-        verify_snapshot: false,
-        json: None,
-        no_time: false,
-    };
+    let mut options = Options { target_quotient: 2_000, seed: 1, shards: 1, ..Options::default() };
     let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} requires a value");
-            usage()
-        })
-    };
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tau" => match value(&mut args, "--tau").parse() {
-                Ok(n) if n >= 1 => options.tau = Some(n),
-                _ => {
-                    eprintln!("--tau expects a positive integer");
-                    usage()
-                }
-            },
-            "--quotient" => match value(&mut args, "--quotient").parse() {
-                Ok(n) if n >= 1 => options.target_quotient = n,
-                _ => {
-                    eprintln!("--quotient expects a positive integer");
-                    usage()
-                }
-            },
-            "--delta" => match value(&mut args, "--delta").parse() {
-                Ok(d) if d >= 1 => options.delta = Some(d),
-                _ => {
-                    eprintln!("--delta expects a positive integer");
-                    usage()
-                }
-            },
+        let flag = arg.as_str();
+        match flag {
+            "--tau" => options.tau = Some(positive(&mut args, flag)),
+            "--quotient" => options.target_quotient = positive(&mut args, flag),
+            "--delta" => options.delta = Some(positive(&mut args, flag)),
             "--cluster2" => options.cluster2 = true,
             "--algo" => {
-                options.algo = match value(&mut args, "--algo").as_str() {
+                options.algo = match next_value(&mut args, flag).as_str() {
                     "cldiam" => Algo::Cldiam,
                     "delta" => Algo::Delta,
                     "both" => Algo::Both,
                     "bounds" => Algo::Bounds,
-                    other => {
-                        eprintln!(
-                            "unknown --algo {other:?}: expected cldiam | delta | both | bounds"
-                        );
-                        usage()
-                    }
+                    other => usage(format_args!(
+                        "unknown --algo {other:?}: expected cldiam | delta | both | bounds"
+                    )),
                 }
             }
-            "--bounds-budget" => match value(&mut args, "--bounds-budget").parse() {
-                Ok(n) if n >= 1 => options.bounds.max_sssp = n,
-                _ => {
-                    eprintln!("--bounds-budget expects a positive integer");
-                    usage()
-                }
-            },
-            "--tolerance" => match value(&mut args, "--tolerance").parse::<f64>() {
-                Ok(f) if f.is_finite() && f >= 1.0 => options.bounds.tolerance = f,
-                _ => {
-                    eprintln!("--tolerance expects a finite number >= 1.0");
-                    usage()
-                }
-            },
-            "--timeout-ms" => match value(&mut args, "--timeout-ms").parse() {
-                Ok(n) => options.timeout_ms = Some(n),
-                Err(_) => {
-                    eprintln!("--timeout-ms expects an unsigned integer (milliseconds)");
-                    usage()
-                }
-            },
-            "--timeout-checks" => match value(&mut args, "--timeout-checks").parse() {
-                Ok(n) if n >= 1 => options.timeout_checks = Some(n),
-                _ => {
-                    eprintln!("--timeout-checks expects a positive integer");
-                    usage()
-                }
-            },
+            "--bounds-budget" => options.bounds.max_sssp = positive(&mut args, flag),
+            "--tolerance" => {
+                let valid = |f: &f64| f.is_finite() && *f >= 1.0;
+                options.bounds.tolerance =
+                    flag_value(&mut args, flag, valid, "a finite number >= 1.0");
+            }
+            "--timeout-ms" => {
+                let expects = "an unsigned integer (milliseconds)";
+                options.timeout_ms = Some(flag_value(&mut args, flag, |_| true, expects));
+            }
+            "--timeout-checks" => options.timeout_checks = Some(positive(&mut args, flag)),
             "--no-quotient" => options.no_quotient = true,
             "--directed" => options.directed = true,
             "--symmetrize" => options.symmetrize = true,
-            "--seed" => match value(&mut args, "--seed").parse() {
-                Ok(k) => options.seed = k,
-                Err(_) => {
-                    eprintln!("--seed expects an unsigned integer");
-                    usage()
-                }
-            },
-            "--threads" => match value(&mut args, "--threads").parse() {
-                Ok(n) if n >= 1 => options.threads = Some(n),
-                _ => {
-                    eprintln!("--threads expects a positive integer");
-                    usage()
-                }
-            },
+            "--seed" => options.seed = flag_value(&mut args, flag, |_| true, "an unsigned integer"),
+            "--threads" => options.threads = Some(positive(&mut args, flag)),
             "--largest-component" | "--lcc" => options.largest_component = true,
             "--cache" => options.cache = true,
             "--compress" => options.compress = true,
-            "--shards" => match value(&mut args, "--shards").parse() {
-                Ok(n) if n >= 1 => {
-                    options.shards = n;
-                    options.compress = true;
-                }
-                _ => {
-                    eprintln!("--shards expects a positive integer");
-                    usage()
-                }
-            },
+            "--shards" => {
+                options.shards = positive(&mut args, flag);
+                options.compress = true;
+            }
             "--mmap" => options.mmap = true,
             "--verify-snapshot" => options.verify_snapshot = true,
-            "--json" => options.json = Some(value(&mut args, "--json")),
+            "--json" => options.json = Some(next_value(&mut args, flag)),
             "--no-time" => options.no_time = true,
             "--help" | "-h" => help(),
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
+            other if other.starts_with("--") => usage(format_args!("unknown flag {other:?}")),
             other if options.input.is_empty() => options.input = other.to_string(),
-            other => {
-                eprintln!("unexpected extra input {other:?}");
-                usage()
-            }
+            other => usage(format_args!("unexpected extra input {other:?}")),
         }
     }
     if options.input.is_empty() {
-        eprintln!("missing input: a graph file path or a gen:SPEC");
-        usage();
+        usage("missing input: a graph file path or a gen:SPEC");
     }
-    if options.directed && options.symmetrize {
-        eprintln!("--directed and --symmetrize are mutually exclusive");
-        usage();
-    }
+    let generated = options.input.starts_with("gen:");
     if options.directed {
-        if options.input.starts_with("gen:") {
-            eprintln!("--directed needs a text graph file; gen: workloads are undirected");
-            usage();
+        if options.symmetrize {
+            usage("--directed and --symmetrize are mutually exclusive");
         }
-        match options.algo {
-            Algo::Bounds => {}
-            // The default `both` silently narrows: bounds is the only
-            // direction-aware algorithm.
-            Algo::Both => options.algo = Algo::Bounds,
-            Algo::Cldiam | Algo::Delta => {
-                eprintln!("--directed supports --algo bounds only");
-                usage();
-            }
+        if generated {
+            usage("--directed needs a text graph file; gen: workloads are undirected");
         }
+        require_bounds(&mut options.algo, "--directed supports --algo bounds only");
         if options.cache {
             eprintln!("[cldiam] --cache ignored: binary snapshots are undirected");
             options.cache = false;
         }
         if options.compress || options.mmap {
-            eprintln!(
-                "--directed supports neither --compress nor --mmap: the directed bounds \
-                       engine needs the dense in-arc arrays"
+            usage(
+                "--directed supports neither --compress nor --mmap: the directed bounds engine \
+                 needs the dense in-arc arrays",
             );
-            usage();
         }
     }
-    if options.mmap && options.input.starts_with("gen:") {
-        eprintln!("--mmap needs a file input: gen: workloads have nothing to map");
-        usage();
+    if options.mmap && generated {
+        usage("--mmap needs a file input: gen: workloads have nothing to map");
     }
     if options.timeout_ms.is_some() || options.timeout_checks.is_some() {
-        match options.algo {
-            Algo::Bounds => {}
-            // As with --directed, the default `both` narrows silently:
-            // bounds is the only anytime (interruptible) algorithm.
-            Algo::Both => options.algo = Algo::Bounds,
-            Algo::Cldiam | Algo::Delta => {
-                eprintln!("--timeout-ms / --timeout-checks support --algo bounds only");
-                usage();
-            }
-        }
+        require_bounds(
+            &mut options.algo,
+            "--timeout-ms / --timeout-checks support --algo bounds only",
+        );
     }
     options
 }
@@ -361,13 +255,11 @@ fn parse_args() -> Options {
 /// Builds the cooperative cancellation token from the timeout flags. The
 /// wall deadline starts ticking here, so call this right before the run.
 fn cancel_token(options: &Options) -> CancelToken {
-    match (options.timeout_ms, options.timeout_checks) {
-        (None, None) => CancelToken::never(),
-        (Some(ms), None) => CancelToken::with_deadline(Duration::from_millis(ms)),
-        (None, Some(k)) => CancelToken::with_check_limit(k),
-        (Some(ms), Some(k)) => {
-            CancelToken::with_check_limit(k).and_deadline(Duration::from_millis(ms))
-        }
+    let token =
+        options.timeout_checks.map_or_else(CancelToken::never, CancelToken::with_check_limit);
+    match options.timeout_ms {
+        Some(ms) => token.and_deadline(Duration::from_millis(ms)),
+        None => token,
     }
 }
 
@@ -385,10 +277,8 @@ fn tiered(graph: Graph, options: &Options) -> SnapshotGraph {
 /// is generic over [`NeighborSource`], so both tiers feed the same code.
 fn load_input(options: &Options) -> (SnapshotGraph, String) {
     if let Some(spec_text) = options.input.strip_prefix("gen:") {
-        let spec = GraphSpec::parse(spec_text).unwrap_or_else(|e| {
-            eprintln!("bad gen: spec {spec_text:?}: {e}");
-            std::process::exit(2);
-        });
+        let spec = GraphSpec::parse(spec_text)
+            .unwrap_or_else(|e| exit_with(2, format_args!("bad gen: spec {spec_text:?}: {e}")));
         let graph = spec.generate(options.seed);
         let label = spec.label();
         return (tiered(graph, options), label);
@@ -397,9 +287,8 @@ fn load_input(options: &Options) -> (SnapshotGraph, String) {
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| options.input.clone());
-    let fail = |e: &dyn std::fmt::Display| -> ! {
-        eprintln!("cannot load {:?}: {e}", options.input);
-        std::process::exit(1);
+    let fail = |e: &dyn Display| -> ! {
+        exit_with(1, format_args!("cannot load {:?}: {e}", options.input))
     };
     if options.cache {
         let cache_options = CacheOptions {
@@ -438,8 +327,7 @@ fn load_input(options: &Options) -> (SnapshotGraph, String) {
         return (source, label);
     }
     if options.mmap {
-        eprintln!("--mmap needs a .cldg snapshot input or --cache (text has nothing to map)");
-        std::process::exit(2);
+        exit_with(2, "--mmap needs a .cldg snapshot input or --cache (text has nothing to map)");
     }
     let direction =
         if options.directed { EdgeDirection::Directed } else { EdgeDirection::Symmetrize };
@@ -464,27 +352,22 @@ fn main() {
     install_with_threads(options.threads, || run(&options));
 }
 
-/// Streams the bounds engine's iteration trace to stderr, one line per SSSP
-/// (or per oracle consult), so long runs show their anytime progress.
+/// Prints a bounds run's iteration trace to stderr, one line per SSSP (or
+/// per oracle consult), so a long run shows its anytime progress.
 fn print_bounds_progress(result: &RunResult) {
-    let Some(Value::Array(items)) = &result.iterations else { return };
-    for (i, it) in items.iter().enumerate() {
-        let source = match it.get("source").as_u64() {
+    let Some(outcome) = &result.bounds else { return };
+    for (i, it) in outcome.iterations.iter().enumerate() {
+        let source = match it.source {
             Some(s) => format!("source={s}"),
             None => "quotient-oracle".to_string(),
         };
-        let upper = match it.get("upper").as_u64() {
-            Some(u) => u.to_string(),
-            None => "inf".to_string(),
-        };
+        let upper = if it.upper == INFINITY { "inf".to_string() } else { it.upper.to_string() };
         eprintln!(
-            "[bounds] it {}: {} sssp={} lb={} ub={} open={}",
+            "[bounds] it {}: {source} sssp={} lb={} ub={upper} open={}",
             i + 1,
-            source,
-            it.get("sssp_runs").as_u64().unwrap_or(0),
-            it.get("lower").as_u64().unwrap_or(0),
-            upper,
-            it.get("open").as_u64().unwrap_or(0),
+            it.sssp_runs,
+            it.lower,
+            it.open
         );
     }
 }
@@ -514,11 +397,9 @@ fn run_undirected<G: NeighborSource>(graph: &G, options: &Options) -> Vec<RunRes
             results.push(run_delta_stepping(graph, options.delta, lower, options.seed, &split));
         }
     } else {
-        let cluster = if options.no_quotient { None } else { Some(config.clone()) };
+        let cluster = (!options.no_quotient).then_some(config);
         let anytime = AnytimeConfig { bounds: options.bounds, cluster };
-        let result = run_bounds(graph, &anytime, &split, &cancel_token(options));
-        print_bounds_progress(&result);
-        results.push(result);
+        results.push(run_bounds(graph, &anytime, &split, &cancel_token(options)));
     }
     results
 }
@@ -553,21 +434,19 @@ fn run(options: &Options) {
         load_started.elapsed().as_secs_f64()
     );
     if nodes == 0 {
-        eprintln!("[cldiam] the graph is empty; nothing to estimate");
-        std::process::exit(1);
+        exit_with(1, "[cldiam] the graph is empty; nothing to estimate");
     }
 
     let mut results = match &source {
+        // parse_args narrowed directed inputs to the bounds engine, which runs
+        // the whole digraph (no component split) with no oracle.
         SnapshotGraph::Dense(graph) if graph.is_directed() => {
-            // parse_args narrowed directed inputs to the bounds engine, which
-            // runs the whole digraph (no component split) with no oracle.
-            let result = run_bounds_directed(graph, &options.bounds, &cancel_token(options));
-            print_bounds_progress(&result);
-            vec![result]
+            vec![run_bounds_directed(graph, &options.bounds, &cancel_token(options))]
         }
         SnapshotGraph::Dense(graph) => run_undirected(graph, options),
         SnapshotGraph::Compressed(graph) => run_undirected(graph, options),
     };
+    results.iter().for_each(print_bounds_progress);
     if options.no_time {
         for result in &mut results {
             result.time_s = 0.0;
@@ -582,8 +461,7 @@ fn run(options: &Options) {
             println!("{json}");
         } else {
             std::fs::write(path, json).unwrap_or_else(|e| {
-                eprintln!("cannot write JSON to {path:?}: {e}");
-                std::process::exit(1);
+                exit_with(1, format_args!("cannot write JSON to {path:?}: {e}"))
             });
             eprintln!("(raw rows written to {path})");
         }

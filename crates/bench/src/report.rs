@@ -1,6 +1,9 @@
 //! Plain-text table rendering and JSON export of run results.
 
-use crate::json::{object, to_string_pretty, Value};
+use cldiam_graph::{Dist, INFINITY};
+use cldiam_sssp::BoundsIteration;
+
+use crate::json::{to_string_pretty, Value};
 use crate::runner::RunResult;
 
 /// One labelled table row: a graph plus the results of the algorithms that
@@ -59,19 +62,59 @@ pub fn render_table(title: &str, rows: &[ResultRow]) -> String {
 /// Serializes rows as pretty JSON, the machine-readable companion of the
 /// table (`cldiam --json`).
 pub fn to_json(rows: &[ResultRow]) -> String {
-    let rows: Vec<Value> = rows
-        .iter()
-        .map(|row| {
-            object([
-                ("graph", row.graph.as_str().into()),
-                ("proxy", row.proxy.as_str().into()),
-                ("nodes", row.nodes.into()),
-                ("edges", row.edges.into()),
-                ("results", Value::Array(row.results.iter().map(RunResult::to_value).collect())),
-            ])
-        })
-        .collect();
-    to_string_pretty(&Value::Array(rows))
+    let rows = rows.iter().map(|row| {
+        Value::Object(vec![
+            ("graph", row.graph.as_str().into()),
+            ("proxy", row.proxy.as_str().into()),
+            ("nodes", row.nodes.into()),
+            ("edges", row.edges.into()),
+            ("results", Value::Array(row.results.iter().map(result_value).collect())),
+        ])
+    });
+    to_string_pretty(&Value::Array(rows.collect()))
+}
+
+/// One result: the Table 2 columns, then a bounds run's outcome and its
+/// iteration trace.
+fn result_value(result: &RunResult) -> Value {
+    let mut members = vec![
+        ("algorithm", result.algorithm.as_str().into()),
+        ("estimate", bound(result.estimate)),
+        ("lower_bound", result.lower_bound.into()),
+        ("approximation", result.approximation.into()),
+        ("time_s", result.time_s.into()),
+        ("rounds", result.rounds.into()),
+        ("work", result.work.into()),
+        ("detail", result.detail.as_str().into()),
+    ];
+    if let Some(outcome) = &result.bounds {
+        members.push(("converged", outcome.converged.into()));
+        members.push(("interrupted", outcome.interrupted.into()));
+        let iterations = outcome.iterations.iter().map(iteration_value).collect();
+        members.push(("iterations", Value::Array(iterations)));
+    }
+    Value::Object(members)
+}
+
+/// One bounds iteration; the oracle step has no source.
+fn iteration_value(it: &BoundsIteration) -> Value {
+    Value::Object(vec![
+        ("source", it.source.map_or(Value::Null, Value::from)),
+        ("sssp_runs", it.sssp_runs.into()),
+        ("lower", it.lower.into()),
+        ("upper", bound(it.upper)),
+        ("open", it.open.into()),
+    ])
+}
+
+/// An upper bound, or `null` for [`INFINITY`], the bound a run could not
+/// establish (JSON has no infinite number).
+fn bound(distance: Dist) -> Value {
+    if distance == INFINITY {
+        Value::Null
+    } else {
+        distance.into()
+    }
 }
 
 #[cfg(test)]
@@ -94,9 +137,7 @@ mod tests {
                     rounds: 42,
                     work: 100_000,
                     detail: String::new(),
-                    converged: None,
-                    interrupted: None,
-                    iterations: None,
+                    bounds: None,
                 },
                 RunResult {
                     algorithm: "Δ-stepping".to_string(),
@@ -107,9 +148,7 @@ mod tests {
                     rounds: 900,
                     work: 2_000_000,
                     detail: String::new(),
-                    converged: None,
-                    interrupted: None,
-                    iterations: None,
+                    bounds: None,
                 },
             ],
         }]
@@ -134,8 +173,9 @@ mod tests {
     #[test]
     fn json_roundtrips_structure() {
         let json = to_json(&sample_rows());
-        let value = crate::json::from_str(&json).unwrap();
-        assert_eq!(value[0]["graph"], "mesh");
-        assert_eq!(value[0]["results"][1]["rounds"], 900u64);
+        let value = crate::json_reader::from_str(&json).unwrap();
+        assert_eq!(value.at(0).get("graph").as_str(), Some("mesh"));
+        assert_eq!(value.at(0).get("results").at(1).get("rounds").as_u64(), Some(900));
+        assert_eq!(value.at(0).get("results").at(0).get("approximation").as_f64(), Some(1.2));
     }
 }

@@ -6,15 +6,13 @@ use std::time::Instant;
 use cldiam_core::{
     anytime_diameter, approximate_diameter, approximation_ratio, AnytimeConfig, ClusterConfig,
 };
-use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId, INFINITY};
+use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId};
 use cldiam_mr::CostTracker;
 use cldiam_sssp::{
     bounds_diameter_directed, delta_stepping_with_scratch, diameter_lower_bound_with_split,
     sssp_diameter_upper_bound, suggest_delta, BoundsConfig, BoundsOutcome, ComponentSplit,
     SsspScratch,
 };
-
-use crate::json::{object, Value};
 
 /// One measured run of one algorithm on one graph — the columns of
 /// Table 2.
@@ -36,45 +34,9 @@ pub struct RunResult {
     pub work: u64,
     /// Extra detail (τ, Δ, cluster counts) for the JSON output.
     pub detail: String,
-    /// Whether the run converged (the bounds engine only; `None` elsewhere).
-    pub converged: Option<bool>,
-    /// Whether a deadline/cancellation stopped the run early (the bounds
-    /// engine only; `None` elsewhere).
-    pub interrupted: Option<bool>,
-    /// Per-iteration trace (the bounds engine only; `None` elsewhere).
-    pub iterations: Option<Value>,
-}
-
-impl RunResult {
-    /// JSON representation used by [`crate::report::to_json`].
-    pub fn to_value(&self) -> Value {
-        // An infinite upper bound (non-strongly-connected digraphs) has no
-        // JSON number; emit null, matching the non-finite-f64 convention.
-        let estimate: Value =
-            if self.estimate == INFINITY { Value::Null } else { self.estimate.into() };
-        let mut value = object([
-            ("algorithm", self.algorithm.as_str().into()),
-            ("estimate", estimate),
-            ("lower_bound", self.lower_bound.into()),
-            ("approximation", self.approximation.into()),
-            ("time_s", self.time_s.into()),
-            ("rounds", self.rounds.into()),
-            ("work", self.work.into()),
-            ("detail", self.detail.as_str().into()),
-        ]);
-        if let Value::Object(members) = &mut value {
-            if let Some(converged) = self.converged {
-                members.push(("converged".to_string(), converged.into()));
-            }
-            if let Some(interrupted) = self.interrupted {
-                members.push(("interrupted".to_string(), interrupted.into()));
-            }
-            if let Some(iterations) = &self.iterations {
-                members.push(("iterations".to_string(), iterations.clone()));
-            }
-        }
-        value
-    }
+    /// The bounds engine's outcome, with its iteration trace (`None` for the
+    /// other algorithms).
+    pub bounds: Option<BoundsOutcome>,
 }
 
 /// Computes the diameter lower bound the paper uses to normalize ratios:
@@ -87,30 +49,6 @@ pub fn reference_lower_bound<G: NeighborSource>(
     split: &ComponentSplit,
 ) -> Dist {
     diameter_lower_bound_with_split(graph, 4, seed, split)
-}
-
-/// Renders a [`BoundsOutcome`] iteration trace as a JSON array.
-fn iterations_to_value(outcome: &BoundsOutcome) -> Value {
-    Value::Array(
-        outcome
-            .iterations
-            .iter()
-            .map(|it| {
-                let source: Value = match it.source {
-                    Some(s) => s.into(),
-                    None => Value::Null,
-                };
-                let upper: Value = if it.upper == INFINITY { Value::Null } else { it.upper.into() };
-                object([
-                    ("source", source),
-                    ("sssp_runs", it.sssp_runs.into()),
-                    ("lower", it.lower.into()),
-                    ("upper", upper),
-                    ("open", it.open.into()),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// Runs the anytime bounds engine (`--algo bounds`) on an undirected graph,
@@ -168,9 +106,7 @@ fn bounds_result(
             outcome.interrupted,
             outcome.sssp_runs
         ),
-        converged: Some(outcome.converged),
-        interrupted: Some(outcome.interrupted),
-        iterations: Some(iterations_to_value(&outcome)),
+        bounds: Some(outcome),
     }
 }
 
@@ -200,9 +136,7 @@ pub fn run_cldiam<G: NeighborSource>(
             estimate.radius,
             estimate.growing_steps
         ),
-        converged: None,
-        interrupted: None,
-        iterations: None,
+        bounds: None,
     }
 }
 
@@ -263,9 +197,7 @@ fn run_delta_stepping_scratch<G: NeighborSource>(
         rounds: outcome.phases,
         work: outcome.work(),
         detail: format!("delta={delta} source={source}"),
-        converged: None,
-        interrupted: None,
-        iterations: None,
+        bounds: None,
     }
 }
 

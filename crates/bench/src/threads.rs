@@ -1,19 +1,8 @@
 //! Thread-count plumbing for the `cldiam` CLI.
 //!
 //! The vendored rayon sizes its global pool from `CLDIAM_THREADS` (then
-//! `RAYON_NUM_THREADS`, then the hardware). The helpers here make that knob —
-//! and the CLI's `--threads` flag — explicit by installing a dedicated pool
-//! instead of relying on process-wide state.
-
-/// The thread count requested via the `CLDIAM_THREADS` environment variable,
-/// if any. Values that are unset, unparsable, or zero mean "use the default".
-pub fn configured_threads() -> Option<usize> {
-    let raw = std::env::var("CLDIAM_THREADS").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
-}
+//! `RAYON_NUM_THREADS`, then the hardware). The CLI's `--threads` flag
+//! installs a dedicated pool instead of relying on that process-wide state.
 
 /// Runs `op` on a dedicated pool of `threads` workers when a count is given,
 /// or directly on the caller's current pool (the global one by default)

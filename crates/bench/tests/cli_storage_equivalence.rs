@@ -5,6 +5,11 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+mod support {
+    pub mod temp_dir;
+}
+use support::temp_dir::TempDir;
+
 const CLDIAM: &str = env!("CARGO_BIN_EXE_cldiam");
 
 fn fixture(name: &str) -> PathBuf {
@@ -12,13 +17,13 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 /// Copies `name` into a scenario-private temp directory so `--cache` writes
-/// land next to the copy, not in the repository tree.
-fn staged_fixture(tag: &str, name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cldiam-cli-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+/// land next to the copy, not in the repository tree. Returns the directory,
+/// which is removed when dropped, and the copy.
+fn staged_fixture(tag: &str, name: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new(&format!("cldiam-cli-{}-{tag}", std::process::id()));
     let staged = dir.join(name);
     std::fs::copy(fixture(name), &staged).unwrap();
-    staged
+    (dir, staged)
 }
 
 /// Runs the CLI with `--no-time --json` and returns the JSON report bytes.
@@ -40,7 +45,7 @@ fn run_json(input: &Path, extra: &[&str]) -> String {
 fn dense_compressed_and_mmap_runs_are_byte_identical() {
     for name in ["roads.gr", "social.tsv"] {
         for algo in ["cldiam", "delta", "bounds"] {
-            let input = staged_fixture(&format!("{algo}-eq"), name);
+            let (_dir, input) = staged_fixture(&format!("{algo}-eq"), name);
             let baseline = run_json(&input, &["--algo", algo]);
             // Compressed CSR, in memory.
             let compressed = run_json(&input, &["--algo", algo, "--compress"]);
@@ -64,7 +69,7 @@ fn dense_compressed_and_mmap_runs_are_byte_identical() {
 
 #[test]
 fn mmap_runs_are_identical_across_thread_counts() {
-    let input = staged_fixture("threads", "roads.gr");
+    let (_dir, input) = staged_fixture("threads", "roads.gr");
     let reference = run_json(&input, &["--threads", "1"]);
     for threads in ["2", "4"] {
         let json = run_json(&input, &["--threads", threads, "--cache", "--compress", "--mmap"]);
@@ -74,7 +79,7 @@ fn mmap_runs_are_identical_across_thread_counts() {
 
 #[test]
 fn v1_snapshot_cache_still_serves_the_cli() {
-    let input = staged_fixture("v1compat", "roads.gr");
+    let (_dir, input) = staged_fixture("v1compat", "roads.gr");
     let baseline = run_json(&input, &[]);
     // Plant a v1-format cache next to the input, fresher than the text: the
     // CLI must load through it (upgrading it to v2 in place) and produce the

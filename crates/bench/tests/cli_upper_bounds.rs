@@ -7,10 +7,16 @@
 use std::path::Path;
 use std::process::Command;
 
-use cldiam_bench::json::{from_str, Value};
 use cldiam_gen::GraphSpec;
 use cldiam_graph::largest_component;
 use cldiam_sssp::exact_diameter;
+
+mod support {
+    pub mod json;
+    pub mod temp_dir;
+}
+use support::json::{from_str, Value};
+use support::temp_dir::TempDir;
 
 const CLDIAM: &str = env!("CARGO_BIN_EXE_cldiam");
 
@@ -61,8 +67,7 @@ fn a_row_without_an_upper_bound_reports_no_ratio() {
     // quotient edge weights overflow, so CL-DIAM reports no bound (a null
     // estimate). Its ratio must be null too, not the `INFINITY` sentinel
     // divided by the lower bound.
-    let dir = std::env::temp_dir().join(format!("cldiam-cli-heavy-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = TempDir::new(&format!("cldiam-cli-heavy-{}", std::process::id()));
     let input = dir.join("heavy.tsv");
     let edges: String = (0..59u32)
         .map(|i| format!("{i}\t{}\t{}\n", i + 1, if i % 3 == 1 { u32::MAX } else { 1 }))
@@ -73,7 +78,6 @@ fn a_row_without_an_upper_bound_reports_no_ratio() {
         &["--tau", "1", "--algo", "both"],
         &dir.join("report.json"),
     );
-    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(rows.len(), 2, "--algo both reports CL-DIAM and Δ-stepping");
     assert!(
         rows.iter().any(|row| matches!(row.get("estimate"), Value::Null)),
@@ -86,7 +90,7 @@ fn a_row_without_an_upper_bound_reports_no_ratio() {
         if unbounded {
             assert!(
                 matches!(approximation, Value::Null),
-                "{algorithm}: no upper bound, yet approximation {approximation}"
+                "{algorithm}: no upper bound, yet approximation {approximation:?}"
             );
         } else {
             assert!(approximation.as_f64().is_some(), "{algorithm}: bounded row has no ratio");

@@ -17,13 +17,30 @@ use cldiam_graph::{
     SnapshotGraph, SnapshotOptions, SnapshotPayload,
 };
 
-/// A scenario-private temp directory (removed and recreated per call so
-/// reruns never see stale caches).
-fn scenario_dir(tag: &str) -> PathBuf {
+/// A scenario-private temp directory, removed and recreated per call so
+/// reruns never see stale caches, and removed again when dropped, so a
+/// failing scenario cleans up too.
+struct ScenarioDir(PathBuf);
+
+impl std::ops::Deref for ScenarioDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScenarioDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn scenario_dir(tag: &str) -> ScenarioDir {
     let dir = std::env::temp_dir().join(format!("cldiam-chaos-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create scenario dir");
-    dir
+    ScenarioDir(dir)
 }
 
 /// Writes a small edge-list file and returns its path plus the graph it

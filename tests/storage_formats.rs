@@ -11,14 +11,15 @@ use cldiam::graph::{load_graph, load_graph_cached_with, CacheOptions, Compressed
 
 const ROADS_GR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/roads.gr");
 
-fn temp_file(name: &str, ext: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("cldiam-storage-{}-{name}.{ext}", std::process::id()))
-}
+/// A fixture's temp directory; dropping it removes the text, its snapshot
+/// cache and any quarantined copy of the cache, so a failing assertion
+/// cleans up too.
+struct FixtureDir(std::path::PathBuf);
 
-/// Removes a text fixture and its snapshot companion.
-fn cleanup(text: &std::path::Path) {
-    std::fs::remove_file(snapshot_path(text)).ok();
-    std::fs::remove_file(text).ok();
+impl Drop for FixtureDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 fn with_pool<T>(threads: usize, op: impl FnOnce() -> T + Send) -> T
@@ -134,28 +135,30 @@ fn load_cached(text: &std::path::Path) -> (Graph, bool) {
     (graph.into_dense(), from_snapshot)
 }
 
-/// Writes a small edge-list text fixture and returns its path.
-fn write_text_fixture(name: &str) -> std::path::PathBuf {
-    let path = temp_file(name, "tsv");
+/// Writes a small edge-list text fixture into a directory of its own and
+/// returns the directory and the fixture's path.
+fn write_text_fixture(name: &str) -> (FixtureDir, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("cldiam-storage-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("input.tsv");
     std::fs::write(&path, "0\t1\t5\n1\t2\t3\n2\t3\t4\n0\t3\t9\n").unwrap();
-    path
+    (FixtureDir(dir), path)
 }
 
 #[test]
 fn cache_is_written_then_reused() {
-    let text = write_text_fixture("reuse");
+    let (_dir, text) = write_text_fixture("reuse");
     let (first, from_snapshot) = load_cached(&text);
     assert!(!from_snapshot, "first load must parse the text");
     assert!(snapshot_path(&text).exists(), "cache written next to the input");
     let (second, from_snapshot) = load_cached(&text);
     assert!(from_snapshot, "second load must hit the cache");
     assert_eq!(first, second);
-    cleanup(&text);
 }
 
 #[test]
 fn stale_cache_is_transparently_regenerated() {
-    let text = write_text_fixture("stale");
+    let (_dir, text) = write_text_fixture("stale");
     load_cached(&text);
     // The text grows an edge and its mtime moves past the cache's.
     std::fs::write(&text, "0\t1\t5\n1\t2\t3\n2\t3\t4\n0\t3\t9\n3\t4\t2\n").unwrap();
@@ -164,12 +167,11 @@ fn stale_cache_is_transparently_regenerated() {
     let (graph, from_snapshot) = load_cached(&text);
     assert!(!from_snapshot, "stale cache must fall back to the text");
     assert_eq!(graph.num_nodes(), 5, "the reparse must see the new edge");
-    cleanup(&text);
 }
 
 #[test]
 fn future_version_cache_is_transparently_regenerated() {
-    let text = write_text_fixture("future");
+    let (_dir, text) = write_text_fixture("future");
     let expected = load_graph(&text).unwrap();
     // Forge a cache stamped with a version this build does not know.
     let mut forged = binary::MAGIC.to_vec();
@@ -187,12 +189,11 @@ fn future_version_cache_is_transparently_regenerated() {
         Some(2),
         "the unreadable cache must be replaced by a v2 snapshot"
     );
-    cleanup(&text);
 }
 
 #[test]
 fn v1_cache_is_upgraded_to_v2_in_place() {
-    let text = write_text_fixture("upgrade");
+    let (_dir, text) = write_text_fixture("upgrade");
     let expected = load_graph(&text).unwrap();
     let cache = snapshot_path(&text);
     binary::write_binary(&expected, std::fs::File::create(&cache).unwrap()).unwrap();
@@ -207,12 +208,11 @@ fn v1_cache_is_upgraded_to_v2_in_place() {
         Some(2),
         "the v1 cache must be upgraded to v2 in place"
     );
-    cleanup(&text);
 }
 
 #[test]
 fn cache_tier_follows_the_requested_options() {
-    let text = write_text_fixture("tier");
+    let (_dir, text) = write_text_fixture("tier");
     let dense = load_graph(&text).unwrap();
     let compressed_options = CacheOptions { compress: true, shards: 3, mmap: false, verify: true };
     let (graph, _) = load_graph_cached_with(&text, &compressed_options).unwrap();
@@ -232,5 +232,4 @@ fn cache_tier_follows_the_requested_options() {
             with_pool(threads, || load_graph_cached_with(&text, &options).unwrap().0.into_dense());
         assert_eq!(loaded, dense, "mmap load diverged at {threads} threads");
     }
-    cleanup(&text);
 }
