@@ -34,9 +34,11 @@
 //! flags that make covered nodes source-only. A decomposition keeps its
 //! whole grow state here from the first stage to the last: the cells are
 //! reset once, edited node by node between growths (new centers, source
-//! credits, freezing), and exported to a [`GrowState`] once at the end.
-//! Callers holding a `GrowState` of their own load it in and store it back
-//! around a growth instead.
+//! credits, freezing), and consumed at the end
+//! ([`AtomicGrowCells::into_center_and_true_dist`]), whose center and
+//! true-distance columns become the clustering's in place. Callers holding a
+//! `GrowState` of their own load it in and store it back around a growth
+//! instead.
 
 use rayon::prelude::*;
 
@@ -147,6 +149,7 @@ impl AtomicGrowCells {
 
     /// The cells and frozen flags as a fresh [`GrowState`] (no wave in
     /// flight).
+    #[cfg(test)]
     pub(crate) fn export(&self) -> GrowState {
         let n = self.len();
         let mut state = GrowState {
@@ -157,6 +160,25 @@ impl AtomicGrowCells {
         };
         self.store_into(&mut state);
         state
+    }
+
+    /// Consumes the cells and returns every node's center and true distance
+    /// (no wave in flight), reusing the two columns' memory in place.
+    pub(crate) fn into_center_and_true_dist(self) -> (Vec<NodeId>, Vec<Dist>) {
+        self.cells.into_key2_and_payload()
+    }
+
+    /// The largest finite true distance of any node, or 0 if there is none
+    /// (no wave in flight).
+    pub(crate) fn max_finite_true_dist(&self) -> Dist {
+        let cells = &self.cells;
+        (0..self.len())
+            .into_par_iter()
+            .with_min_len(2048)
+            .map(|u| cells.read_payload(u))
+            .filter(|&d| d != Dist::MAX)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Quiescent write of node `v`'s `(eff, center, true_dist)`, settled (no

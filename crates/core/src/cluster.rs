@@ -24,7 +24,6 @@ use cldiam_graph::{CancelToken, Dist, NeighborSource, NodeId};
 use crate::clustering::Clustering;
 use crate::config::ClusterConfig;
 use crate::growing::GrowScratch;
-use crate::state::GrowState;
 
 /// The paper's constant `γ = 4 ln 2` used in the center-selection probability.
 pub const GAMMA: f64 = 2.772_588_722_239_781;
@@ -50,16 +49,17 @@ pub fn cluster<G: NeighborSource>(
 ) -> Clustering {
     let tracker = CostTracker::new();
     let mut scratch = GrowScratch::with_capacity(graph.num_nodes());
-    let state = cluster_state(graph, config, &tracker, &mut scratch, cancel);
-    finalize(graph, state, &tracker)
+    let run = cluster_stages(graph, config, &tracker, &mut scratch, cancel);
+    finalize(scratch, run, &tracker)
 }
 
-/// Internal driver shared with `CLUSTER2`: runs the staged decomposition and
-/// returns the raw grow-state plus bookkeeping. The caller provides the
-/// growing scratch, which holds the grow state from the first stage to the
-/// last, so every stage and every wave of the decomposition reuses the same
-/// atomic cells and frontier buffers.
-pub(crate) fn cluster_state<G: NeighborSource>(
+/// Internal driver shared with `CLUSTER2`: runs the staged decomposition in
+/// the caller's growing scratch, which holds the grow state from the first
+/// stage to the last, so every stage and every wave of the decomposition
+/// reuses the same atomic cells and frontier buffers. The nodes left
+/// uncovered stay so until [`GrowScratch::finish`] makes them singletons;
+/// the round that charges for it is already counted.
+pub(crate) fn cluster_stages<G: NeighborSource>(
     graph: &G,
     config: &ClusterConfig,
     tracker: &CostTracker,
@@ -67,12 +67,8 @@ pub(crate) fn cluster_state<G: NeighborSource>(
     cancel: &CancelToken,
 ) -> ClusterRun {
     let n = graph.num_nodes();
-    let mut run = ClusterRun {
-        state: GrowState::new(0),
-        delta: config.initial_delta.resolve(graph),
-        growing_steps: 0,
-        stages: 0,
-    };
+    let mut run =
+        ClusterRun { delta: config.initial_delta.resolve(graph), growing_steps: 0, stages: 0 };
     if n == 0 {
         return run;
     }
@@ -157,33 +153,33 @@ pub(crate) fn cluster_state<G: NeighborSource>(
     }
 
     // Remaining uncovered nodes become singleton clusters.
-    run.state = scratch.finish();
     tracker.add_round();
     run
 }
 
-/// Raw output of the staged decomposition, before packaging.
+/// Bookkeeping of the staged decomposition; the grow state itself stays in
+/// the scratch.
 pub(crate) struct ClusterRun {
-    pub(crate) state: GrowState,
     pub(crate) delta: Dist,
     pub(crate) growing_steps: u64,
     pub(crate) stages: u64,
 }
 
-/// Packages a completed grow-state into a [`Clustering`].
-pub(crate) fn finalize<G: NeighborSource>(
-    graph: &G,
-    run: ClusterRun,
-    tracker: &CostTracker,
-) -> Clustering {
-    let n = graph.num_nodes();
-    let centers: Vec<NodeId> =
-        (0..n as NodeId).filter(|&u| run.state.center[u as usize] == u).collect();
-    let dist: Vec<Dist> =
-        run.state.true_dist.iter().map(|&d| if d == Dist::MAX { 0 } else { d }).collect();
+/// Finishes the decomposition held in `scratch` and packages it into a
+/// [`Clustering`], whose assignment and distances take over the cells'
+/// memory.
+pub(crate) fn finalize(scratch: GrowScratch, run: ClusterRun, tracker: &CostTracker) -> Clustering {
+    let (assignment, mut dist) = scratch.finish();
+    for d in &mut dist {
+        if *d == Dist::MAX {
+            *d = 0;
+        }
+    }
     let radius = dist.iter().copied().max().unwrap_or(0);
+    let centers: Vec<NodeId> =
+        (0..assignment.len() as NodeId).filter(|&u| assignment[u as usize] == u).collect();
     Clustering {
-        assignment: run.state.center,
+        assignment,
         dist,
         centers,
         radius,

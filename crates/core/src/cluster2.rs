@@ -30,11 +30,10 @@ use rand_xoshiro::Xoshiro256PlusPlus;
 
 use cldiam_graph::{CancelToken, Dist, NeighborSource, NodeId};
 
-use crate::cluster::{cluster_state, finalize, ClusterRun};
+use crate::cluster::{cluster_stages, finalize, ClusterRun};
 use crate::clustering::Clustering;
 use crate::config::ClusterConfig;
 use crate::growing::GrowScratch;
-use crate::state::GrowState;
 
 /// Runs `CLUSTER2(G, τ)` and returns the resulting clustering.
 ///
@@ -54,28 +53,19 @@ pub fn cluster2<G: NeighborSource>(
 ) -> Clustering {
     let n = graph.num_nodes();
     let tracker = CostTracker::new();
-    if n == 0 {
-        return finalize(
-            graph,
-            ClusterRun { state: GrowState::new(0), delta: 1, growing_steps: 0, stages: 0 },
-            &tracker,
-        );
-    }
-
     // One scratch serves the preliminary CLUSTER run and every iteration.
     let mut scratch = GrowScratch::with_capacity(n);
+    if n == 0 {
+        let run = ClusterRun { delta: 1, growing_steps: 0, stages: 0 };
+        return finalize(scratch, run, &tracker);
+    }
 
-    // Step 1: learn R_CL(τ) from a CLUSTER run.
-    let preliminary = {
-        let pre_tracker = CostTracker::new();
-        let run = cluster_state(graph, config, &pre_tracker, &mut scratch, cancel);
-        finalize(graph, run, &pre_tracker)
-    };
-    let r_cl = preliminary.radius.max(1);
+    // Step 1: learn R_CL(τ) from a CLUSTER run, whose cost is charged to
+    // this run. Only its radius is needed, so it is read off the cells,
+    // which the iterations below then reuse.
+    let preliminary = cluster_stages(graph, config, &tracker, &mut scratch, cancel);
+    let r_cl = scratch.radius().max(1);
     let threshold: Dist = r_cl.saturating_mul(2);
-    tracker.add_rounds(preliminary.metrics.rounds);
-    tracker.add_messages(preliminary.metrics.messages);
-    tracker.add_node_updates(preliminary.metrics.node_updates);
 
     // Step 2: log n iterations with doubling selection probability, on a
     // fresh resident state.
@@ -138,15 +128,12 @@ pub fn cluster2<G: NeighborSource>(
     // Any node still uncovered (unreachable from every center within the
     // light-edge constraint, e.g. separated by edges heavier than 2·R_CL)
     // becomes a singleton cluster.
-    let state = scratch.finish();
-
     let run = ClusterRun {
-        state,
         delta: threshold,
         growing_steps: growing_steps + preliminary.growing_steps,
         stages: preliminary.stages + u64::from(iterations),
     };
-    finalize(graph, run, &tracker)
+    finalize(scratch, run, &tracker)
 }
 
 #[cfg(test)]

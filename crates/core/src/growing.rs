@@ -21,7 +21,8 @@
 //! winner the literal MR reducer picks (see `atomic_state.rs` for the
 //! protocol). A decomposition keeps its whole grow state in the cells of one
 //! [`GrowScratch`] from its first stage to its last: the cells are reset
-//! once and exported to a [`GrowState`] once. In between, the stage
+//! once, and at the end they are consumed in place, their center and
+//! true-distance columns becoming the clustering's. In between, the stage
 //! bookkeeping runs over two sorted lists instead of scanning all `n` nodes:
 //! the uncovered nodes, where new centers are drawn and where the nodes first
 //! reached in a stage are found and frozen, and the *live sources*, the
@@ -36,13 +37,22 @@
 //! growing steps and cancel checkpoints stay exactly those of the unpruned
 //! growth.
 //!
-//! A wave collects its updated nodes and interior sources in per-chunk
-//! buffers ([`ChunkBuffers`]) instead of through one shared cursor. The
-//! scratch reuses them, together with the frontier double-buffer, the
-//! pre-wave snapshot and the touched bitmap, so a decomposition performs
-//! O(1) amortized heap allocations per wave. [`partial_growth`] and
-//! [`delta_growing_step`] run the same wave over a caller's [`GrowState`],
-//! which they load into the cells and store back around the growth.
+//! Every proposal of a wave must read the state the wave started from, while
+//! targets are updated concurrently, so a wave reads its frontier from a
+//! snapshot. The live sources need none: they are frozen, and a frozen node
+//! is never a proposal target, so the first wave of each growth reads them
+//! straight from the cells, and only the stage's reached nodes are listed
+//! and snapshotted as its frontier. A wave collects its updated nodes and
+//! interior sources in per-chunk buffers ([`ChunkBuffers`]) instead of
+//! through one shared cursor, and each chunk sorts its updated nodes before
+//! it returns. The sorted runs are merged into the next frontier, and one
+//! parallel pass over it clears the touched marks, settles its nodes and
+//! snapshots them for the next wave. The scratch reuses every buffer — the
+//! frontier double-buffer, the merge buffer, the snapshot, the touched marks
+//! — so a decomposition performs O(1) amortized heap allocations per wave.
+//! [`partial_growth`] and [`delta_growing_step`] run the same wave over a
+//! caller's [`GrowState`], which they load into the cells and store back
+//! around the growth; their first wave snapshots the caller's whole frontier.
 //!
 //! The cost model is charged exactly as before — one round per wave, one
 //! message per relaxation proposal, one node update per node whose state
@@ -53,6 +63,8 @@
 //! counters.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+
+use rayon::prelude::*;
 
 use cldiam_mr::CostTracker;
 
@@ -93,10 +105,14 @@ const PAR_MIN_FRONTIER: usize = 32;
 /// Minimum list entries per chunk of a bookkeeping scan.
 const PAR_MIN_LIST: usize = 4096;
 
+/// A node's `(eff, center, true_dist)` as a wave starts.
+type Snapshot = (i64, NodeId, Dist);
+
 /// What one chunk of a wave collects, in a buffer reused across waves.
 #[derive(Debug, Default)]
 struct WaveChunk {
-    /// Nodes this chunk was the first in the wave to improve.
+    /// Nodes this chunk was the first in the wave to improve, ascending once
+    /// the chunk is done.
     updated: Vec<NodeId>,
     /// Frozen sources this chunk scanned without finding an unfrozen
     /// neighbour.
@@ -109,8 +125,9 @@ struct WaveChunk {
 ///
 /// One `GrowScratch` serves an entire decomposition: `CLUSTER` / `CLUSTER2`
 /// allocate it once and keep the grow state resident in its atomic cells
-/// from the first stage until the final export, so every growth and every
-/// wave reuses the same cells, frontier buffers and per-chunk buffers.
+/// from the first stage until [`GrowScratch::finish`] consumes them, so every
+/// growth and every wave reuses the same cells, frontier buffers and
+/// per-chunk buffers.
 #[derive(Debug, Default)]
 pub struct GrowScratch {
     /// The grow state, in atomic cells.
@@ -119,16 +136,19 @@ pub struct GrowScratch {
     touched: Vec<AtomicBool>,
     /// Per-chunk wave outputs.
     chunks: ChunkBuffers<WaveChunk>,
-    /// Per-chunk outputs of the frontier-seeding scans.
+    /// Per-chunk outputs of the initial frontier's scan.
     picks: ChunkBuffers<Vec<NodeId>>,
-    /// Current wave's frontier (always sorted ascending between waves).
+    /// Current wave's frontier, ascending. The live sources, which the first
+    /// wave of each decomposition growth scans too, are not listed here.
     frontier: Vec<NodeId>,
-    /// Updated nodes of the last executed wave (sorted ascending).
+    /// The frontier's state as the wave starts, entry for entry.
+    snap: Vec<Snapshot>,
+    /// Updated nodes of the last executed wave (ascending).
     next: Vec<NodeId>,
-    /// Pre-wave `(eff, center, true_dist)` snapshot of the frontier, so that
-    /// every proposal of a wave reads the state the wave started from even
-    /// while targets are being updated concurrently.
-    snap: Vec<(i64, NodeId, Dist)>,
+    /// Buffer the sorted runs of `next` are merged through.
+    merge_buf: Vec<NodeId>,
+    /// End of each sorted run in `next` before the merge.
+    run_ends: Vec<usize>,
     /// Interior sources found by the current growth's waves, ascending.
     interior: Vec<NodeId>,
     /// Nodes not covered by a finished stage, ascending.
@@ -212,34 +232,34 @@ impl GrowScratch {
         if stop_at_reached.is_some_and(|target| self.reached >= target) {
             return idle;
         }
-        // Initial frontier: the live sources and this stage's reached nodes
-        // below the threshold. Both lists are ascending and disjoint, so the
-        // stable sort is one linear merge of two runs.
-        let cells = &self.cells;
+        // Initial frontier: this stage's reached nodes below the threshold,
+        // ascending like the uncovered list they are picked from. The first
+        // wave reads the live sources from the cells.
+        let (cells, uncovered) = (&self.cells, &self.uncovered);
         let active = |u: NodeId| {
             cells.is_reached(u as usize) && eff_below_threshold(cells.eff(u as usize), threshold)
         };
         self.frontier.clear();
-        for list in [&self.live, &self.uncovered] {
-            let picked = self.picks.scan(list.len(), PAR_MIN_LIST, |range, out| {
-                out.extend(list[range].iter().copied().filter(|&u| active(u)));
-            });
-            for out in picked {
-                self.frontier.append(out);
-            }
+        let picked = self.picks.scan(uncovered.len(), PAR_MIN_LIST, |range, out| {
+            out.extend(uncovered[range].iter().copied().filter(|&u| active(u)));
+        });
+        for out in picked {
+            self.frontier.append(out);
         }
-        self.frontier.sort();
         // A pruned source was below the threshold when a wave found it
         // interior and stays so (credits only fall, Δ only grows), so the
-        // unpruned frontier is empty only if nothing was ever pruned: an
-        // empty pruned frontier still runs its (empty) wave.
-        if self.frontier.is_empty() && !self.pruned {
+        // unpruned growth has no source only if nothing was ever pruned: a
+        // growth without an active source still runs its (empty) wave once
+        // something has been pruned.
+        if self.frontier.is_empty() && !self.pruned && !self.live.iter().any(|&u| active(u)) {
             return idle;
         }
+        self.snapshot_frontier();
         let outcome = self.grow(
             graph,
             threshold,
             light_limit,
+            true,
             self.reached,
             stop_at_reached,
             max_steps,
@@ -283,25 +303,35 @@ impl GrowScratch {
         self.reached = 0;
     }
 
-    /// Ends the decomposition: every still-uncovered node becomes a
-    /// singleton cluster, and the resident state is exported.
-    pub(crate) fn finish(&mut self) -> GrowState {
-        for &u in &self.uncovered {
-            self.cells.set(u as usize, 0, u, 0);
-        }
-        self.freeze_reached();
-        self.cells.export()
+    /// The largest finite true distance in the resident state: the radius
+    /// of the clustering [`GrowScratch::finish`] would return, whose
+    /// singletons sit at distance 0.
+    pub(crate) fn radius(&self) -> Dist {
+        self.cells.max_finite_true_dist()
     }
 
-    /// Repeats waves from `self.frontier` — the `PartialGrowth` loop shared
-    /// by every entry point. `reached` is the unfrozen reached count the
-    /// growth starts from.
+    /// Ends the decomposition: every still-uncovered node becomes a
+    /// singleton cluster. Returns each node's center and true distance, in
+    /// the memory of the cells they were grown in.
+    pub(crate) fn finish(self) -> (Vec<NodeId>, Vec<Dist>) {
+        let (mut center, mut true_dist) = self.cells.into_center_and_true_dist();
+        for &u in &self.uncovered {
+            center[u as usize] = u;
+            true_dist[u as usize] = 0;
+        }
+        (center, true_dist)
+    }
+
+    /// Repeats waves from `self.frontier`, and from the live sources first
+    /// if `scan_live` — the `PartialGrowth` loop shared by every entry point.
+    /// `reached` is the unfrozen reached count the growth starts from.
     #[allow(clippy::too_many_arguments)] // mirrors partial_growth
     fn grow<G: NeighborSource>(
         &mut self,
         graph: &G,
         threshold: Dist,
         light_limit: Dist,
+        mut scan_live: bool,
         mut reached: usize,
         stop_at_reached: Option<usize>,
         max_steps: Option<usize>,
@@ -317,7 +347,8 @@ impl GrowScratch {
             if cancel.checkpoint() {
                 break;
             }
-            let (stats, newly_reached) = self.wave(graph, threshold, light_limit);
+            let (stats, newly_reached) = self.wave(graph, threshold, light_limit, scan_live);
+            scan_live = false;
             outcome.steps += 1;
             outcome.proposals += stats.proposals;
             outcome.updates += stats.updates;
@@ -339,31 +370,33 @@ impl GrowScratch {
         outcome
     }
 
-    /// Executes one wave from `self.frontier`, leaving the sorted updated
-    /// nodes in `self.next` and appending the interior sources it found to
-    /// `self.interior`. Returns the step counters and how many
-    /// previously-unreached nodes were assigned for the first time.
+    /// Snapshots the frontier's state for the coming wave.
+    fn snapshot_frontier(&mut self) {
+        snapshot(&self.cells, &self.frontier, &mut self.snap, |_| {});
+    }
+
+    /// Executes one wave from `self.frontier` (and from the live sources
+    /// first, if `scan_live`), leaving the sorted updated nodes in
+    /// `self.next`, settled, with their snapshot in `self.snap`, and
+    /// appending the interior sources it found to `self.interior`. Returns
+    /// the step counters and how many previously-unreached nodes were
+    /// assigned for the first time.
     fn wave<G: NeighborSource>(
         &mut self,
         graph: &G,
         threshold: Dist,
         light_limit: Dist,
+        scan_live: bool,
     ) -> (StepStats, u64) {
-        // Snapshot the frontier's pre-wave state: proposals must be computed
-        // from the state the wave started with, exactly like the two-phase
-        // formulation, even though targets are updated concurrently.
-        let (snap, frontier, cells) = (&mut self.snap, &self.frontier, &self.cells);
-        snap.clear();
-        snap.extend(frontier.iter().map(|&u| cells.read(u as usize)));
-
-        let (snap, touched) = (&self.snap, &self.touched);
-        let chunks = self.chunks.scan(frontier.len(), PAR_MIN_FRONTIER, |range, out| {
-            for i in range {
-                let (eff_u, center_u, true_u) = snap[i];
+        let live: &[NodeId] = if scan_live { &self.live } else { &[] };
+        let (frontier, snap, cells, touched) =
+            (&self.frontier, &self.snap, &self.cells, &self.touched);
+        let sources = live.len() + frontier.len();
+        let chunks = self.chunks.scan(sources, PAR_MIN_FRONTIER, |range, out| {
+            let mut relax = |u: NodeId, (eff_u, center_u, true_u): Snapshot| {
                 if !eff_below_threshold(eff_u, threshold) || center_u == NO_CENTER {
-                    continue;
+                    return;
                 }
-                let u = frontier[i];
                 let src_plus = u + 1;
                 let mut open = false;
                 graph.neighbors(u).for_each(|(v, w)| {
@@ -395,29 +428,101 @@ impl GrowScratch {
                 if !open && cells.is_frozen(u as usize) {
                     out.interior.push(u);
                 }
+            };
+            // Positions below `live.len()` are live sources, the rest index
+            // the frontier. A live source is frozen and a frozen node is
+            // never a proposal target, so its cell holds still all wave.
+            let split = live.len();
+            for &u in &live[range.start.min(split)..range.end.min(split)] {
+                relax(u, cells.read(u as usize));
             }
+            let listed = range.start.saturating_sub(split)..range.end.saturating_sub(split);
+            for (&u, &state) in frontier[listed.clone()].iter().zip(&snap[listed]) {
+                relax(u, state);
+            }
+            out.updated.sort_unstable();
         });
 
-        // Collect the wave's updated nodes in ascending order (the canonical
-        // frontier order every tie-break above relies on), then reset the
-        // per-wave marks — O(updated), never O(n). Chunks cover ascending
-        // frontier ranges, so the interior sources arrive in order.
+        // Chunks cover ascending source ranges, so the interior sources
+        // arrive in order. The updated nodes arrive as one ascending run per
+        // chunk; merging the runs gives the canonical ascending frontier
+        // order every tie-break relies on.
         let mut stats = StepStats::default();
         let mut newly_reached = 0;
         self.next.clear();
+        self.run_ends.clear();
         for chunk in chunks {
             stats.proposals += std::mem::take(&mut chunk.proposals);
             newly_reached += std::mem::take(&mut chunk.newly_reached);
-            self.next.append(&mut chunk.updated);
+            if !chunk.updated.is_empty() {
+                self.next.append(&mut chunk.updated);
+                self.run_ends.push(self.next.len());
+            }
             self.interior.append(&mut chunk.interior);
         }
-        self.next.sort_unstable();
-        for &v in &self.next {
-            self.touched[v as usize].store(false, Ordering::Relaxed);
-            self.cells.settle(v as usize);
-        }
+        merge_runs(&mut self.next, &mut self.merge_buf, &mut self.run_ends);
+        // One pass over the updated nodes — O(updated), never O(n): reset
+        // the per-wave marks, settle, and snapshot the next wave's frontier.
+        let (cells, touched) = (&self.cells, &self.touched);
+        snapshot(cells, &self.next, &mut self.snap, |v| {
+            touched[v].store(false, Ordering::Relaxed);
+            cells.settle(v);
+        });
         stats.updates = self.next.len() as u64;
         (stats, newly_reached)
+    }
+}
+
+/// Writes the state of every node of `nodes` into `snap`, entry for entry,
+/// after running `prepare` on the node: one parallel pass.
+fn snapshot(
+    cells: &AtomicGrowCells,
+    nodes: &[NodeId],
+    snap: &mut Vec<Snapshot>,
+    prepare: impl Fn(usize) + Send + Sync,
+) {
+    // Growing the buffer writes only its new tail; every entry is
+    // overwritten below.
+    snap.resize(nodes.len(), (0, 0, 0));
+    snap.par_chunks_mut(PAR_MIN_LIST).zip(nodes.par_chunks(PAR_MIN_LIST)).for_each(
+        |(entries, nodes)| {
+            for (entry, &v) in entries.iter_mut().zip(nodes) {
+                prepare(v as usize);
+                *entry = cells.read(v as usize);
+            }
+        },
+    );
+}
+
+/// Merges the ascending runs of `list`, which end at the offsets `ends`,
+/// into one ascending list: pairwise, through `buf`, in `⌈log₂ runs⌉`
+/// linear passes that allocate nothing once `buf` has grown. Leaves `ends`
+/// with one entry, or none if `list` is empty.
+fn merge_runs(list: &mut Vec<NodeId>, buf: &mut Vec<NodeId>, ends: &mut Vec<usize>) {
+    while ends.len() > 1 {
+        buf.clear();
+        let mut start = 0;
+        for pair in 0..ends.len().div_ceil(2) {
+            let mid = ends[2 * pair];
+            let end = ends.get(2 * pair + 1).copied().unwrap_or(mid);
+            let (a, b) = (&list[start..mid], &list[mid..end]);
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                if a[i] < b[j] {
+                    buf.push(a[i]);
+                    i += 1;
+                } else {
+                    buf.push(b[j]);
+                    j += 1;
+                }
+            }
+            buf.extend_from_slice(&a[i..]);
+            buf.extend_from_slice(&b[j..]);
+            ends[pair] = end;
+            start = end;
+        }
+        ends.truncate(ends.len().div_ceil(2));
+        std::mem::swap(list, buf);
     }
 }
 
@@ -465,7 +570,8 @@ pub fn delta_growing_step<G: NeighborSource>(
     scratch.cells.load_from(state);
     scratch.frontier.clear();
     scratch.frontier.extend_from_slice(frontier);
-    let (stats, _) = scratch.wave(graph, threshold, light_limit);
+    scratch.snapshot_frontier();
+    let (stats, _) = scratch.wave(graph, threshold, light_limit, false);
     scratch.interior.clear();
     scratch.cells.store_into(state);
     (scratch.next.clone(), stats)
@@ -524,10 +630,12 @@ pub fn partial_growth<G: NeighborSource>(
         return idle;
     }
     scratch.cells.load_from(state);
+    scratch.snapshot_frontier();
     let outcome = scratch.grow(
         graph,
         threshold,
         light_limit,
+        false,
         reached,
         stop_at_reached,
         max_steps,
@@ -845,6 +953,29 @@ mod tests {
             scratch.freeze_reached();
         }
         assert!(pruned > 0, "no interior source was pruned");
+    }
+
+    #[test]
+    fn merge_runs_merges_any_number_of_runs() {
+        let mut buf = Vec::new();
+        let cases: [&[&[NodeId]]; 4] = [
+            &[],
+            &[&[4, 9]],
+            &[&[3], &[1, 2], &[0, 4]],
+            &[&[1, 8], &[0, 2, 3], &[5], &[7, 9], &[6]],
+        ];
+        for runs in cases {
+            let mut list: Vec<NodeId> = runs.concat();
+            let mut ends = Vec::new();
+            for run in runs {
+                ends.push(ends.last().copied().unwrap_or(0) + run.len());
+            }
+            let mut expected = list.clone();
+            expected.sort_unstable();
+            merge_runs(&mut list, &mut buf, &mut ends);
+            assert_eq!(list, expected);
+            assert!(ends.len() <= 1);
+        }
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //! while avoiding repeated CSR reconstruction.
 //!
 //! `GrowState` itself is the plain, single-owner view of the state. `CLUSTER`
-//! and `CLUSTER2` keep their state in the per-node atomic cells of
-//! [`crate::atomic_state::AtomicGrowCells`] for the whole decomposition and
-//! export it to a `GrowState` once at the end; [`crate::growing::partial_growth`]
-//! loads a caller's `GrowState` into those cells and stores it back around a
+//! and `CLUSTER2` never build one: they keep their state in the per-node
+//! atomic cells of [`crate::atomic_state::AtomicGrowCells`] for the whole
+//! decomposition, and at the end the cells' center and true-distance columns
+//! become the clustering's in place. [`crate::growing::partial_growth`] loads
+//! a caller's `GrowState` into those cells and stores it back around a
 //! growth — see `growing.rs`.
 
 use cldiam_graph::{Dist, NodeId};

@@ -276,6 +276,17 @@ impl SeqMinCells {
         self.payload[v].load(Ordering::Relaxed)
     }
 
+    /// Consumes the block and returns every cell's secondary key and payload,
+    /// in node order, and frees the other three columns. Where an atomic has
+    /// its integer's size and alignment (every 64-bit target), the collects
+    /// reuse the two columns' buffers in place and allocate nothing.
+    pub fn into_key2_and_payload(self) -> (Vec<u32>, Vec<u64>) {
+        (
+            self.key2.into_iter().map(AtomicU32::into_inner).collect(),
+            self.payload.into_iter().map(AtomicU64::into_inner).collect(),
+        )
+    }
+
     /// Clears the tie-break component of node `v` (sets it to `0`), so that
     /// later proposals with an equal `(key1, key2)` lose against the current
     /// value. Must only be called between waves.
@@ -454,6 +465,18 @@ mod tests {
         // value; a strictly better key1 still wins.
         assert_eq!(cells.propose(1, 10, 2, 1, 0), None);
         assert_eq!(cells.propose(1, 9, 9, 1, 9), Some(2));
+    }
+
+    #[test]
+    fn seq_min_cells_into_key2_and_payload_returns_every_cell() {
+        let mut cells = SeqMinCells::new();
+        cells.resize(3);
+        for v in 0..3u32 {
+            cells.set(v as usize, i64::MAX, u32::MAX, 0, u64::MAX);
+        }
+        cells.propose(0, 4, 7, 1, 40);
+        cells.set(2, -1, 9, 0, 90);
+        assert_eq!(cells.into_key2_and_payload(), (vec![7, u32::MAX, 9], vec![40, u64::MAX, 90]));
     }
 
     #[test]

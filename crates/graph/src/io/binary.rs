@@ -284,8 +284,7 @@ mod tests {
     #[test]
     fn roundtrips_through_file() {
         let g = sample();
-        let dir = std::env::temp_dir().join("cldiam_binary_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::io::test_dir::TempDir::new("cldiam_binary_test");
         let path = dir.join("g.cldg");
         write_binary(&g, std::fs::File::create(&path).unwrap()).unwrap();
         assert_eq!(crate::io::load_graph(&path).unwrap(), g);

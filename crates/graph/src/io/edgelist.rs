@@ -170,8 +170,7 @@ mod tests {
     #[test]
     fn roundtrip_through_file() {
         let g = Graph::from_edges(3, &[(0, 1, 2), (1, 2, 8)]);
-        let dir = std::env::temp_dir().join("cldiam_edgelist_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::io::test_dir::TempDir::new("cldiam_edgelist_test");
         let path = dir.join("g.txt");
         write_edge_list(&g, std::fs::File::create(&path).unwrap()).unwrap();
         let parsed = crate::io::load_graph(&path).unwrap();

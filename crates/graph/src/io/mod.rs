@@ -613,6 +613,39 @@ fn parse_chunk<T>(
 }
 
 #[cfg(test)]
+pub(crate) mod test_dir {
+    use std::path::{Path, PathBuf};
+
+    /// `<temp dir>/<name>-<pid>`, created empty, for a test that writes
+    /// files: the pid keeps concurrent test runs apart. Dropping it removes
+    /// it and everything in it, so a failing test cleans up too.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("create the temp dir");
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -282,7 +282,7 @@ fn bound_connected<G: NeighborSource, O: DiameterOracle>(
     // 2-sweep, folding the sweep-chain lower bound into the same SSSPs).
     let mut next_is_sweep = true;
 
-    while runs < budget {
+    loop {
         if runs > 0 && cancel.checkpoint() {
             interrupted = true;
             break;
@@ -329,6 +329,10 @@ fn bound_connected<G: NeighborSource, O: DiameterOracle>(
                 }
             }
         }
+        // The budget is spent: no source to choose.
+        if runs >= budget {
+            break;
+        }
         source =
             if next_is_sweep && state.lb[sweep_target as usize] < state.ub[sweep_target as usize] {
                 sweep_target
@@ -340,7 +344,8 @@ fn bound_connected<G: NeighborSource, O: DiameterOracle>(
             };
         next_is_sweep = false;
     }
-    let upper = state.diam_ub();
+    // Every exit follows a recorded iteration, and nothing has moved since.
+    let upper = iterations.last().map_or(INFINITY, |last| last.upper);
     BoundsOutcome {
         lower: state.diam_lb,
         upper,
@@ -480,7 +485,8 @@ pub fn bounds_diameter_directed(
         bwd.run_directed(graph, source, SsspDirection::Backward);
         runs += 2;
     }
-    let upper = state.diam_ub();
+    // Every exit follows a recorded iteration, and nothing has moved since.
+    let upper = iterations.last().map_or(INFINITY, |last| last.upper);
     BoundsOutcome {
         lower: state.diam_lb,
         upper,
