@@ -81,12 +81,11 @@ fn mmap_runs_are_identical_across_thread_counts() {
 fn v1_snapshot_cache_still_serves_the_cli() {
     let (_dir, input) = staged_fixture("v1compat", "roads.gr");
     let baseline = run_json(&input, &[]);
-    // Plant a v1-format cache next to the input, fresher than the text: the
-    // CLI must load through it (upgrading it to v2 in place) and produce the
-    // same report.
-    let graph = cldiam_graph::load_graph(&input).unwrap();
+    // Plant the committed v1 image of the input as its cache, fresher than
+    // the text: the CLI must load through it (upgrading it to v2 in place)
+    // and produce the same report.
     let cache = cldiam_graph::io::snapshot_path(&input);
-    cldiam_graph::io::binary::write_binary(&graph, std::fs::File::create(&cache).unwrap()).unwrap();
+    std::fs::copy(fixture("roads-v1.cldg"), &cache).unwrap();
     let future = std::time::SystemTime::now() + std::time::Duration::from_secs(60);
     std::fs::OpenOptions::new().append(true).open(&cache).unwrap().set_modified(future).unwrap();
     let via_v1 = run_json(&input, &["--cache"]);

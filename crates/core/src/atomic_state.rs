@@ -364,6 +364,9 @@ mod tests {
             }
         });
         assert_eq!(cells.read(0), (1, 0, 1));
-        assert_eq!(cells.cells.read_key3(0), 1);
+        // The tie-break kept source 1, the lowest: the same key from it ties
+        // and loses, from source 0 it wins.
+        assert!(matches!(cells.propose(0, 1, 0, 1, 1), Proposed::Rejected));
+        assert!(matches!(cells.propose(0, 1, 0, 0, 1), Proposed::Improved { .. }));
     }
 }

@@ -114,7 +114,7 @@ mod tests {
         let g = mesh(10, WeightModel::UniformUnit, 5);
         let exact = exact_diameter(&g);
         let config = AnytimeConfig::default()
-            .with_bounds(BoundsConfig::default().with_quotient_after(2))
+            .with_bounds(BoundsConfig { quotient_after: 2, ..BoundsConfig::default() })
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(7));
         let split = ComponentSplit::compute(&g);
         let outcome = anytime_diameter(&g, &config, &split, &CancelToken::never());
@@ -129,7 +129,7 @@ mod tests {
         // Two SSSPs will not close an rmat component; the oracle must fire.
         let g = rmat(RmatParams::paper(8), WeightModel::UniformUnit, 3);
         let config = AnytimeConfig::default()
-            .with_bounds(BoundsConfig::default().with_max_sssp(3).with_quotient_after(2))
+            .with_bounds(BoundsConfig { max_sssp: 3, quotient_after: 2, ..BoundsConfig::default() })
             .with_cluster(ClusterConfig::default().with_tau(16).with_seed(3));
         let split = ComponentSplit::compute(&g);
         let outcome = anytime_diameter(&g, &config, &split, &CancelToken::never());
@@ -166,7 +166,7 @@ mod tests {
         let g = mesh(10, WeightModel::UniformUnit, 5);
         let exact = exact_diameter(&g);
         let config = AnytimeConfig::default()
-            .with_bounds(BoundsConfig::default().with_quotient_after(2))
+            .with_bounds(BoundsConfig { quotient_after: 2, ..BoundsConfig::default() })
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(7));
         let token = CancelToken::never();
         token.cancel();
@@ -184,7 +184,11 @@ mod tests {
         let g = mesh(12, WeightModel::UniformUnit, 2);
         let exact = exact_diameter(&g);
         let config = AnytimeConfig::default()
-            .with_bounds(BoundsConfig::default().with_max_sssp(100).with_quotient_after(2))
+            .with_bounds(BoundsConfig {
+                max_sssp: 100,
+                quotient_after: 2,
+                ..BoundsConfig::default()
+            })
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(3));
         let split = ComponentSplit::compute(&g);
         let run =

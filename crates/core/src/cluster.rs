@@ -281,10 +281,10 @@ mod tests {
 
     #[test]
     fn handles_tiny_graphs() {
-        let empty = cldiam_graph::Graph::empty(0);
+        let empty = cldiam_graph::GraphBuilder::new(0).build();
         let c0 = cluster(&empty, &default_config(2, 1), &CancelToken::never());
         assert_eq!(c0.num_clusters(), 0);
-        let single = cldiam_graph::Graph::empty(1);
+        let single = cldiam_graph::GraphBuilder::new(1).build();
         let c1 = cluster(&single, &default_config(2, 1), &CancelToken::never());
         assert_eq!(c1.num_clusters(), 1);
         assert_eq!(c1.assignment, vec![0]);
@@ -335,7 +335,8 @@ mod tests {
     #[test]
     fn step_cap_limits_growing_steps_per_phase() {
         let g = mesh(20, WeightModel::UniformUnit, 4);
-        let capped = cluster(&g, &default_config(2, 6).with_step_cap(2), &CancelToken::never());
+        let config = ClusterConfig { max_growing_steps_per_phase: Some(2), ..default_config(2, 6) };
+        let capped = cluster(&g, &config, &CancelToken::never());
         capped.validate(&g).expect("valid clustering");
         // With a cap the algorithm still terminates and covers every node.
         assert_eq!(capped.assignment.len(), g.num_nodes());

@@ -141,7 +141,7 @@ mod tests {
     use super::*;
     use crate::cluster::cluster;
     use cldiam_gen::{mesh, road_network, WeightModel};
-    use cldiam_graph::largest_component;
+    use cldiam_graph::{largest_component, GraphBuilder};
     use cldiam_sssp::dijkstra;
 
     fn config(tau: usize, seed: u64) -> ClusterConfig {
@@ -212,12 +212,12 @@ mod tests {
 
     #[test]
     fn handles_empty_and_singleton_graphs() {
+        let never = CancelToken::never();
         assert_eq!(
-            cluster2(&cldiam_graph::Graph::empty(0), &config(1, 1), &CancelToken::never())
-                .num_clusters(),
+            cluster2(&GraphBuilder::new(0).build(), &config(1, 1), &never).num_clusters(),
             0
         );
-        let one = cluster2(&cldiam_graph::Graph::empty(1), &config(1, 1), &CancelToken::never());
+        let one = cluster2(&GraphBuilder::new(1).build(), &config(1, 1), &never);
         assert_eq!(one.num_clusters(), 1);
         assert_eq!(one.assignment, vec![0]);
     }

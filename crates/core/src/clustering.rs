@@ -1,7 +1,5 @@
 //! The result of a graph decomposition.
 
-use std::collections::HashMap;
-
 use cldiam_graph::{Dist, NeighborSource, NodeId};
 use cldiam_mr::CostMetrics;
 
@@ -41,23 +39,6 @@ impl Clustering {
         self.assignment.len()
     }
 
-    /// Sizes of every cluster, keyed by center.
-    ///
-    /// Counts through a dense per-slot vector (`centers` is sorted, so a
-    /// binary search maps a center to its slot) and assembles the map once at
-    /// the end, instead of rehashing an accumulator on every node. Nodes
-    /// assigned to a non-center (an invalid clustering; see
-    /// [`Clustering::validate`]) are skipped.
-    pub fn cluster_sizes(&self) -> HashMap<NodeId, usize> {
-        let mut counts = vec![0usize; self.centers.len()];
-        for &c in &self.assignment {
-            if let Ok(slot) = self.centers.binary_search(&c) {
-                counts[slot] += 1;
-            }
-        }
-        self.centers.iter().copied().zip(counts).collect()
-    }
-
     /// Checks the structural invariants of a clustering against its graph:
     ///
     /// 1. every node is assigned to a cluster whose center exists,
@@ -66,6 +47,9 @@ impl Clustering {
     /// 4. the recorded radius is attained by some node.
     ///
     /// Returns a description of the first violated invariant, if any.
+    // lint:allow(dead-pub): test oracle; the unit tests of CLUSTER and
+    // CLUSTER2 and the root cluster, invariant and smoke suites check every
+    // clustering with it.
     pub fn validate<G: NeighborSource>(&self, graph: &G) -> Result<(), String> {
         if self.assignment.len() != graph.num_nodes() {
             return Err(format!(
@@ -124,9 +108,6 @@ mod tests {
         assert!(clustering.validate(&graph).is_ok());
         assert_eq!(clustering.num_clusters(), 2);
         assert_eq!(clustering.num_nodes(), 4);
-        let sizes = clustering.cluster_sizes();
-        assert_eq!(sizes[&0], 2);
-        assert_eq!(sizes[&3], 2);
     }
 
     #[test]
@@ -163,7 +144,7 @@ mod tests {
     #[test]
     fn detects_size_mismatch() {
         let (_, clustering) = toy_clustering();
-        let other = Graph::empty(7);
+        let other = cldiam_graph::GraphBuilder::new(7).build();
         assert!(clustering.validate(&other).is_err());
     }
 }

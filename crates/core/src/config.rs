@@ -90,12 +90,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Caps the number of growing steps per `PartialGrowth` call (§4.1).
-    pub fn with_step_cap(mut self, cap: usize) -> Self {
-        self.max_growing_steps_per_phase = Some(cap.max(1));
-        self
-    }
-
     /// Switches the decomposition to `CLUSTER2`.
     pub fn with_cluster2(mut self, enable: bool) -> Self {
         self.use_cluster2 = enable;
@@ -131,7 +125,7 @@ mod tests {
         assert_eq!(InitialDelta::Fixed(7).resolve(&g), 7);
         assert_eq!(InitialDelta::Fixed(0).resolve(&g), 1);
         // Edgeless graph falls back to 1.
-        assert_eq!(InitialDelta::AvgWeight.resolve(&Graph::empty(4)), 1);
+        assert_eq!(InitialDelta::AvgWeight.resolve(&cldiam_graph::GraphBuilder::new(4).build()), 1);
     }
 
     #[test]
@@ -140,12 +134,10 @@ mod tests {
             .with_tau(10)
             .with_seed(99)
             .with_initial_delta(InitialDelta::MinWeight)
-            .with_step_cap(5)
             .with_cluster2(true);
         assert_eq!(c.tau, 10);
         assert_eq!(c.seed, 99);
         assert_eq!(c.initial_delta, InitialDelta::MinWeight);
-        assert_eq!(c.max_growing_steps_per_phase, Some(5));
         assert!(c.use_cluster2);
     }
 

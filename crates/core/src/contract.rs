@@ -123,7 +123,7 @@ mod tests {
         logical.freeze_reached();
         for u in 0..logical.len() {
             if logical.frozen[u] {
-                logical.set_source(u as NodeId, 0);
+                logical.eff[u] = 0;
             }
         }
         grow(graph, delta, delta, &mut logical);
@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn surviving_nodes_are_centers_and_uncovered() {
-        let g = cldiam_gen::weighted_path(&[1, 1, 10, 1]);
+        let g = Graph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 10), (3, 4, 1)]);
         let mut state = GrowState::new(5);
         state.set_center(0);
         grow(&g, 3, 3, &mut state);
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn rejects_mismatched_state() {
-        let g = Graph::empty(3);
+        let g = cldiam_graph::GraphBuilder::new(3).build();
         let state = GrowState::new(2);
         contract(&g, &state);
     }

@@ -255,10 +255,10 @@ mod tests {
 
     #[test]
     fn handles_trivial_graphs() {
-        let empty = cldiam_graph::Graph::empty(0);
+        let empty = cldiam_graph::GraphBuilder::new(0).build();
         let e = approximate_diameter(&empty, &config(2, 1));
         assert_eq!(e.upper_bound, 0);
-        let single = cldiam_graph::Graph::empty(1);
+        let single = cldiam_graph::GraphBuilder::new(1).build();
         let s = approximate_diameter(&single, &config(2, 1));
         assert_eq!(s.upper_bound, 0);
         assert_eq!(s.num_clusters, 1);
@@ -354,7 +354,7 @@ mod tests {
         let exact = exact_diameter(&g);
         let driver = ClDiam::new(config(2, 6));
         let clustering = driver.decompose(&g);
-        let expired = CancelToken::with_deadline(Duration::ZERO);
+        let expired = CancelToken::never().and_deadline(Duration::ZERO);
         assert!(!expired.is_cancelled());
         let estimate = driver.estimate_from_clustering(&g, &clustering, &expired);
         assert!(!estimate.quotient_exact);

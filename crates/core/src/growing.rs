@@ -298,8 +298,18 @@ impl GrowScratch {
         for &u in &self.next {
             self.cells.freeze(u as usize);
         }
-        self.live.extend_from_slice(&self.next);
-        self.live.sort();
+        // `live` and the newly frozen `next` are disjoint ascending runs:
+        // merge them in place from the back of `live`, with no buffer. The
+        // runs interleave unpredictably, so each step selects, not branches.
+        let (mut i, mut j) = (self.live.len(), self.next.len());
+        self.live.resize(i + j, 0);
+        while j > 0 {
+            let u = self.next[j - 1];
+            let take_live = i > 0 && self.live[i - 1] > u;
+            self.live[i + j - 1] = if take_live { self.live[i - 1] } else { u };
+            i -= usize::from(take_live);
+            j -= usize::from(!take_live);
+        }
         self.reached = 0;
     }
 
@@ -598,7 +608,9 @@ pub fn delta_growing_step<G: NeighborSource>(
 // The paper's parameter list plus the scratch and the token.
 #[allow(clippy::too_many_arguments)]
 // lint:allow(dead-pub): test entry point that grows a caller's `GrowState`;
-// CLUSTER and CLUSTER2 grow the scratch-resident state instead.
+// this crate's and `cldiam-testkit`'s unit tests, `prop_cluster_equivalence.rs`
+// and the root cluster suite drive it. CLUSTER and CLUSTER2 grow the
+// scratch-resident state instead.
 pub fn partial_growth<G: NeighborSource>(
     graph: &G,
     threshold: Dist,
@@ -651,7 +663,14 @@ pub fn partial_growth<G: NeighborSource>(
 mod tests {
     use super::*;
     use crate::state::EFF_INFINITY;
-    use cldiam_gen::weighted_path;
+    use cldiam_graph::{Graph, Weight};
+
+    /// The path `0 - 1 - … - k` whose edge `{i, i+1}` weighs `weights[i]`.
+    fn weighted_path(weights: &[Weight]) -> Graph {
+        let edges: Vec<_> =
+            weights.iter().enumerate().map(|(i, &w)| (i as NodeId, i as NodeId + 1, w)).collect();
+        Graph::from_edges(weights.len() + 1, &edges)
+    }
 
     fn init_state_with_center(n: usize, center: NodeId) -> GrowState {
         let mut s = GrowState::new(n);
@@ -691,6 +710,30 @@ mod tests {
     ) -> (Vec<NodeId>, StepStats) {
         let mut scratch = GrowScratch::new();
         delta_growing_step(graph, threshold, light_limit, state, frontier, &mut scratch)
+    }
+
+    #[test]
+    fn freeze_reached_merges_the_stage_into_the_live_list() {
+        // Stage 1 reaches 5 and 2, stage 2 reaches 7, 0 and 3: each freeze
+        // moves its nodes from the uncovered list into the live one, and
+        // both stay ascending.
+        let mut scratch = GrowScratch::new();
+        scratch.start(8);
+        scratch.set_center(5);
+        scratch.set_center(2);
+        scratch.freeze_reached();
+        assert_eq!(
+            (&scratch.live[..], scratch.uncovered()),
+            (&[2, 5][..], &[0, 1, 3, 4, 6, 7][..])
+        );
+        for u in [7, 0, 3] {
+            scratch.set_center(u);
+        }
+        scratch.freeze_reached();
+        assert_eq!(
+            (&scratch.live[..], scratch.uncovered()),
+            (&[0, 2, 3, 5, 7][..], &[1, 4, 6][..])
+        );
     }
 
     #[test]
@@ -749,8 +792,8 @@ mod tests {
         s.true_dist[1] = 1;
         s.freeze_reached();
         // New stage: node 1 is a frozen source with credit 0; node 0 frozen too.
-        s.set_source(0, 0);
-        s.set_source(1, 0);
+        s.eff[0] = 0;
+        s.eff[1] = 0;
         let (updated, _) = step(&g, 5, 5, &mut s, &[0, 1]);
         assert_eq!(updated, vec![2]);
         // Node 2 inherits node 1's cluster (center 0) and accumulates the true
@@ -823,7 +866,7 @@ mod tests {
         // CLUSTER2-style negative credits keep working against the same Δ.
         let mut s2 = init_state_with_center(4, 0);
         s2.freeze_reached();
-        s2.set_source(0, -7);
+        s2.eff[0] = -7;
         let outcome2 = grow(&g, threshold, Dist::MAX, &mut s2, None, None, None);
         assert_eq!(outcome2.reached_unfrozen, 3);
         assert_eq!(s2.eff[3], -4);

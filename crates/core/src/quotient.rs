@@ -54,13 +54,6 @@ pub struct QuotientGraph {
     pub overflow_edges: usize,
 }
 
-impl QuotientGraph {
-    /// Quotient node id of the cluster centered at `center`, if any.
-    pub fn node_of_center(&self, center: NodeId) -> Option<NodeId> {
-        self.cluster_centers.binary_search(&center).ok().map(|i| i as NodeId)
-    }
-}
-
 /// One chunk's map-side combiner.
 #[derive(Debug, Default)]
 struct Combiner {
@@ -205,8 +198,6 @@ mod tests {
         let q = quotient_graph(&graph, &clustering);
         assert_eq!(q.graph.num_nodes(), 2);
         assert_eq!(q.cluster_centers, vec![0, 3]);
-        assert_eq!(q.node_of_center(3), Some(1));
-        assert_eq!(q.node_of_center(1), None);
     }
 
     #[test]

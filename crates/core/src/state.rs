@@ -104,14 +104,6 @@ impl GrowState {
         self.true_dist[u as usize] = 0;
     }
 
-    /// Marks a covered node as a growth source for the current stage with the
-    /// given effective credit (0 in `CLUSTER`, possibly negative in
-    /// `CLUSTER2`), without touching its assignment or true distance.
-    pub fn set_source(&mut self, u: NodeId, eff: i64) {
-        debug_assert_ne!(self.center[u as usize], NO_CENTER, "sources must be covered");
-        self.eff[u as usize] = eff;
-    }
-
     /// `true` if node `u` has been reached by some cluster (tentatively or
     /// definitively).
     pub fn is_reached(&self, u: NodeId) -> bool {
@@ -139,11 +131,6 @@ impl GrowState {
         }
         frozen_now
     }
-
-    /// Number of frozen (definitively covered) nodes.
-    pub fn covered(&self) -> usize {
-        self.frozen.iter().filter(|&&f| f).count()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +143,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         assert!(!s.is_reached(0));
-        assert_eq!(s.covered(), 0);
         assert_eq!(s.count_reached_unfrozen(), 0);
     }
 
@@ -179,7 +165,6 @@ mod tests {
         s.true_dist[1] = 5;
         assert_eq!(s.count_reached_unfrozen(), 2);
         assert_eq!(s.freeze_reached(), 2);
-        assert_eq!(s.covered(), 2);
         assert_eq!(s.frozen, vec![true, true, false, false]);
         assert_eq!(s.count_reached_unfrozen(), 0);
         // A second freeze only picks up nodes reached since the first.
@@ -204,16 +189,5 @@ mod tests {
         // …but the "unreached" sentinel is never below any threshold.
         assert!(!eff_below_threshold(EFF_INFINITY, Dist::MAX));
         assert!(!eff_within_threshold(EFF_INFINITY, Dist::MAX));
-    }
-
-    #[test]
-    fn set_source_only_changes_eff() {
-        let mut s = GrowState::new(2);
-        s.set_center(0);
-        s.freeze_reached();
-        s.set_source(0, -10);
-        assert_eq!(s.eff[0], -10);
-        assert_eq!(s.true_dist[0], 0);
-        assert_eq!(s.center[0], 0);
     }
 }

@@ -132,7 +132,7 @@ fn oracle_cluster_state(
         reset_unfrozen(&mut state);
         for u in 0..n as NodeId {
             if state.frozen[u as usize] {
-                state.set_source(u, 0);
+                state.eff[u as usize] = 0;
             }
         }
         for &c in &new_centers {
@@ -232,7 +232,7 @@ fn oracle_cluster2(graph: &Graph, config: &ClusterConfig, cancel: &CancelToken) 
                 let center = state.center[u];
                 let elapsed = Dist::from(i - 1 - creation_iter[center as usize]);
                 let credit = state.true_dist[u] as i64 - (threshold.saturating_mul(elapsed)) as i64;
-                state.set_source(u as NodeId, credit);
+                state.eff[u] = credit;
             }
         }
         for &c in &new_centers {

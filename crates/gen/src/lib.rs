@@ -27,7 +27,7 @@ pub mod spec;
 pub mod weights;
 
 pub use mesh::mesh;
-pub use path::{path, weighted_path};
+pub use path::path;
 pub use random::{gnm_random, preferential_attachment};
 pub use rmat::{rmat, RmatParams, GEN_CHUNKS};
 pub use roads::{road_network, roads_product};

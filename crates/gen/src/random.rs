@@ -126,7 +126,7 @@ mod tests {
     fn ba_small_hop_diameter() {
         let g = preferential_attachment(2000, 4, WeightModel::Unit, 11);
         let (core, _) = largest_component(&g);
-        let d = cldiam_graph::traversal::double_sweep_hop_diameter(&core, 0);
+        let d = cldiam_testkit::traversal::double_sweep_hop_diameter(&core, 0);
         assert!(d <= 10, "hop diameter {d}");
     }
 

@@ -182,7 +182,7 @@ mod tests {
         // The giant component should cover most nodes and have a tiny hop
         // diameter, like the paper's social graphs (Ψ ≈ 9).
         assert!(core.num_nodes() > g.num_nodes() / 2);
-        let hop_diam = cldiam_graph::traversal::double_sweep_hop_diameter(&core, 0);
+        let hop_diam = cldiam_testkit::traversal::double_sweep_hop_diameter(&core, 0);
         assert!(hop_diam <= 12, "hop diameter {hop_diam}");
     }
 }

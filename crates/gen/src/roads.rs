@@ -99,8 +99,9 @@ pub fn roads_product(s: usize, base: &Graph) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cldiam_graph::largest_component;
     use cldiam_graph::stats::GraphStats;
-    use cldiam_graph::{largest_component, traversal};
+    use cldiam_testkit::traversal;
 
     #[test]
     fn road_network_is_sparse() {

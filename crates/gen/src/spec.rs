@@ -4,7 +4,7 @@
 //! parameter set so the harness, the examples and the tests can refer to the
 //! same workloads. `generate` is deterministic in the seed.
 
-use cldiam_graph::{largest_component, Graph};
+use cldiam_graph::Graph;
 
 use crate::mesh::mesh;
 use crate::random::{gnm_random, preferential_attachment};
@@ -108,14 +108,6 @@ impl GraphSpec {
         }
     }
 
-    /// Generates the largest connected component of the family (what every
-    /// experiment actually runs on). Returns the connected graph.
-    pub fn generate_connected(&self, seed: u64) -> Graph {
-        let raw = self.generate(seed);
-        let (core, _) = largest_component(&raw);
-        core
-    }
-
     /// Parses a compact textual spec, the syntax of the `cldiam` CLI's
     /// `gen:` inputs (the part after the `gen:` prefix):
     ///
@@ -180,7 +172,6 @@ impl GraphSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cldiam_graph::connected_components;
 
     #[test]
     fn labels_are_distinct_and_stable() {
@@ -207,14 +198,6 @@ mod tests {
             WeightModel::Original
         );
         assert_eq!(GraphSpec::Mesh { side: 4 }.default_weight_model(), WeightModel::UniformUnit);
-    }
-
-    #[test]
-    fn generate_connected_yields_single_component() {
-        let spec = GraphSpec::RoadNetwork { rows: 20, cols: 20 };
-        let g = spec.generate_connected(3);
-        assert!(connected_components(&g).is_connected());
-        assert!(g.num_nodes() > 100);
     }
 
     #[test]

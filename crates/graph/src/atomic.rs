@@ -264,12 +264,6 @@ impl SeqMinCells {
         self.key2[v].load(Ordering::Relaxed)
     }
 
-    /// Quiescent read of the tie-break component of node `v`.
-    #[inline]
-    pub fn read_key3(&self, v: usize) -> u32 {
-        self.key3[v].load(Ordering::Relaxed)
-    }
-
     /// Quiescent read of the payload of node `v` alone.
     #[inline]
     pub fn read_payload(&self, v: usize) -> u64 {
@@ -300,7 +294,10 @@ impl SeqMinCells {
     /// bracketed by the same even sequence value, so the returned tuple is
     /// never torn across a concurrent [`SeqMinCells::propose`] write. Use
     /// the quiescent [`SeqMinCells::read`] family between waves instead —
-    /// it skips the validation loop.
+    /// it skips the validation loop. Built for this crate's tests and the
+    /// model checker's `model_atomic` suite only: the engines read between
+    /// waves.
+    #[cfg(any(test, feature = "model-check"))]
     pub fn read_coherent(&self, v: usize) -> (i64, u32, u32, u64) {
         let seq = &self.seq[v];
         loop {
@@ -458,9 +455,9 @@ mod tests {
         assert_eq!(cells.propose(1, 10, 3, 1, 99), None); // equal key
         assert_eq!(cells.propose(1, 10, 2, 5, 7), Some(3)); // better key2
         assert_eq!(cells.read(1), (10, 2, 7));
-        assert_eq!(cells.read_key3(1), 5);
+        assert_eq!(cells.read_coherent(1).2, 5);
         cells.settle(1);
-        assert_eq!(cells.read_key3(1), 0);
+        assert_eq!(cells.read_coherent(1).2, 0);
         // Same (key1, key2) from any source now loses against the settled
         // value; a strictly better key1 still wins.
         assert_eq!(cells.propose(1, 10, 2, 1, 0), None);
@@ -487,8 +484,7 @@ mod tests {
         assert_eq!(cells.read_coherent(0), (i64::MAX, u32::MAX, 0, u64::MAX));
         cells.propose(0, 5, 2, 9, 77);
         assert_eq!(cells.read_coherent(0), (5, 2, 9, 77));
-        let (k1, k2, p) = cells.read(0);
-        assert_eq!((k1, k2, cells.read_key3(0), p), cells.read_coherent(0));
+        assert_eq!(cells.read(0), (5, 2, 77));
     }
 
     #[test]
@@ -537,6 +533,6 @@ mod tests {
             }
         });
         assert_eq!(cells.read(0), (1, 0, 1));
-        assert_eq!(cells.read_key3(0), 1);
+        assert_eq!(cells.read_coherent(0).2, 1);
     }
 }

@@ -337,7 +337,7 @@ mod tests {
         b.add_edge(0, 2, 5);
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
-        assert!(!g.has_edge(1, 1));
+        assert!(g.edge_weight(1, 1).is_none());
     }
 
     #[test]

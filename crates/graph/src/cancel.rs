@@ -53,19 +53,6 @@ impl CancelToken {
         }
     }
 
-    /// A token whose checkpoints start failing once `timeout` has elapsed
-    /// (measured from this call).
-    pub fn with_deadline(timeout: Duration) -> Self {
-        CancelToken {
-            shared: Arc::new(Shared {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(Instant::now() + timeout),
-            }),
-            check_limit: 0,
-            checks: AtomicU64::new(0),
-        }
-    }
-
     /// A token whose checkpoints start failing after `limit` calls on each
     /// clone — the deterministic logical cadence (`limit` is clamped to at
     /// least 1 so "a budget" always means "eventually stops").
@@ -203,7 +190,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_fires_and_publishes() {
-        let token = CancelToken::with_deadline(Duration::from_millis(0));
+        let token = CancelToken::never().and_deadline(Duration::from_millis(0));
         let sibling = token.clone();
         assert!(token.checkpoint());
         // The deadline observation is published to siblings via the flag.

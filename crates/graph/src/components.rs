@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn component_subgraphs_of_edgeless_graphs_are_empty() {
-        let g = Graph::empty(4);
+        let g = crate::GraphBuilder::new(4).build();
         let labels = connected_components(&g);
         assert!(component_subgraphs(&g, &labels).is_empty());
     }
@@ -231,17 +231,17 @@ mod tests {
 
     #[test]
     fn empty_graph_has_no_components() {
-        let labels = connected_components(&Graph::empty(0));
+        let labels = connected_components(&crate::GraphBuilder::new(0).build());
         assert_eq!(labels.count, 0);
         assert!(labels.largest().is_none());
-        let (sub, mapping) = largest_component(&Graph::empty(0));
+        let (sub, mapping) = largest_component(&crate::GraphBuilder::new(0).build());
         assert!(sub.is_empty());
         assert!(mapping.is_empty());
     }
 
     #[test]
     fn isolated_nodes_are_singletons() {
-        let labels = connected_components(&Graph::empty(4));
+        let labels = connected_components(&crate::GraphBuilder::new(4).build());
         assert_eq!(labels.count, 4);
         assert!(!labels.is_connected());
     }

@@ -596,12 +596,12 @@ mod tests {
 
     #[test]
     fn empty_and_edgeless_graphs_compress() {
-        let empty = Graph::empty(0);
+        let empty = crate::GraphBuilder::new(0).build();
         let c = CompressedGraph::from_graph(&empty, 4);
         assert_eq!(c.num_nodes(), 0);
         assert_eq!(&c.to_graph(), &empty);
 
-        let isolated = Graph::empty(5);
+        let isolated = crate::GraphBuilder::new(5).build();
         let c = CompressedGraph::from_graph(&isolated, 2);
         assert_equivalent(&isolated, &c);
         assert_eq!(NeighborSource::min_weight(&c), None);

@@ -232,17 +232,6 @@ impl Graph {
         builder.build()
     }
 
-    /// An empty graph with `n` isolated nodes.
-    pub fn empty(n: usize) -> Self {
-        Graph {
-            offsets: vec![0; n + 1].into(),
-            targets: Vec::new().into(),
-            weights: Vec::new().into(),
-            rev: None,
-            weight_stats: WeightStats::default(),
-        }
-    }
-
     /// `true` if the graph carries a directed arc set (and hence a reverse
     /// CSR). Undirected graphs answer `false`.
     #[inline]
@@ -327,19 +316,13 @@ impl Graph {
         }
     }
 
-    /// In-degree of node `u` (equal to [`Graph::degree`] when undirected).
-    #[inline]
-    pub fn in_degree(&self, u: NodeId) -> usize {
-        match &self.rev {
-            Some(rev) => rev.offsets[u as usize + 1] - rev.offsets[u as usize],
-            None => self.degree(u),
-        }
-    }
-
     /// The graph with every arc reversed. A clone for undirected graphs; for
     /// directed graphs the forward and reverse adjacencies swap roles (the
     /// counting-sorted in-lists are already sorted by source, so the swapped
     /// forward lists satisfy the sorted-CSR invariant as-is).
+    // lint:allow(dead-pub): test oracle for the backward SSSP direction; the
+    // unit tests of this crate and `cldiam-sssp` and the construction, bounds
+    // and SSSP-equivalence property suites compare against it.
     pub fn reversed(&self) -> Graph {
         match &self.rev {
             None => self.clone(),
@@ -361,20 +344,13 @@ impl Graph {
         })
     }
 
-    /// Iterator over all arcs `(u, v, w)` (each undirected edge appears twice).
-    pub fn arcs(&self) -> impl Iterator<Item = (NodeId, NodeId, Weight)> + '_ {
-        self.nodes().flat_map(move |u| self.neighbors(u).map(move |(v, w)| (u, v, w)))
-    }
-
     /// Weight of the edge `{u, v}`, if present.
+    // lint:allow(dead-pub): test oracle of adjacency; the unit tests of this
+    // crate, `cldiam-gen` and `cldiam-core` and the root IO suite query edges
+    // with it.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<Weight> {
         let (targets, weights) = self.neighbor_slices(u);
         targets.binary_search(&v).ok().map(|i| weights[i])
-    }
-
-    /// `true` if the edge `{u, v}` is present.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_weight(u, v).is_some()
     }
 
     /// Minimum edge weight, or `None` for an edgeless graph. `O(1)`, like
@@ -529,8 +505,8 @@ mod tests {
         assert_eq!(g.edge_weight(0, 1), Some(10));
         assert_eq!(g.edge_weight(1, 0), Some(10));
         assert_eq!(g.edge_weight(0, 0), None);
-        assert!(g.has_edge(2, 1));
-        assert!(!g.has_edge(2, 2));
+        assert!(g.edge_weight(2, 1).is_some());
+        assert!(g.edge_weight(2, 2).is_none());
     }
 
     #[test]
@@ -548,12 +524,11 @@ mod tests {
         let mut edges: Vec<_> = g.edges().collect();
         edges.sort_unstable();
         assert_eq!(edges, vec![(0, 1, 10), (0, 2, 30), (1, 2, 20)]);
-        assert_eq!(g.arcs().count(), 6);
     }
 
     #[test]
     fn empty_graph() {
-        let g = Graph::empty(5);
+        let g = crate::GraphBuilder::new(5).build();
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.min_weight(), None);
@@ -571,7 +546,7 @@ mod tests {
     #[should_panic(expected = "adjacency list of node 0 is not strictly increasing")]
     fn from_csr_rejects_unsorted_lists() {
         // If accepted, `edge_weight` would binary-search an unsorted list:
-        // `has_edge(0, 3)` false while `edge_weight(3, 0)` is `Some(5)`.
+        // `edge_weight(0, 3)` `None` while `edge_weight(3, 0)` is `Some(5)`.
         Graph::from_csr(vec![0, 3, 4, 5, 6], vec![3, 2, 1, 0, 0, 0], vec![5, 6, 7, 7, 6, 5]);
     }
 
@@ -617,8 +592,6 @@ mod tests {
         assert_eq!(out0, vec![(1, 10), (2, 40)]);
         let in2: Vec<_> = g.in_neighbors(2).collect();
         assert_eq!(in2, vec![(0, 40), (1, 20)]);
-        assert_eq!(g.in_degree(0), 1);
-        assert_eq!(g.in_degree(2), 2);
         let mut edges: Vec<_> = g.edges().collect();
         edges.sort_unstable();
         assert_eq!(edges, vec![(0, 1, 10), (0, 2, 40), (1, 2, 20), (2, 0, 30)]);
@@ -645,7 +618,6 @@ mod tests {
             let out: Vec<_> = g.neighbors(u).collect();
             let inn: Vec<_> = g.in_neighbors(u).collect();
             assert_eq!(out, inn);
-            assert_eq!(g.degree(u), g.in_degree(u));
         }
         assert_eq!(g.reversed(), g);
     }

@@ -1,9 +1,8 @@
-//! Versioned binary CSR snapshots (`.cldg`).
+//! The reader of `.cldg` snapshot format v1, the older dense-only layout.
 //!
-//! Re-parsing a multi-gigabyte DIMACS or SNAP text file on every run is
-//! wasteful: the snapshot stores the canonical CSR arrays directly so a
-//! re-run deserializes in one pass with no text processing, builder sorting
-//! or deduplication. The layout (all integers little-endian):
+//! Snapshots are written in format v2 ([`crate::io::snapshot`]); v1 files
+//! still load through [`parse_binary`], which the snapshot readers call on a
+//! version-1 image. The layout (all integers little-endian):
 //!
 //! ```text
 //! magic     4 bytes   b"CLDG"
@@ -24,8 +23,6 @@
 //! symmetric arcs) and therefore never panics on hostile input and never
 //! yields a [`Graph`] that violates what its query methods assume.
 
-use std::io::{BufWriter, Write};
-
 use crate::csr::Graph;
 use crate::io::{le_u32, le_u64, IoError};
 use crate::weight::{NodeId, Weight};
@@ -33,7 +30,7 @@ use crate::weight::{NodeId, Weight};
 /// Leading magic bytes of a snapshot file.
 pub const MAGIC: &[u8; 4] = b"CLDG";
 
-/// Current format version; bumped on any layout change.
+/// The format version this module reads.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// 64-bit FNV-1a, the integrity checksum of the snapshot sections (shared
@@ -45,57 +42,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-fn write_section<W: Write>(out: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    out.write_all(&(payload.len() as u64).to_le_bytes())?;
-    out.write_all(&fnv1a(payload).to_le_bytes())?;
-    out.write_all(payload)
-}
-
-/// Serializes the graph as a binary snapshot.
-///
-/// Directed graphs are refused: format v1 stores only the forward arrays and
-/// [`parse_binary`] validates arc symmetry, so a directed snapshot would
-/// either fail to load or silently come back symmetrized.
-// lint:allow(dead-pub): writes v1 fixtures for the snapshot upgrade and
-// corruption suites of several crates; the pipeline only writes v2.
-pub fn write_binary<W: Write>(graph: &Graph, writer: W) -> std::io::Result<()> {
-    if graph.is_directed() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "binary snapshots (format v1) only support undirected graphs",
-        ));
-    }
-    let mut out = BufWriter::new(writer);
-    let mut header = Vec::with_capacity(24);
-    header.extend_from_slice(MAGIC);
-    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    header.extend_from_slice(&(graph.num_nodes() as u64).to_le_bytes());
-    header.extend_from_slice(&(graph.num_arcs() as u64).to_le_bytes());
-    out.write_all(&header)?;
-    out.write_all(&fnv1a(&header).to_le_bytes())?;
-
-    let mut offsets = Vec::with_capacity(graph.offsets().len() * 8);
-    for &o in graph.offsets() {
-        offsets.extend_from_slice(&(o as u64).to_le_bytes());
-    }
-    write_section(&mut out, &offsets)?;
-    drop(offsets);
-
-    let mut targets = Vec::with_capacity(graph.targets().len() * 4);
-    for &t in graph.targets() {
-        targets.extend_from_slice(&t.to_le_bytes());
-    }
-    write_section(&mut out, &targets)?;
-    drop(targets);
-
-    let mut weights = Vec::with_capacity(graph.weights().len() * 4);
-    for &w in graph.weights() {
-        weights.extend_from_slice(&w.to_le_bytes());
-    }
-    write_section(&mut out, &weights)?;
-    out.flush()
 }
 
 /// Cursor over the snapshot bytes with bounds-checked reads.
@@ -257,15 +203,14 @@ pub(crate) fn decode_validated_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::v1_image::v1_image;
 
     fn sample() -> Graph {
         Graph::from_edges(6, &[(0, 1, 3), (1, 2, 4), (0, 3, 9), (3, 4, 1), (2, 4, 8)])
     }
 
     fn snapshot(graph: &Graph) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_binary(graph, &mut buf).unwrap();
-        buf
+        v1_image(graph.offsets(), graph.targets(), graph.weights())
     }
 
     #[test]
@@ -276,7 +221,7 @@ mod tests {
 
     #[test]
     fn roundtrips_empty_and_edgeless_graphs() {
-        for g in [Graph::empty(0), Graph::empty(7)] {
+        for g in [crate::GraphBuilder::new(0).build(), crate::GraphBuilder::new(7).build()] {
             assert_eq!(parse_binary(&snapshot(&g)).unwrap(), g);
         }
     }
@@ -286,7 +231,7 @@ mod tests {
         let g = sample();
         let dir = crate::io::test_dir::TempDir::new("cldiam_binary_test");
         let path = dir.join("g.cldg");
-        write_binary(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        std::fs::write(&path, snapshot(&g)).unwrap();
         assert_eq!(crate::io::load_graph(&path).unwrap(), g);
     }
 
@@ -318,31 +263,11 @@ mod tests {
         }
     }
 
-    /// Serializes raw CSR arrays with valid checksums — for forging
-    /// structurally invalid but well-checksummed snapshots.
-    fn forge(offsets: &[u64], targets: &[u32], weights: &[u32]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(offsets.len() as u64 - 1).to_le_bytes());
-        buf.extend_from_slice(&(targets.len() as u64).to_le_bytes());
-        let sum = fnv1a(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        let bytes = |xs: &[u64]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
-        let bytes32 = |xs: &[u32]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
-        for payload in [bytes(offsets), bytes32(targets), bytes32(weights)] {
-            buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            buf.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-            buf.extend_from_slice(&payload);
-        }
-        buf
-    }
-
     #[test]
     fn rejects_unsorted_adjacency_lists() {
         // Node 0's targets stored [2, 1]: checksums fine, but edge queries
         // binary-search the list, so this must be rejected.
-        let buf = forge(&[0, 2, 3, 4], &[2, 1, 0, 0], &[5, 5, 5, 5]);
+        let buf = v1_image(&[0, 2, 3, 4], &[2, 1, 0, 0], &[5, 5, 5, 5]);
         assert!(
             matches!(parse_binary(&buf).unwrap_err(), IoError::Format(m) if m.contains("increasing"))
         );
@@ -352,12 +277,12 @@ mod tests {
     fn rejects_asymmetric_arcs() {
         // Arc 0->1 with no 1->0: num_edges() would be wrong and traversal
         // directional.
-        let buf = forge(&[0, 1, 1], &[1], &[5]);
+        let buf = v1_image(&[0, 1, 1], &[1], &[5]);
         assert!(
             matches!(parse_binary(&buf).unwrap_err(), IoError::Format(m) if m.contains("reverse"))
         );
         // Reverse present but with a different weight.
-        let buf = forge(&[0, 1, 2], &[1, 0], &[5, 6]);
+        let buf = v1_image(&[0, 1, 2], &[1, 0], &[5, 6]);
         assert!(
             matches!(parse_binary(&buf).unwrap_err(), IoError::Format(m) if m.contains("reverse"))
         );
@@ -365,18 +290,9 @@ mod tests {
 
     #[test]
     fn accepts_forged_but_valid_snapshot() {
-        let buf = forge(&[0, 1, 2], &[1, 0], &[5, 5]);
+        let buf = v1_image(&[0, 1, 2], &[1, 0], &[5, 5]);
         let g = parse_binary(&buf).unwrap();
         assert_eq!(g, Graph::from_edges(2, &[(0, 1, 5)]));
-    }
-
-    #[test]
-    fn refuses_directed_graphs() {
-        let mut b = crate::GraphBuilder::new_directed(2);
-        b.add_arc(0, 1, 3);
-        let g = b.build();
-        let err = write_binary(&g, &mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

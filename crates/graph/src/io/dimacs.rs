@@ -19,8 +19,6 @@
 //! Parsing of the arc section is parallel over newline-aligned chunks with a
 //! chunk-ordered merge; see [`crate::io`] for the determinism contract.
 
-use std::io::{self, BufWriter, Write};
-
 use crate::csr::Graph;
 use crate::io::{
     count_asymmetric_arcs, graph_from_arcs, parse_lines_parallel, EdgeDirection, IoError,
@@ -196,20 +194,6 @@ pub fn parse_dimacs_bytes_as(
     Ok(LoadedGraph { graph: graph_from_arcs(header.num_nodes, &arcs, direction), asymmetric_arcs })
 }
 
-/// Writes the graph in DIMACS `.gr` form (both directions of every
-/// undirected edge, as road-network files do).
-// lint:allow(dead-pub): writes DIMACS fixtures for the IO suites; no
-// pipeline path exports a graph.
-pub fn write_dimacs<W: Write>(graph: &Graph, writer: W) -> io::Result<()> {
-    let mut out = BufWriter::new(writer);
-    writeln!(out, "c cldiam DIMACS export")?;
-    writeln!(out, "p sp {} {}", graph.num_nodes(), graph.num_arcs())?;
-    for (u, v, w) in graph.arcs() {
-        writeln!(out, "a {} {} {}", u + 1, v + 1, w)?;
-    }
-    out.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,11 +283,13 @@ mod tests {
 
     #[test]
     fn roundtrips_through_writer() {
+        // Both directions of every edge, as road-network files list them.
         let g = Graph::from_edges(5, &[(0, 1, 3), (1, 2, 4), (0, 3, 9), (3, 4, 1)]);
-        let mut buf = Vec::new();
-        write_dimacs(&g, &mut buf).unwrap();
-        let parsed = parse_dimacs_bytes(&buf).unwrap();
-        assert_eq!(parsed, g);
+        let mut text = format!("p sp {} {}\n", g.num_nodes(), g.num_arcs());
+        for (u, v, w) in g.edges() {
+            text += &format!("a {} {} {w}\na {} {} {w}\n", u + 1, v + 1, v + 1, u + 1);
+        }
+        assert_eq!(parse_dimacs(&text).unwrap(), g);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! Parsing is parallel over newline-aligned chunks with a chunk-ordered
 //! merge; see [`crate::io`] for the determinism contract.
 
-use std::io::{self, BufWriter, Write};
-
 use crate::csr::Graph;
 use crate::io::{
     count_asymmetric_arcs, graph_from_arcs, parse_lines_parallel, EdgeDirection, IoError,
@@ -85,22 +83,14 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, IoError> {
     parse_edge_list_bytes(text.as_bytes())
 }
 
-/// Writes the graph as a weighted edge list (`u v w`, one undirected edge per
-/// line).
-// lint:allow(dead-pub): writes edge-list fixtures for this module's tests
-// and the root IO and storage suites; no pipeline path exports a graph.
-pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> io::Result<()> {
-    let mut out = BufWriter::new(writer);
-    writeln!(out, "# cldiam edge list: {} nodes, {} edges", graph.num_nodes(), graph.num_edges())?;
-    for (u, v, w) in graph.edges() {
-        writeln!(out, "{u} {v} {w}")?;
-    }
-    out.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `u v w` lines of `graph`, one undirected edge per line.
+    fn edge_list_text(graph: &Graph) -> String {
+        graph.edges().map(|(u, v, w)| format!("{u} {v} {w}\n")).collect()
+    }
 
     #[test]
     fn parses_weighted_and_unweighted_lines() {
@@ -161,9 +151,7 @@ mod tests {
     #[test]
     fn roundtrip_through_text() {
         let g = Graph::from_edges(4, &[(0, 1, 3), (1, 2, 4), (0, 3, 9)]);
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let parsed = parse_edge_list_bytes(&buf).unwrap();
+        let parsed = parse_edge_list(&edge_list_text(&g)).unwrap();
         assert_eq!(parsed, g);
     }
 
@@ -172,7 +160,7 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1, 2), (1, 2, 8)]);
         let dir = crate::io::test_dir::TempDir::new("cldiam_edgelist_test");
         let path = dir.join("g.txt");
-        write_edge_list(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        std::fs::write(&path, edge_list_text(&g)).unwrap();
         let parsed = crate::io::load_graph(&path).unwrap();
         assert_eq!(parsed, g);
     }

@@ -9,9 +9,13 @@
 //! * [`dimacs`] — the DIMACS shortest-path format (`c` comments, one
 //!   `p sp <n> <m>` header, `a <u> <v> <w>` arcs, 1-based ids), the format of
 //!   the 9th DIMACS Implementation Challenge road networks.
-//! * [`binary`] — a versioned binary CSR snapshot (magic + header +
-//!   checksummed sections) so repeated runs on the same input skip text
-//!   parsing entirely.
+//! * [`snapshot`] — the `.cldg` binary snapshot, format v2: checksummed,
+//!   8-byte-aligned sections holding a dense CSR or a compressed graph,
+//!   loaded buffered or zero-copy through mmap, so repeated runs on the same
+//!   input skip text parsing entirely. It is the one snapshot format written.
+//! * [`binary`] — the reader of format v1, the older dense-only layout.
+//!   v1 files still load, and the snapshot cache upgrades them to v2 in
+//!   place; nothing writes v1 any more.
 //! * [`load_graph`] / [`detect_format`] — open any of the above by sniffing
 //!   the file content (extension as a tie-breaker).
 //!
@@ -267,11 +271,7 @@ pub(crate) fn graph_from_arcs(
     direction: EdgeDirection,
 ) -> Graph {
     match direction {
-        EdgeDirection::Symmetrize => {
-            let mut builder = GraphBuilder::with_capacity(num_nodes, arcs.len());
-            builder.extend_edges(arcs.iter().copied());
-            builder.build()
-        }
+        EdgeDirection::Symmetrize => Graph::from_edges(num_nodes, arcs),
         EdgeDirection::Directed => {
             let mut builder = GraphBuilder::new_directed(num_nodes);
             for &(u, v, w) in arcs {
@@ -646,6 +646,10 @@ pub(crate) mod test_dir {
 }
 
 #[cfg(test)]
+#[path = "../../tests/support/v1_image.rs"]
+pub(crate) mod v1_image;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -719,8 +723,7 @@ mod tests {
     #[test]
     fn directed_load_of_binary_snapshot_is_refused() {
         let g = Graph::from_edges(3, &[(0, 1, 2), (1, 2, 3)]);
-        let mut buf = Vec::new();
-        binary::write_binary(&g, &mut buf).unwrap();
+        let buf = v1_image::v1_image(g.offsets(), g.targets(), g.weights());
         let err =
             load_graph_bytes_as(Path::new("x.cldg"), &buf, EdgeDirection::Directed).unwrap_err();
         assert!(matches!(err, IoError::Format(m) if m.contains("undirected")));

@@ -671,7 +671,7 @@ pub fn snapshot_version(bytes: &[u8]) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::binary;
+    use crate::io::v1_image::v1_image;
     use crate::GraphBuilder;
 
     fn sample() -> Graph {
@@ -777,7 +777,7 @@ mod tests {
     fn v1_files_still_load_through_the_snapshot_reader() {
         let g = sample();
         let path = temp_path("v1");
-        binary::write_binary(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        std::fs::write(&path, v1_image(g.offsets(), g.targets(), g.weights())).unwrap();
         for mmap in [false, true] {
             let snap = read_snapshot_file(&path, &SnapshotOptions { mmap, verify: true }).unwrap();
             assert_eq!(snap.version, 1);
@@ -788,7 +788,7 @@ mod tests {
 
     #[test]
     fn empty_graphs_roundtrip() {
-        for g in [Graph::empty(0), Graph::empty(5)] {
+        for g in [crate::GraphBuilder::new(0).build(), crate::GraphBuilder::new(5).build()] {
             let buf = snapshot_bytes(&SnapshotPayload::Dense(&g));
             assert_eq!(parse_snapshot_bytes(&buf).unwrap().graph, SnapshotGraph::Dense(g.clone()));
             let c = CompressedGraph::from_graph(&g, 2);
@@ -851,8 +851,7 @@ mod tests {
     fn snapshot_version_sniffs_correctly() {
         let g = sample();
         assert_eq!(snapshot_version(&snapshot_bytes(&SnapshotPayload::Dense(&g))), Some(2));
-        let mut v1 = Vec::new();
-        binary::write_binary(&g, &mut v1).unwrap();
+        let v1 = v1_image(g.offsets(), g.targets(), g.weights());
         assert_eq!(snapshot_version(&v1), Some(1));
         assert_eq!(snapshot_version(b"p sp 2 1\n"), None);
         assert_eq!(snapshot_version(b"CL"), None);

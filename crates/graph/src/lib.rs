@@ -12,7 +12,6 @@
 //!   self loops, symmetrizes and produces a [`Graph`].
 //! * [`components`] — connected components (union-find) and
 //!   largest-component extraction.
-//! * [`traversal`] — unweighted BFS utilities (hop distances, double sweep).
 //! * [`ops`] — graph transformations: cartesian product (used by the paper's
 //!   `roads(S)` family), induced subgraphs and reweighting.
 //! * [`stats`] — degree/weight statistics (the columns of the paper's
@@ -47,7 +46,6 @@ pub mod ops;
 pub mod source;
 pub mod stats;
 mod storage;
-pub mod traversal;
 pub mod weight;
 
 pub use atomic::{MinDistCells, SeqMinCells};

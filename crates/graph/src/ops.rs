@@ -159,9 +159,9 @@ mod tests {
         // Grid 3x2 has 3*1 + 2*2 = 7 edges.
         assert_eq!(grid.num_edges(), 7);
         // Node (g, h) = g*2 + h; (0,0)-(0,1) and (0,0)-(1,0) must exist.
-        assert!(grid.has_edge(0, 1));
-        assert!(grid.has_edge(0, 2));
-        assert!(!grid.has_edge(0, 3));
+        assert!(grid.edge_weight(0, 1).is_some());
+        assert!(grid.edge_weight(0, 2).is_some());
+        assert!(grid.edge_weight(0, 3).is_none());
     }
 
     #[test]
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn product_node_count_with_isolated_factor() {
         let p2 = path(2, 1);
-        let isolated = Graph::empty(3);
+        let isolated = crate::GraphBuilder::new(3).build();
         let prod = cartesian_product(&p2, &isolated);
         assert_eq!(prod.num_nodes(), 6);
         assert_eq!(prod.num_edges(), 3);

@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn stats_on_empty_graph() {
-        let s = GraphStats::compute(&Graph::empty(0));
+        let s = GraphStats::compute(&crate::GraphBuilder::new(0).build());
         assert_eq!(s.nodes, 0);
         assert_eq!(s.edges, 0);
         assert_eq!(s.max_degree, 0);

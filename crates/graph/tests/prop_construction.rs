@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use cldiam_graph::io::binary::{parse_binary, write_binary};
+use cldiam_graph::io::binary::parse_binary;
 use cldiam_graph::io::snapshot::write_snapshot;
 use cldiam_graph::ops::{cartesian_product, induced_subgraph, map_weights};
 use cldiam_graph::{
@@ -37,6 +37,9 @@ use cldiam_graph::{
     read_snapshot_file, write_snapshot_file, CompressedGraph, Graph, GraphBuilder, NodeId,
     SnapshotGraph, SnapshotOptions, SnapshotPayload, Weight,
 };
+
+#[path = "support/v1_image.rs"]
+mod v1_image;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 4];
 
@@ -196,8 +199,7 @@ fn check_weight_stats_on_the_other_paths(input: &Input) {
     assert_weight_stats(&cartesian_product(&graph, &path), "cartesian_product");
     assert_weight_stats(&CompressedGraph::from_graph(&graph, 2).to_graph(), "to_graph");
 
-    let mut v1 = Vec::new();
-    write_binary(&graph, &mut v1).expect("in-memory v1 write");
+    let v1 = v1_image::v1_image(graph.offsets(), graph.targets(), graph.weights());
     assert_weight_stats(&parse_binary(&v1).expect("v1 load"), "v1 load");
     let payload = SnapshotPayload::Dense(&graph);
     let mut v2 = Vec::new();

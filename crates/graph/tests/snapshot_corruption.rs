@@ -8,9 +8,11 @@
 
 use proptest::prelude::*;
 
-use cldiam_graph::io::binary::write_binary;
 use cldiam_graph::io::snapshot::write_snapshot;
 use cldiam_graph::{parse_snapshot_bytes, CompressedGraph, Graph, GraphBuilder, SnapshotPayload};
+
+#[path = "support/v1_image.rs"]
+mod v1_image;
 
 fn sample_graph() -> Graph {
     let mut b = GraphBuilder::new(30);
@@ -25,8 +27,7 @@ fn sample_graph() -> Graph {
 /// The three on-disk images under test: v1, v2 dense, v2 compressed.
 fn images() -> Vec<(&'static str, Vec<u8>)> {
     let graph = sample_graph();
-    let mut v1 = Vec::new();
-    write_binary(&graph, &mut v1).expect("serialize v1");
+    let v1 = v1_image::v1_image(graph.offsets(), graph.targets(), graph.weights());
     let mut v2_dense = Vec::new();
     write_snapshot(&SnapshotPayload::Dense(&graph), &mut v2_dense).expect("serialize v2 dense");
     let compressed = CompressedGraph::from_graph(&graph, 2);

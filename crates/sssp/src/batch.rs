@@ -39,8 +39,7 @@
 //!   generic [`NeighborSource`] runs share one relax loop, which scans
 //!   neighbours by internal iteration so the compressed tier decodes each
 //!   block in one tight loop. It tracks distances only — no hop counts or
-//!   parent pointers — because none of the batched consumers need them;
-//!   use [`crate::dijkstra::dijkstra`] for the full shortest-path tree.
+//!   parent pointers — because no consumer needs them.
 //! * [`ScratchPool`] — a lock-guarded free list of scratches shared by the
 //!   rayon workers of a batch, so a batch over `k` sources allocates
 //!   `O(min(k, threads))` scratches instead of `k`.
@@ -529,7 +528,7 @@ mod tests {
         // R-MAT's uniform weights spread far wider than 62 bands.
         assert_eq!(band_shift(Some((1, 1_000_000))), None);
         // An arcless graph queues only its source.
-        let arcless = cldiam_graph::Graph::empty(3);
+        let arcless = cldiam_graph::GraphBuilder::new(3).build();
         assert_eq!(band_shift(arcless.min_weight().zip(arcless.max_weight())), Some(0));
         let mut scratch = DijkstraScratch::new();
         scratch.run(&arcless, 1);

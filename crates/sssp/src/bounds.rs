@@ -87,12 +87,6 @@ impl BoundsConfig {
         self.tolerance = if tolerance.is_finite() { tolerance.max(1.0) } else { 1.0 };
         self
     }
-
-    /// Sets how many SSSPs run before the oracle is consulted.
-    pub fn with_quotient_after(mut self, quotient_after: usize) -> Self {
-        self.quotient_after = quotient_after;
-        self
-    }
 }
 
 /// One recorded step of the engine: the state of the diameter interval after
@@ -659,7 +653,7 @@ mod tests {
         let exact = exact_diameter(&g);
         // An exact oracle must close the interval the moment it fires.
         let oracle = Fixed(exact);
-        let config = BoundsConfig::default().with_quotient_after(1);
+        let config = BoundsConfig { quotient_after: 1, ..BoundsConfig::default() };
         let split = ComponentSplit::compute(&g);
         let outcome = bounds_diameter(&g, &config, Some(&oracle), &split, &CancelToken::never());
         assert!(outcome.converged);
@@ -710,7 +704,11 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_graphs_are_trivially_converged() {
-        for g in [Graph::empty(0), Graph::empty(1), Graph::empty(5)] {
+        for g in [
+            cldiam_graph::GraphBuilder::new(0).build(),
+            cldiam_graph::GraphBuilder::new(1).build(),
+            cldiam_graph::GraphBuilder::new(5).build(),
+        ] {
             let outcome = run(&g, &BoundsConfig::default());
             assert!(outcome.converged);
             assert_eq!((outcome.lower, outcome.upper), (0, 0));

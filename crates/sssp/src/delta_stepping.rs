@@ -584,6 +584,6 @@ mod tests {
     fn suggest_delta_is_average_weight() {
         let g = Graph::from_edges(3, &[(0, 1, 10), (1, 2, 30)]);
         assert_eq!(suggest_delta(&g), 20);
-        assert_eq!(suggest_delta(&Graph::empty(2)), 1);
+        assert_eq!(suggest_delta(&cldiam_graph::GraphBuilder::new(2).build()), 1);
     }
 }

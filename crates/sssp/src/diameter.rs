@@ -431,9 +431,9 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_graphs() {
-        assert_eq!(exact_diameter(&cldiam_graph::Graph::empty(0)), 0);
-        assert_eq!(exact_diameter(&cldiam_graph::Graph::empty(1)), 0);
-        assert_eq!(diameter_lower_bound(&cldiam_graph::Graph::empty(0), 3, 0), 0);
+        assert_eq!(exact_diameter(&cldiam_graph::GraphBuilder::new(0).build()), 0);
+        assert_eq!(exact_diameter(&cldiam_graph::GraphBuilder::new(1).build()), 0);
+        assert_eq!(diameter_lower_bound(&cldiam_graph::GraphBuilder::new(0).build(), 3, 0), 0);
     }
 
     #[test]

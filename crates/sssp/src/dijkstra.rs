@@ -1,4 +1,5 @@
-//! Sequential Dijkstra — the exactness oracle of the workspace.
+//! Sequential binary-heap Dijkstra, the exactness oracle of the test suites.
+//! The pipeline runs every exact SSSP on [`crate::DijkstraScratch`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -13,14 +14,6 @@ pub struct ShortestPaths {
     /// `dist[u]` — weight of the shortest path from the source to `u`
     /// ([`INFINITY`] if unreachable).
     pub dist: Vec<Dist>,
-    /// `hops[u]` — number of edges on the shortest path found to `u`
-    /// (`u32::MAX` if unreachable). Ties between equal-weight paths are broken
-    /// in favour of the path discovered first, so this is *a* shortest path's
-    /// hop count, not necessarily the minimum over all shortest paths.
-    pub hops: Vec<u32>,
-    /// `parent[u]` — predecessor of `u` on the shortest-path tree
-    /// (`u32::MAX` for the source and for unreachable nodes).
-    pub parent: Vec<NodeId>,
 }
 
 impl ShortestPaths {
@@ -46,22 +39,6 @@ impl ShortestPaths {
     pub fn reached(&self) -> usize {
         self.dist.iter().filter(|&&d| d != INFINITY).count()
     }
-
-    /// Reconstructs the node sequence of the shortest path to `target`, or
-    /// `None` if `target` is unreachable.
-    pub fn path_to(&self, target: NodeId) -> Option<Vec<NodeId>> {
-        if self.dist[target as usize] == INFINITY {
-            return None;
-        }
-        let mut path = vec![target];
-        let mut cur = target;
-        while cur != self.source {
-            cur = self.parent[cur as usize];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 /// Runs Dijkstra's algorithm from `source` with a binary heap.
@@ -69,16 +46,16 @@ impl ShortestPaths {
 /// # Panics
 ///
 /// Panics if `source` is not a node of `graph`.
+// lint:allow(dead-pub): the exactness oracle; the unit tests of this crate,
+// `cldiam-core` and `cldiam-testkit`, the SSSP property suites and the root
+// SSSP, cluster and invariant suites check distances against it.
 pub fn dijkstra<G: NeighborSource>(graph: &G, source: NodeId) -> ShortestPaths {
     let n = graph.num_nodes();
     assert!((source as usize) < n, "source {source} out of range (n = {n})");
     let mut dist = vec![INFINITY; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut parent = vec![NodeId::MAX; n];
     let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
 
     dist[source as usize] = 0;
-    hops[source as usize] = 0;
     heap.push(Reverse((0, source)));
 
     while let Some(Reverse((d, u))) = heap.pop() {
@@ -89,14 +66,12 @@ pub fn dijkstra<G: NeighborSource>(graph: &G, source: NodeId) -> ShortestPaths {
             let candidate = d + Dist::from(w);
             if candidate < dist[v as usize] {
                 dist[v as usize] = candidate;
-                hops[v as usize] = hops[u as usize] + 1;
-                parent[v as usize] = u;
                 heap.push(Reverse((candidate, v)));
             }
         }
     }
 
-    ShortestPaths { source, dist, hops, parent }
+    ShortestPaths { source, dist }
 }
 
 #[cfg(test)]
@@ -114,8 +89,6 @@ mod tests {
     fn shortest_distances_on_diamond() {
         let sp = dijkstra(&diamond(), 0);
         assert_eq!(sp.dist, vec![0, 1, 5, 2]);
-        assert_eq!(sp.hops[3], 2);
-        assert_eq!(sp.path_to(3), Some(vec![0, 1, 3]));
     }
 
     #[test]
@@ -124,8 +97,6 @@ mod tests {
         let sp = dijkstra(&g, 0);
         assert_eq!(sp.dist[1], 2);
         assert_eq!(sp.dist[2], INFINITY);
-        assert_eq!(sp.hops[3], u32::MAX);
-        assert_eq!(sp.path_to(2), None);
         assert_eq!(sp.reached(), 2);
     }
 
@@ -138,16 +109,15 @@ mod tests {
     }
 
     #[test]
-    fn source_has_zero_distance_and_no_parent() {
+    fn source_has_zero_distance() {
         let sp = dijkstra(&diamond(), 2);
         assert_eq!(sp.dist[2], 0);
-        assert_eq!(sp.parent[2], NodeId::MAX);
-        assert_eq!(sp.path_to(2), Some(vec![2]));
+        assert_eq!(sp.dist.iter().filter(|&&d| d == 0).count(), 1);
     }
 
     #[test]
     fn singleton_graph() {
-        let sp = dijkstra(&Graph::empty(1), 0);
+        let sp = dijkstra(&cldiam_graph::GraphBuilder::new(1).build(), 0);
         assert_eq!(sp.eccentricity(), 0);
         assert_eq!(sp.farthest_node(), 0);
         assert_eq!(sp.reached(), 1);
@@ -156,6 +126,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_invalid_source() {
-        dijkstra(&Graph::empty(2), 5);
+        dijkstra(&cldiam_graph::GraphBuilder::new(2).build(), 5);
     }
 }

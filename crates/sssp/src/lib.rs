@@ -9,9 +9,8 @@
 //!
 //! This crate provides:
 //!
-//! * [`dijkstra`] — sequential Dijkstra returning distances, hop counts and
-//!   the shortest-path tree; the exactness oracle for every test in the
-//!   workspace.
+//! * [`dijkstra`] — sequential binary-heap Dijkstra returning distances;
+//!   no pipeline path calls it, it is the exactness oracle of the tests.
 //! * [`batch`] — the batched multi-source engine: a reusable
 //!   [`DijkstraScratch`], the one Dijkstra kernel of every exact SSSP
 //!   (distances only, `O(1)` pushes into a 64-slot band ring that pops

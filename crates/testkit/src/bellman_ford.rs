@@ -89,6 +89,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_invalid_source() {
-        bellman_ford(&Graph::empty(1), 3);
+        bellman_ford(&cldiam_graph::GraphBuilder::new(1).build(), 3);
     }
 }

@@ -1,9 +1,11 @@
 //! Test oracles for the CL-DIAM workspace, kept out of the shipped crates.
 //!
 //! Everything here exists to check the production code from a second,
-//! structurally different angle; nothing in the pipeline calls it. The crate
-//! is a dev-dependency of the umbrella crate only, so the integration suites
-//! and the examples can use it.
+//! structurally different angle; nothing in the pipeline calls it. Its
+//! normal dependencies reach `cldiam-graph`, `cldiam-mr`, `cldiam-sssp` and
+//! `cldiam-core`, so only the umbrella crate (the integration suites and the
+//! examples) and `cldiam-gen` take it as a dev-dependency: any of those four
+//! would form a cycle.
 //!
 //! * [`engine`] / [`config`] — [`MrEngine`], a literal executor of
 //!   `MR(M_T, M_L)` rounds: pairs are hash-partitioned to a configurable
@@ -17,6 +19,8 @@
 //! * [`mr_impl`] — the Δ-growing step as a MapReduce round on the engine,
 //!   which the equivalence suites pin to the in-place step of `cldiam-core`.
 //! * [`bellman_ford()`] — a shortest-path oracle independent of Dijkstra.
+//! * [`traversal`] — BFS hop distances and the double-sweep estimate of the
+//!   unweighted diameter `Ψ(G)`, which the generator and SSSP suites check.
 
 #![forbid(unsafe_code)]
 
@@ -25,6 +29,7 @@ pub mod config;
 pub mod engine;
 pub mod mr_impl;
 pub mod primitives;
+pub mod traversal;
 
 pub use bellman_ford::{bellman_ford, BellmanFordOutcome};
 pub use config::MrConfig;

@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn single_step_reports_updates_to_tracker() {
-        let g = cldiam_gen::weighted_path(&[1, 1, 1]);
+        let g = Graph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
         let engine = engines();
         let mut state = GrowState::new(4);
         state.set_center(0);
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn frontier_with_no_admissible_edges_stops() {
-        let g = cldiam_gen::weighted_path(&[5, 5]);
+        let g = Graph::from_edges(3, &[(0, 1, 5), (1, 2, 5)]);
         let engine = engines();
         let mut state = GrowState::new(3);
         state.set_center(0);

@@ -1,4 +1,5 @@
-//! Unweighted traversal utilities.
+//! Unweighted traversal, the hop-count oracle of the generator and SSSP
+//! suites.
 //!
 //! The paper's analysis distinguishes the *weighted* diameter `Φ(G)` from the
 //! *unweighted* diameter `Ψ(G)` (the round-complexity lower bound of the
@@ -7,8 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::source::NeighborSource;
-use crate::weight::NodeId;
+use cldiam_graph::{NeighborSource, NodeId};
 
 /// Hop distance assigned to unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -52,8 +52,6 @@ pub fn hop_eccentricity<G: NeighborSource>(graph: &G, source: NodeId) -> u32 {
 /// Double-sweep lower bound for the unweighted diameter `Ψ(G)`: BFS from a
 /// start node, then BFS again from the farthest node found. On many practical
 /// graph classes (road networks, meshes) this is exact or nearly so.
-// lint:allow(dead-pub): shared test fixture; the generator suites and the
-// SSSP integration suite check hop diameters `Ψ(G)` with it.
 pub fn double_sweep_hop_diameter<G: NeighborSource>(graph: &G, start: NodeId) -> u32 {
     if graph.num_nodes() == 0 {
         return 0;
@@ -72,7 +70,7 @@ pub fn double_sweep_hop_diameter<G: NeighborSource>(graph: &G, start: NodeId) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::Graph;
+    use cldiam_graph::{Graph, GraphBuilder};
 
     fn path(n: usize) -> Graph {
         let edges: Vec<_> = (0..n - 1).map(|i| (i as NodeId, (i + 1) as NodeId, 1)).collect();
@@ -119,6 +117,6 @@ mod tests {
 
     #[test]
     fn double_sweep_on_empty_graph() {
-        assert_eq!(double_sweep_hop_diameter(&Graph::empty(0), 0), 0);
+        assert_eq!(double_sweep_hop_diameter(&GraphBuilder::new(0).build(), 0), 0);
     }
 }

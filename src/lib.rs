@@ -45,5 +45,5 @@ pub mod prelude {
     pub use cldiam_gen::WeightModel;
     pub use cldiam_graph::{Dist, Graph, GraphBuilder, NodeId, Weight};
     pub use cldiam_mr::CostMetrics;
-    pub use cldiam_sssp::{delta_stepping, diameter_lower_bound, dijkstra};
+    pub use cldiam_sssp::{delta_stepping, diameter_lower_bound};
 }

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cldiam_core::{cluster, ClusterConfig};
 use cldiam_gen::GraphSpec;
-use cldiam_graph::CancelToken;
+use cldiam_graph::{largest_component, CancelToken};
 
 /// Peak live heap allowed inside `cluster()`, in bytes per node. It reads
 /// 50.5–52.0 at 1–4 threads: 28 B of atomic cells, the frozen and touched
@@ -79,7 +79,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn cluster_peak_heap_stays_within_its_per_node_budget() {
-    let graph = GraphSpec::parse("road:300x300").expect("valid spec").generate_connected(1000);
+    let (graph, _) =
+        largest_component(&GraphSpec::parse("road:300x300").expect("valid spec").generate(1000));
     let n = graph.num_nodes();
     assert_eq!(n, 89_315, "the road:300x300 LCC changed");
     let config = ClusterConfig::default()

@@ -3,8 +3,9 @@
 //! the equivalence between the logical and the MapReduce execution paths.
 
 use cldiam::gen::GraphSpec;
-use cldiam::graph::CancelToken;
+use cldiam::graph::{largest_component, CancelToken};
 use cldiam::prelude::*;
+use cldiam::sssp::dijkstra;
 use cldiam_core::{cluster, cluster2, quotient_graph, ClDiam};
 use cldiam_testkit::{MrConfig, MrEngine};
 
@@ -20,7 +21,7 @@ fn families() -> Vec<(GraphSpec, u64)> {
 #[test]
 fn clustering_invariants_hold_on_every_family() {
     for (spec, seed) in families() {
-        let graph = spec.generate_connected(seed);
+        let (graph, _) = largest_component(&spec.generate(seed));
         for tau in [1usize, 4] {
             let config = ClusterConfig::default().with_tau(tau).with_seed(seed);
             let clustering = cluster(&graph, &config, &CancelToken::never());
@@ -47,7 +48,7 @@ fn clustering_invariants_hold_on_every_family() {
 #[test]
 fn cluster2_invariants_hold_on_every_family() {
     for (spec, seed) in families() {
-        let graph = spec.generate_connected(seed);
+        let (graph, _) = largest_component(&spec.generate(seed));
         let config = ClusterConfig::default().with_tau(2).with_seed(seed);
         let clustering = cluster2(&graph, &config, &CancelToken::never());
         clustering.validate(&graph).unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
@@ -57,7 +58,7 @@ fn cluster2_invariants_hold_on_every_family() {
 #[test]
 fn quotient_graph_structure_matches_clustering() {
     for (spec, seed) in families() {
-        let graph = spec.generate_connected(seed);
+        let (graph, _) = largest_component(&spec.generate(seed));
         let config = ClusterConfig::default().with_tau(4).with_seed(seed);
         let clustering = cluster(&graph, &config, &CancelToken::never());
         let quotient = quotient_graph(&graph, &clustering);
@@ -76,7 +77,7 @@ fn quotient_graph_structure_matches_clustering() {
 
 #[test]
 fn tau_controls_cluster_count_monotonically_in_expectation() {
-    let graph = GraphSpec::Mesh { side: 24 }.generate_connected(5);
+    let (graph, _) = largest_component(&GraphSpec::Mesh { side: 24 }.generate(5));
     let mut last = 0usize;
     for tau in [1usize, 2, 4, 8] {
         let config = ClusterConfig::default().with_tau(tau).with_seed(5);
@@ -92,12 +93,15 @@ fn tau_controls_cluster_count_monotonically_in_expectation() {
 
 #[test]
 fn step_cap_reduces_growing_steps() {
-    let graph = GraphSpec::RoadNetwork { rows: 20, cols: 20 }.generate_connected(8);
+    let (graph, _) = largest_component(&GraphSpec::RoadNetwork { rows: 20, cols: 20 }.generate(8));
     let unbounded =
         cluster(&graph, &ClusterConfig::default().with_tau(2).with_seed(8), &CancelToken::never());
     let capped = cluster(
         &graph,
-        &ClusterConfig::default().with_tau(2).with_seed(8).with_step_cap(4),
+        &ClusterConfig {
+            max_growing_steps_per_phase: Some(4),
+            ..ClusterConfig::default().with_tau(2).with_seed(8)
+        },
         &CancelToken::never(),
     );
     capped.validate(&graph).expect("capped clustering is valid");
@@ -110,7 +114,7 @@ fn step_cap_reduces_growing_steps() {
 
 #[test]
 fn decomposition_reuse_is_consistent_with_full_run() {
-    let graph = GraphSpec::Mesh { side: 14 }.generate_connected(2);
+    let (graph, _) = largest_component(&GraphSpec::Mesh { side: 14 }.generate(2));
     let driver = ClDiam::new(ClusterConfig::default().with_tau(4).with_seed(2));
     let clustering = driver.decompose(&graph);
     let never = CancelToken::never();
@@ -126,7 +130,7 @@ fn mapreduce_growth_matches_shared_memory_growth() {
     use cldiam_core::{partial_growth, GrowScratch, GrowState};
     use cldiam_testkit::mr_impl::mr_partial_growth;
 
-    let graph = GraphSpec::RoadNetwork { rows: 12, cols: 12 }.generate_connected(6);
+    let (graph, _) = largest_component(&GraphSpec::RoadNetwork { rows: 12, cols: 12 }.generate(6));
     let centers = [0u32, (graph.num_nodes() / 2) as u32, (graph.num_nodes() - 1) as u32];
     let threshold = 4_000u64;
 

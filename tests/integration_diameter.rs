@@ -9,6 +9,7 @@
 //! modest constant against the exact value.
 
 use cldiam::gen::{GraphSpec, WeightModel};
+use cldiam::graph::largest_component;
 use cldiam::prelude::*;
 use cldiam::sssp::{exact_diameter, sssp_diameter_upper_bound, ComponentSplit};
 use cldiam_core::InitialDelta;
@@ -16,7 +17,7 @@ use cldiam_core::InitialDelta;
 /// Runs CL-DIAM on the given spec and checks the estimate against the exact
 /// diameter. Returns (exact, estimate ratio).
 fn check_spec(spec: GraphSpec, tau: usize, seed: u64, max_ratio: f64) {
-    let graph = spec.generate_connected(seed);
+    let (graph, _) = largest_component(&spec.generate(seed));
     assert!(graph.num_nodes() > 10, "{}: generated graph too small", spec.label());
     let exact = exact_diameter(&graph);
     let config = ClusterConfig::default().with_tau(tau).with_seed(seed);
@@ -62,7 +63,7 @@ fn roads_product_family_is_well_approximated() {
 
 #[test]
 fn estimate_is_conservative_across_seeds_and_taus() {
-    let graph = GraphSpec::Mesh { side: 16 }.generate_connected(9);
+    let (graph, _) = largest_component(&GraphSpec::Mesh { side: 16 }.generate(9));
     let exact = exact_diameter(&graph);
     for seed in [1u64, 2, 3] {
         for tau in [1usize, 4, 16] {
@@ -81,7 +82,7 @@ fn estimate_is_conservative_across_seeds_and_taus() {
 fn cldiam_beats_sssp_bound_quality_on_high_diameter_graphs() {
     // On road-like graphs the SSSP 2-approximation from an arbitrary node is
     // typically much looser than the cluster-based estimate.
-    let graph = GraphSpec::RoadNetwork { rows: 22, cols: 22 }.generate_connected(13);
+    let (graph, _) = largest_component(&GraphSpec::RoadNetwork { rows: 22, cols: 22 }.generate(13));
     let exact = exact_diameter(&graph);
     let config = ClusterConfig::default().with_tau(4).with_seed(13);
     let estimate = approximate_diameter(&graph, &config);
@@ -97,7 +98,7 @@ fn cldiam_beats_sssp_bound_quality_on_high_diameter_graphs() {
 
 #[test]
 fn cluster2_pipeline_is_also_conservative() {
-    let graph = GraphSpec::Mesh { side: 14 }.generate_connected(4);
+    let (graph, _) = largest_component(&GraphSpec::Mesh { side: 14 }.generate(4));
     let exact = exact_diameter(&graph);
     let config = ClusterConfig::default().with_tau(2).with_seed(4).with_cluster2(true);
     let estimate = approximate_diameter(&graph, &config);
@@ -125,7 +126,7 @@ fn bimodal_weights_with_small_initial_delta_stay_tight() {
 
 #[test]
 fn metrics_are_internally_consistent() {
-    let graph = GraphSpec::Mesh { side: 20 }.generate_connected(6);
+    let (graph, _) = largest_component(&GraphSpec::Mesh { side: 20 }.generate(6));
     let config = ClusterConfig::default().with_tau(4).with_seed(6);
     let estimate = approximate_diameter(&graph, &config);
     // Rounds include at least one per growing step plus the per-stage and

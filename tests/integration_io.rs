@@ -4,7 +4,10 @@
 use proptest::prelude::*;
 
 use cldiam::graph::io::{binary, dimacs, edgelist};
-use cldiam::graph::{detect_format, largest_component, load_graph, FileFormat, Graph};
+use cldiam::graph::{
+    detect_format, largest_component, load_graph, parse_snapshot_bytes, read_snapshot_file,
+    FileFormat, Graph, SnapshotGraph, SnapshotOptions,
+};
 use cldiam::prelude::*;
 use cldiam::sssp::{
     diameter_lower_bound, exact_diameter, sssp_diameter_upper_bound, ComponentSplit,
@@ -12,6 +15,14 @@ use cldiam::sssp::{
 
 const ROADS_GR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/roads.gr");
 const SOCIAL_TSV: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/social.tsv");
+const ROADS_V1: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/roads-v1.cldg");
+
+#[path = "../crates/graph/tests/support/v1_image.rs"]
+mod v1_image;
+
+fn v1_bytes(graph: &Graph) -> Vec<u8> {
+    v1_image::v1_image(graph.offsets(), graph.targets(), graph.weights())
+}
 
 #[test]
 fn dimacs_fixture_flows_to_a_diameter_estimate() {
@@ -70,9 +81,20 @@ fn fixtures_survive_disconnection_in_the_sssp_bounds() {
 fn binary_snapshot_round_trips_the_fixtures() {
     for path in [ROADS_GR, SOCIAL_TSV] {
         let graph = load_graph(path).unwrap();
-        let mut buf = Vec::new();
-        binary::write_binary(&graph, &mut buf).unwrap();
-        assert_eq!(binary::parse_binary(&buf).unwrap(), graph, "{path}");
+        assert_eq!(binary::parse_binary(&v1_bytes(&graph)).unwrap(), graph, "{path}");
+    }
+}
+
+/// The committed v1 image of `roads.gr` is the one v1 file no test builds:
+/// every load path must still read it as version 1 and the same graph.
+#[test]
+fn committed_v1_snapshot_loads_on_every_path() {
+    let expected = SnapshotGraph::Dense(load_graph(ROADS_GR).unwrap());
+    let buffered = parse_snapshot_bytes(&std::fs::read(ROADS_V1).unwrap()).unwrap();
+    assert_eq!((buffered.version, &buffered.graph), (1, &expected));
+    for mmap in [false, true] {
+        let snap = read_snapshot_file(ROADS_V1, &SnapshotOptions { mmap, verify: true }).unwrap();
+        assert_eq!((snap.version, &snap.graph), (1, &expected), "mmap: {mmap}");
     }
 }
 
@@ -121,9 +143,8 @@ proptest! {
         let graph = builder.build();
 
         // Edge-list text round trip.
-        let mut text = Vec::new();
-        edgelist::write_edge_list(&graph, &mut text).unwrap();
-        let mut reparsed = edgelist::parse_edge_list_bytes(&text).unwrap();
+        let text: String = graph.edges().map(|(u, v, w)| format!("{u} {v} {w}\n")).collect();
+        let mut reparsed = edgelist::parse_edge_list_bytes(text.as_bytes()).unwrap();
         // The text form drops trailing isolated nodes (no edges mention
         // them); pad the builder the way a consumer with a node count would.
         if reparsed.num_nodes() < graph.num_nodes() {
@@ -134,13 +155,13 @@ proptest! {
         prop_assert_eq!(&reparsed, &graph);
 
         // DIMACS text round trip (header keeps isolated nodes exactly).
-        let mut gr = Vec::new();
-        dimacs::write_dimacs(&graph, &mut gr).unwrap();
-        prop_assert_eq!(&dimacs::parse_dimacs_bytes(&gr).unwrap(), &graph);
+        let mut gr = format!("p sp {} {}\n", graph.num_nodes(), graph.num_arcs());
+        for (u, v, w) in graph.edges() {
+            gr += &format!("a {} {} {w}\na {} {} {w}\n", u + 1, v + 1, v + 1, u + 1);
+        }
+        prop_assert_eq!(&dimacs::parse_dimacs_bytes(gr.as_bytes()).unwrap(), &graph);
 
         // Binary snapshot round trip.
-        let mut bin = Vec::new();
-        binary::write_binary(&graph, &mut bin).unwrap();
-        prop_assert_eq!(&binary::parse_binary(&bin).unwrap(), &graph);
+        prop_assert_eq!(&binary::parse_binary(&v1_bytes(&graph)).unwrap(), &graph);
     }
 }

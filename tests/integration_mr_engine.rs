@@ -4,9 +4,9 @@
 //! `MR(M_T, M_L)` accounting of Fact 1.
 
 use cldiam::gen::{mesh, preferential_attachment, WeightModel};
-use cldiam::graph::traversal::bfs_hops;
 use cldiam::graph::{Graph, NodeId};
 use cldiam::prelude::*;
+use cldiam_testkit::traversal::bfs_hops;
 use cldiam_testkit::{primitives, MrConfig, MrEngine};
 
 /// Unweighted BFS expressed as MapReduce rounds: each round maps the frontier
@@ -56,7 +56,8 @@ fn mr_bfs_matches_sequential_bfs() {
 fn mr_degree_count_matches_graph_degrees() {
     let graph = preferential_attachment(400, 3, WeightModel::UniformUnit, 7);
     let engine = MrEngine::new(MrConfig::with_machines(8));
-    let pairs: Vec<(NodeId, u64)> = graph.arcs().map(|(u, _, _)| (u, 1u64)).collect();
+    let pairs: Vec<(NodeId, u64)> =
+        graph.edges().flat_map(|(u, v, _)| [(u, 1u64), (v, 1u64)]).collect();
     let mut degrees = engine.run_round(pairs, |&u, ones| vec![(u, ones.len() as u64)]);
     degrees.sort_unstable();
     for (u, d) in degrees {

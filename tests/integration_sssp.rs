@@ -3,13 +3,15 @@
 //! must bracket the exact value.
 
 use cldiam::gen::{GraphSpec, WeightModel};
-use cldiam::graph::traversal::double_sweep_hop_diameter;
+use cldiam::graph::largest_component;
 use cldiam::prelude::*;
 use cldiam::sssp::{
-    diameter_lower_bound, exact_diameter, sssp_diameter_upper_bound, suggest_delta, ComponentSplit,
+    diameter_lower_bound, dijkstra, exact_diameter, sssp_diameter_upper_bound, suggest_delta,
+    ComponentSplit,
 };
 use cldiam_mr::CostTracker;
 use cldiam_testkit::bellman_ford;
+use cldiam_testkit::traversal::double_sweep_hop_diameter;
 
 fn specs() -> Vec<(GraphSpec, u64)> {
     vec![
@@ -24,7 +26,7 @@ fn specs() -> Vec<(GraphSpec, u64)> {
 #[test]
 fn delta_stepping_matches_dijkstra_on_every_family() {
     for (spec, seed) in specs() {
-        let graph = spec.generate_connected(seed);
+        let (graph, _) = largest_component(&spec.generate(seed));
         let source = (graph.num_nodes() / 2) as u32;
         let expected = dijkstra(&graph, source);
         for delta in [suggest_delta(&graph), suggest_delta(&graph) * 8, 1_000_000] {
@@ -37,7 +39,7 @@ fn delta_stepping_matches_dijkstra_on_every_family() {
 #[test]
 fn bellman_ford_matches_dijkstra_on_every_family() {
     for (spec, seed) in specs() {
-        let graph = spec.generate_connected(seed);
+        let (graph, _) = largest_component(&spec.generate(seed));
         let bf = bellman_ford(&graph, 0);
         let dj = dijkstra(&graph, 0);
         assert_eq!(bf.dist, dj.dist, "{}", spec.label());
@@ -47,7 +49,7 @@ fn bellman_ford_matches_dijkstra_on_every_family() {
 #[test]
 fn diameter_bounds_bracket_the_exact_value() {
     for (spec, seed) in specs() {
-        let graph = spec.generate_connected(seed);
+        let (graph, _) = largest_component(&spec.generate(seed));
         let exact = exact_diameter(&graph);
         let lower = diameter_lower_bound(&graph, 4, seed);
         let upper = sssp_diameter_upper_bound(&graph, 0, &ComponentSplit::compute(&graph));
@@ -62,7 +64,7 @@ fn delta_tradeoff_rounds_versus_work() {
     // The Δ-stepping design parameter trades parallel rounds for work: a tiny
     // Δ behaves like Dijkstra (many phases), a huge Δ like Bellman-Ford
     // (few phases, more relaxations).
-    let graph = GraphSpec::Mesh { side: 20 }.generate_connected(7);
+    let (graph, _) = largest_component(&GraphSpec::Mesh { side: 20 }.generate(7));
     let fine = delta_stepping(&graph, 0, 2_000, None);
     let coarse = delta_stepping(&graph, 0, 2_000_000, None);
     assert!(fine.phases > coarse.phases);
@@ -71,7 +73,7 @@ fn delta_tradeoff_rounds_versus_work() {
 
 #[test]
 fn tracker_accumulates_across_runs() {
-    let graph = GraphSpec::Mesh { side: 10 }.generate_connected(9);
+    let (graph, _) = largest_component(&GraphSpec::Mesh { side: 10 }.generate(9));
     let tracker = CostTracker::new();
     let a = delta_stepping(&graph, 0, 500_000, Some(&tracker));
     let b = delta_stepping(&graph, 5, 500_000, Some(&tracker));

@@ -95,7 +95,7 @@ fn init_state(
         state.freeze_reached();
         for u in 0..n {
             if state.frozen[u] {
-                state.set_source(u as NodeId, credit);
+                state.eff[u] = credit;
             }
         }
     }

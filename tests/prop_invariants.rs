@@ -17,7 +17,9 @@ use cldiam::core::{anytime_diameter, AnytimeConfig};
 use cldiam::gen::{gnm_random, road_network};
 use cldiam::graph::{largest_component, CancelToken, CompressedGraph, NeighborSource};
 use cldiam::prelude::*;
-use cldiam::sssp::{exact_diameter, sssp_diameter_upper_bound, BoundsConfig, ComponentSplit};
+use cldiam::sssp::{
+    dijkstra, exact_diameter, sssp_diameter_upper_bound, BoundsConfig, ComponentSplit,
+};
 use cldiam_core::cluster;
 use cldiam_testkit::{bellman_ford, primitives, MrConfig, MrEngine};
 
@@ -194,7 +196,7 @@ fn assert_bounds_bracket<G: NeighborSource>(graph: &G, exact: Dist, seed: u64) {
         }
     }
     let anytime = AnytimeConfig::default()
-        .with_bounds(BoundsConfig::default().with_max_sssp(3).with_quotient_after(1))
+        .with_bounds(BoundsConfig { max_sssp: 3, quotient_after: 1, ..BoundsConfig::default() })
         .with_cluster(ClusterConfig::default().with_tau(n).with_seed(seed));
     for (name, cancel) in
         [("never", CancelToken::never()), ("check limit 2", CancelToken::with_check_limit(2))]

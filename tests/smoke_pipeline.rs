@@ -13,7 +13,7 @@
 //!   diameter.
 
 use cldiam::gen::GraphSpec;
-use cldiam::graph::CancelToken;
+use cldiam::graph::{largest_component, CancelToken};
 use cldiam::prelude::*;
 use cldiam::sssp::exact_diameter;
 use cldiam_core::{cluster, quotient_graph};
@@ -24,7 +24,7 @@ use cldiam_core::{cluster, quotient_graph};
 const EPSILON: f64 = 0.25;
 
 fn smoke(spec: GraphSpec, tau: usize, seed: u64) {
-    let graph = spec.generate_connected(seed);
+    let (graph, _) = largest_component(&spec.generate(seed));
     let label = spec.label();
     assert!(graph.num_nodes() > 16, "{label}: generated graph too small");
 

@@ -9,6 +9,9 @@ use cldiam::graph::io::snapshot::{
 use cldiam::graph::io::{binary, edgelist, snapshot_path, varint};
 use cldiam::graph::{load_graph, load_graph_cached_with, CacheOptions, CompressedGraph, Graph};
 
+#[path = "../crates/graph/tests/support/v1_image.rs"]
+mod v1_image;
+
 const ROADS_GR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/roads.gr");
 
 /// A fixture's temp directory; dropping it removes the text, its snapshot
@@ -88,9 +91,8 @@ proptest! {
             }
         }
         let graph = builder.build();
-        let mut text = Vec::new();
-        edgelist::write_edge_list(&graph, &mut text).unwrap();
-        let reparsed = edgelist::parse_edge_list_bytes(&text).unwrap();
+        let text: String = graph.edges().map(|(u, v, w)| format!("{u} {v} {w}\n")).collect();
+        let reparsed = edgelist::parse_edge_list_bytes(text.as_bytes()).unwrap();
         let compressed = CompressedGraph::from_graph(&reparsed, shards);
         let mut snap = Vec::new();
         write_snapshot(&SnapshotPayload::Compressed(&compressed), &mut snap).unwrap();
@@ -196,7 +198,8 @@ fn v1_cache_is_upgraded_to_v2_in_place() {
     let (_dir, text) = write_text_fixture("upgrade");
     let expected = load_graph(&text).unwrap();
     let cache = snapshot_path(&text);
-    binary::write_binary(&expected, std::fs::File::create(&cache).unwrap()).unwrap();
+    let v1 = v1_image::v1_image(expected.offsets(), expected.targets(), expected.weights());
+    std::fs::write(&cache, v1).unwrap();
     let future = std::time::SystemTime::now() + std::time::Duration::from_secs(60);
     std::fs::OpenOptions::new().append(true).open(&cache).unwrap().set_modified(future).unwrap();
     assert_eq!(snapshot_version(&std::fs::read(&cache).unwrap()), Some(1));

@@ -10,7 +10,7 @@
 //! | `fs-choke-point`   | no direct `std::fs` / `File::open` / `File::create` … outside the `io/mod.rs` failpoint choke points, so every byte of file IO can be failure-injected |
 //! | `clock-discipline` | no `Instant::now` / `SystemTime::now` outside the approved timing modules (deadline handling in `cancel.rs`, bench), so `--timeout-checks` determinism can't regress |
 //! | `hash-determinism` | no std-hasher `HashMap::new` / `HashSet::new` (& friends) in library crates — use the fixed-seed hasher, sort before emitting, or justify with an allow tag |
-//! | `dead-pub`         | every module-level `pub fn` under `crates/*/src` (bar the test-serving `testkit` and `modelcheck`) has a caller outside test code; a cross-file pass, see [`scan_dead_pub`] |
+//! | `dead-pub`         | every module-level `pub fn` and every `pub fn` of a module-level `impl` under `crates/*/src` (bar the test-serving `testkit` and `modelcheck`) has a caller outside test code; a cross-file pass, see [`scan_dead_pub`] |
 //! | `twin-entry`       | no module-level `pub fn` under `crates/*/src` (bar `testkit` and `modelcheck`) is named `*_cancel`, `*_with_split` or `*_with_scratch`: one entry point per algorithm takes the token, split or scratch as an argument |
 //!
 //! A finding is silenced by a justification tag on the same line or the
@@ -571,7 +571,7 @@ pub fn scan_source(rel: &Path, src: &str) -> Vec<Diagnostic> {
     }
 
     if rules.twin_entry {
-        for (at, name) in module_level_pub_fns(&code) {
+        for (at, name, _) in checked_pub_fns(&code).into_iter().filter(|&(_, _, method)| !method) {
             let Some(suffix) = TWIN_SUFFIXES.iter().find(|suffix| name.ends_with(*suffix)) else {
                 continue;
             };
@@ -685,19 +685,37 @@ fn next_word(code: &str, at: usize) -> Option<(usize, &str)> {
     ident_at(code, start).map(|word| (start, word))
 }
 
-/// The offset of `pub` and the name of every `pub fn` in the code mask that
-/// is not nested in an `impl`, `trait` or other non-`mod` block.
-fn module_level_pub_fns(code: &str) -> Vec<(usize, &str)> {
+/// What an open brace opens, as far as [`checked_pub_fns`] cares.
+#[derive(Clone, Copy, PartialEq)]
+enum Block {
+    Mod,
+    Impl,
+    Other,
+}
+
+/// The offset of `pub`, the name and whether it is a method, of every
+/// `pub fn` in the code mask that sits at module level or directly in an
+/// `impl` block at module level.
+fn checked_pub_fns(code: &str) -> Vec<(usize, &str, bool)> {
     let bytes = code.as_bytes();
-    // One entry per open brace: does it open a `mod` block?
-    let mut blocks: Vec<bool> = Vec::new();
+    let mut blocks: Vec<Block> = Vec::new();
     let mut item_start = 0;
     let mut out = Vec::new();
     for (i, &byte) in bytes.iter().enumerate() {
         match byte {
             b'{' => {
                 let header: Vec<&str> = code[item_start..i].split_whitespace().collect();
-                blocks.push(header.len() >= 2 && header[header.len() - 2] == "mod");
+                let is_impl = |k: usize| {
+                    (header[k] == "impl" || header[k].starts_with("impl<"))
+                        && (k == 0 || header[k - 1].ends_with(']') || header[k - 1] == "unsafe")
+                };
+                blocks.push(if header.len() >= 2 && header[header.len() - 2] == "mod" {
+                    Block::Mod
+                } else if (0..header.len()).any(is_impl) {
+                    Block::Impl
+                } else {
+                    Block::Other
+                });
                 item_start = i + 1;
             }
             b'}' => {
@@ -706,9 +724,19 @@ fn module_level_pub_fns(code: &str) -> Vec<(usize, &str)> {
             }
             b';' => item_start = i + 1,
             b'p' if (i == 0 || !is_ident_byte(bytes[i - 1]))
-                && ident_at(code, i) == Some("pub")
-                && blocks.iter().all(|&is_mod| is_mod) =>
+                && ident_at(code, i) == Some("pub") =>
             {
+                let method = match blocks.iter().position(|&b| b != Block::Mod) {
+                    None => false,
+                    Some(k) if k + 1 == blocks.len() && blocks[k] == Block::Impl => true,
+                    Some(_) => continue,
+                };
+                // An item compiled only for tests (`#[cfg(test)]`,
+                // `#[cfg(any(test, …))]`) is not checked.
+                let attrs = &code[item_start..i];
+                if attrs.contains("#[cfg(") && !find_word(attrs, "test").is_empty() {
+                    continue;
+                }
                 let mut at = i + 3;
                 while let Some((word_at, word)) = next_word(code, at) {
                     at = word_at + word.len();
@@ -716,7 +744,7 @@ fn module_level_pub_fns(code: &str) -> Vec<(usize, &str)> {
                         "const" | "unsafe" | "async" => continue,
                         "fn" => {
                             if let Some((_, name)) = next_word(code, at) {
-                                out.push((i, name));
+                                out.push((i, name, method));
                             }
                         }
                         _ => {}
@@ -807,13 +835,14 @@ struct DeadPubFile<'a> {
 }
 
 /// The `dead-pub` rule, a cross-file pass over `(repo-relative path,
-/// source)` pairs: every module-level `pub fn` under `crates/*/src` (bar
-/// the test-serving `crates/testkit` and `crates/modelcheck`, and
-/// `#[cfg(test)]` code) must have its name occur as code in a caller file
-/// (`src/`, `crates/*/src`, `examples/`, `xtask/src`, `perfbench/src`),
-/// outside test modules, `pub use` re-exports, method calls (`.name`),
-/// other declarations (`fn name`) and its own body. Only
-/// `lint:allow(dead-pub): <why>` silences a finding.
+/// source)` pairs: every module-level `pub fn` and every `pub fn` of a
+/// module-level `impl` under `crates/*/src` (bar the test-serving
+/// `crates/testkit` and `crates/modelcheck`, and test-only code) must have
+/// its name occur as code in a caller file (`src/`, `crates/*/src`,
+/// `examples/`, `xtask/src`, `perfbench/src`), outside test modules, `pub
+/// use` re-exports, declarations (`fn name`, `mod name`) and its own body.
+/// A function's name must not follow `.`; a method's must follow `.` or
+/// `::`. Only `lint:allow(dead-pub): <why>` silences a finding.
 pub fn scan_dead_pub(files: &[(PathBuf, String)]) -> Vec<Diagnostic> {
     let mut views: Vec<DeadPubFile<'_>> = files
         .iter()
@@ -832,21 +861,23 @@ pub fn scan_dead_pub(files: &[(PathBuf, String)]) -> Vec<Diagnostic> {
     let ignored =
         |f: &DeadPubFile<'_>, at: usize| f.ignored.iter().any(|&(s, e)| at >= s && at < e);
 
-    // Every declaration the rule checks: (file, offset of `pub`, name).
+    // Every declaration the rule checks: (file, offset of `pub`, name, is a
+    // method).
     let mut decls = Vec::new();
     for (idx, f) in views.iter().enumerate() {
         if is_crate_src(&f.rel) && is_caller_path(&f.rel) {
-            for (at, name) in module_level_pub_fns(&f.code) {
+            for (at, name, method) in checked_pub_fns(&f.code) {
                 if !ignored(f, at) {
-                    decls.push((idx, at, name));
+                    decls.push((idx, at, name, method));
                 }
             }
         }
     }
 
-    // Where each checked name occurs as a call-like use in a caller file.
-    let mut uses: std::collections::BTreeMap<&str, Vec<(usize, usize)>> =
-        decls.iter().map(|&(_, _, name)| (name, Vec::new())).collect();
+    // Where each checked name occurs in a caller file, and whether it
+    // follows `.` or `::` there.
+    let mut uses: std::collections::BTreeMap<&str, Vec<(usize, usize, bool, bool)>> =
+        decls.iter().map(|&(_, _, name, _)| (name, Vec::new())).collect();
     for (idx, f) in views.iter().enumerate().filter(|(_, f)| is_caller_path(&f.rel)) {
         let bytes = f.code.as_bytes();
         let mut i = 0;
@@ -860,22 +891,28 @@ pub fn scan_dead_pub(files: &[(PathBuf, String)]) -> Vec<Diagnostic> {
             i += word.len().max(1);
             let Some(sites) = uses.get_mut(word) else { continue };
             let before = f.code[..start].trim_end();
-            let method = before.ends_with('.') && !before.ends_with("..");
-            let declared = before.ends_with("fn")
-                && !before[..before.len() - 2].ends_with(|c: char| is_ident_byte(c as u8));
-            if !method && !declared && !ignored(f, start) {
-                sites.push((idx, start));
+            let dot = before.ends_with('.') && !before.ends_with("..");
+            let declared = ["fn", "mod"].iter().any(|kw| {
+                before
+                    .strip_suffix(kw)
+                    .is_some_and(|rest| !rest.ends_with(|c: char| is_ident_byte(c as u8)))
+            });
+            if !declared && !ignored(f, start) {
+                sites.push((idx, start, dot, before.ends_with("::")));
             }
         }
     }
 
     let mut out = Vec::new();
-    for (idx, at, name) in decls {
+    for (idx, at, name, method) in decls {
         let f = &views[idx];
         let body = (at, item_end(&f.code, at));
-        let called = uses[name]
-            .iter()
-            .any(|&(site_idx, site)| site_idx != idx || site < body.0 || site >= body.1);
+        // A method is called after `.` or `::`; a function anywhere but
+        // after `.`.
+        let called = uses[name].iter().any(|&(site_idx, site, dot, path)| {
+            (if method { dot || path } else { !dot })
+                && (site_idx != idx || site < body.0 || site >= body.1)
+        });
         if called {
             continue;
         }
@@ -1044,6 +1081,19 @@ mod tests {
         let class = classify(src);
         let code = mask(src, &class, Class::Code);
         assert!(test_mod_ranges(&code).is_empty());
+    }
+
+    #[test]
+    fn checked_pub_fns_are_module_level_functions_and_inherent_methods() {
+        // Not `nested` (in a body whose signature takes `impl Trait`),
+        // `local` (an `impl` inside a function) or the test-gated `gated`.
+        let src = "pub fn f(x: impl Iterator) { pub fn nested() {} }\n\
+                   impl<T> S<T> { pub fn m(&self) {} }\nmod inner { pub fn g() {} }\n\
+                   fn h() { impl S { pub fn local() {} } }\n#[cfg(test)]\npub fn gated() {}\n";
+        let (code, _) = classes(src);
+        let found: Vec<(&str, bool)> =
+            checked_pub_fns(&code).into_iter().map(|(_, name, method)| (name, method)).collect();
+        assert_eq!(found, vec![("f", false), ("m", true), ("g", false)]);
     }
 
     #[test]

@@ -215,12 +215,35 @@ pub(crate) fn crate_visible_is_not_checked() {}
 pub struct Thing;
 
 impl Thing {
-    pub fn methods_are_not_checked(&self) -> u32 { called_in_its_own_file() }
+    pub fn nothing_calls_this_method(&self) -> u32 { Self::called_through_self() }
+
+    pub fn called_as_a_method(&self) {}
+
+    pub fn called_through_the_type() {}
+
+    pub fn called_through_self() -> u32 { called_in_its_own_file() }
+
+    pub(crate) fn crate_visible_method_is_not_checked(&self) {}
+
+    #[cfg(any(test, feature = \"model-check\"))]
+    pub fn test_gated_methods_are_not_checked(&self) {}
 }
+
+impl Default for Thing {
+    fn default() -> Self { Thing }
+}
+
+pub mod declared_as_a_module_too;
+
+pub fn declared_as_a_module_too() {}
 
 #[cfg(test)]
 mod tests {
     pub fn test_helpers_are_not_checked() {}
+
+    impl super::Thing {
+        pub fn test_only_methods_are_not_checked(&self) {}
+    }
 
     fn t() { super::only_test_mod_calls_me(); }
 }
@@ -229,6 +252,8 @@ mod tests {
 pub fn beta_entry(x: &Thing) {
     alpha::called_from_another_crate();
     x.only_method_calls_me();
+    x.called_as_a_method();
+    alpha::Thing::called_through_the_type();
     // only_comments_call_me();
     let _ = \"only_comments_call_me()\";
 }
@@ -271,6 +296,8 @@ fn dead_pub_flags_exactly_the_functions_without_a_non_test_caller() {
             alpha(17), // only_its_own_body_calls_me
             alpha(19), // only_a_test_module_file_calls_me
             alpha(22), // bare_tag
+            alpha(40), // nothing_calls_this_method
+            alpha(60), // declared_as_a_module_too
         ],
         "full diagnostics: {diags:#?}"
     );
@@ -286,7 +313,26 @@ fn dead_pub_flags_a_function_once_its_last_caller_goes() {
     let example = tree.iter_mut().find(|(path, _)| path.starts_with("examples")).unwrap();
     example.1 = example.1.replace("alpha::called_from_an_example();", "");
     let lines: Vec<usize> = scan_dead_pub(&tree).iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![5, 7, 9, 11, 13, 15, 17, 19, 22, 29]);
+    assert_eq!(lines, vec![5, 7, 9, 11, 13, 15, 17, 19, 22, 29, 40, 60]);
+}
+
+#[test]
+fn dead_pub_flags_a_method_once_its_last_caller_goes() {
+    // Without their `.m()`, `Thing::m` and `Self::m` calls those methods are
+    // reported too; the `pub(crate)`, test-gated, trait-impl and test-module
+    // methods (lines 48, 51, 55 and 67) never are.
+    let mut tree = dead_pub_tree();
+    for (_, src) in &mut tree {
+        for call in [
+            "x.called_as_a_method();",
+            "alpha::Thing::called_through_the_type();",
+            "Self::called_through_self()",
+        ] {
+            *src = src.replace(call, "");
+        }
+    }
+    let lines: Vec<usize> = scan_dead_pub(&tree).iter().map(|d| d.line).collect();
+    assert_eq!(lines, vec![5, 7, 9, 11, 13, 15, 17, 19, 22, 40, 42, 44, 46, 60]);
 }
 
 #[test]
