@@ -35,7 +35,7 @@
 //! whole grow state here from the first stage to the last: the cells are
 //! reset once, edited node by node between growths (new centers, source
 //! credits, freezing), and consumed at the end
-//! ([`AtomicGrowCells::into_center_and_true_dist`]), whose center and
+//! (`AtomicGrowCells::into_center_and_true_dist`), whose center and
 //! true-distance columns become the clustering's in place. Callers holding a
 //! `GrowState` of their own load it in and store it back around a growth
 //! instead.

@@ -68,7 +68,7 @@ use rayon::prelude::*;
 
 use cldiam_mr::CostTracker;
 
-use cldiam_graph::atomic::ChunkBuffers;
+use cldiam_graph::atomic::{merge_runs, ChunkBuffers};
 use cldiam_graph::{CancelToken, Dist, NeighborSource, NodeId};
 
 use crate::atomic_state::{AtomicGrowCells, Proposed};
@@ -125,7 +125,7 @@ struct WaveChunk {
 ///
 /// One `GrowScratch` serves an entire decomposition: `CLUSTER` / `CLUSTER2`
 /// allocate it once and keep the grow state resident in its atomic cells
-/// from the first stage until [`GrowScratch::finish`] consumes them, so every
+/// from the first stage until `GrowScratch::finish` consumes them, so every
 /// growth and every wave reuses the same cells, frontier buffers and
 /// per-chunk buffers.
 #[derive(Debug, Default)]
@@ -502,38 +502,6 @@ fn snapshot(
             }
         },
     );
-}
-
-/// Merges the ascending runs of `list`, which end at the offsets `ends`,
-/// into one ascending list: pairwise, through `buf`, in `⌈log₂ runs⌉`
-/// linear passes that allocate nothing once `buf` has grown. Leaves `ends`
-/// with one entry, or none if `list` is empty.
-fn merge_runs(list: &mut Vec<NodeId>, buf: &mut Vec<NodeId>, ends: &mut Vec<usize>) {
-    while ends.len() > 1 {
-        buf.clear();
-        let mut start = 0;
-        for pair in 0..ends.len().div_ceil(2) {
-            let mid = ends[2 * pair];
-            let end = ends.get(2 * pair + 1).copied().unwrap_or(mid);
-            let (a, b) = (&list[start..mid], &list[mid..end]);
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                if a[i] < b[j] {
-                    buf.push(a[i]);
-                    i += 1;
-                } else {
-                    buf.push(b[j]);
-                    j += 1;
-                }
-            }
-            buf.extend_from_slice(&a[i..]);
-            buf.extend_from_slice(&b[j..]);
-            ends[pair] = end;
-            start = end;
-        }
-        ends.truncate(ends.len().div_ceil(2));
-        std::mem::swap(list, buf);
-    }
 }
 
 /// Executes one Δ-growing step from `frontier`.
@@ -996,29 +964,6 @@ mod tests {
             scratch.freeze_reached();
         }
         assert!(pruned > 0, "no interior source was pruned");
-    }
-
-    #[test]
-    fn merge_runs_merges_any_number_of_runs() {
-        let mut buf = Vec::new();
-        let cases: [&[&[NodeId]]; 4] = [
-            &[],
-            &[&[4, 9]],
-            &[&[3], &[1, 2], &[0, 4]],
-            &[&[1, 8], &[0, 2, 3], &[5], &[7, 9], &[6]],
-        ];
-        for runs in cases {
-            let mut list: Vec<NodeId> = runs.concat();
-            let mut ends = Vec::new();
-            for run in runs {
-                ends.push(ends.last().copied().unwrap_or(0) + run.len());
-            }
-            let mut expected = list.clone();
-            expected.sort_unstable();
-            merge_runs(&mut list, &mut buf, &mut ends);
-            assert_eq!(list, expected);
-            assert!(ends.len() <= 1);
-        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! * the **Δ-growing step** — a parallel, threshold-bounded Bellman-Ford
 //!   relaxation over light edges ([`growing`]);
 //! * **`CLUSTER(G, τ)`** (Algorithm 1) — progressive, batched cluster growth
-//!   with an automatically tuned threshold `Δ` ([`cluster`]);
+//!   with an automatically tuned threshold `Δ` ([`cluster`](mod@cluster));
 //! * **`CLUSTER2(G, τ)`** (Algorithm 2) — the refined decomposition with
 //!   doubling selection probabilities and rescaled contraction, used in the
-//!   approximation analysis ([`cluster2`]);
+//!   approximation analysis ([`cluster2`](mod@cluster2));
 //! * the explicit **`Contract`** procedure, compiled for tests only, which
 //!   pins its equivalence with the state-based (logical) contraction used by
 //!   the main implementation (`contract.rs`);

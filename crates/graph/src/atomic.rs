@@ -39,7 +39,9 @@
 //!
 //! Both engines also collect, wave by wave, the nodes a parallel scan
 //! improved; [`ChunkBuffers`] gives every chunk of the scan its own reused
-//! output buffer, so the collection needs no shared cursor.
+//! output buffer, so the collection needs no shared cursor. Each chunk sorts
+//! its own nodes, and [`merge_runs`] merges the chunks' runs into the
+//! ascending order both engines' next frontier is kept in.
 
 // Behind the `model-check` feature the atomics (and the spin hint) route
 // through the cldiam-modelcheck shims, so the very code below — not a
@@ -60,7 +62,7 @@ use std::ops::Range;
 
 use rayon::prelude::*;
 
-use crate::weight::{Dist, INFINITY};
+use crate::weight::{Dist, NodeId, INFINITY};
 
 /// Chunks per pool thread of a [`ChunkBuffers::scan`] — the same
 /// granularity the executor gives any other parallel loop.
@@ -112,6 +114,38 @@ impl<T: Default + Send> ChunkBuffers<T> {
             *buf = local;
         });
         bufs
+    }
+}
+
+/// Merges the ascending runs of `list`, which end at the offsets `ends`,
+/// into one ascending list: pairwise, through `buf`, in `⌈log₂ runs⌉`
+/// linear passes that allocate nothing once `buf` has grown. Leaves `ends`
+/// with one entry, or none if `list` is empty.
+pub fn merge_runs(list: &mut Vec<NodeId>, buf: &mut Vec<NodeId>, ends: &mut Vec<usize>) {
+    while ends.len() > 1 {
+        buf.clear();
+        let mut start = 0;
+        for pair in 0..ends.len().div_ceil(2) {
+            let mid = ends[2 * pair];
+            let end = ends.get(2 * pair + 1).copied().unwrap_or(mid);
+            let (a, b) = (&list[start..mid], &list[mid..end]);
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                if a[i] < b[j] {
+                    buf.push(a[i]);
+                    i += 1;
+                } else {
+                    buf.push(b[j]);
+                    j += 1;
+                }
+            }
+            buf.extend_from_slice(&a[i..]);
+            buf.extend_from_slice(&b[j..]);
+            ends[pair] = end;
+            start = end;
+        }
+        ends.truncate(ends.len().div_ceil(2));
+        std::mem::swap(list, buf);
     }
 }
 
@@ -444,6 +478,29 @@ mod tests {
         // capacity for the next scan.
         assert_eq!(bufs.bufs.len(), 16);
         assert!(bufs.bufs.iter().all(|buf| buf.is_empty() && buf.capacity() > 0));
+    }
+
+    #[test]
+    fn merge_runs_merges_any_number_of_runs() {
+        let mut buf = Vec::new();
+        let cases: [&[&[NodeId]]; 4] = [
+            &[],
+            &[&[4, 9]],
+            &[&[3], &[1, 2], &[0, 4]],
+            &[&[1, 8], &[0, 2, 3], &[5], &[7, 9], &[6]],
+        ];
+        for runs in cases {
+            let mut list: Vec<NodeId> = runs.concat();
+            let mut ends = Vec::new();
+            for run in runs {
+                ends.push(ends.last().copied().unwrap_or(0) + run.len());
+            }
+            let mut expected = list.clone();
+            expected.sort_unstable();
+            merge_runs(&mut list, &mut buf, &mut ends);
+            assert_eq!(list, expected);
+            assert!(ends.len() <= 1);
+        }
     }
 
     #[test]

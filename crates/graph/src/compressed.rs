@@ -11,8 +11,8 @@
 //! * **palette** — ≤ 256 distinct weights: one byte indexing a sorted table;
 //! * **varint** — the general case: LEB128 of the raw weight.
 //!
-//! Blocks are length-prefixed and grouped [`GROUP`] nodes per *base*: a
-//! `u32` array holds the blob offset of every [`GROUP`]-th block, so
+//! Blocks are length-prefixed and grouped `GROUP` nodes per *base*: a
+//! `u32` array holds the blob offset of every `GROUP`-th block, so
 //! `neighbors(u)` is one base lookup plus at most `GROUP - 1` length-varint
 //! skips — no per-node 8-byte offset.
 //! Node ranges are cut into `k` shards at construction; each shard owns its

@@ -14,7 +14,7 @@ use crate::rt::{self, Op};
 /// Every [`get`](TrackedCell::get) / [`set`](TrackedCell::set) is reported
 /// to the race detector as a plain read/write: two accesses from different
 /// threads, at least one a write, with no happens-before edge between them
-/// fail the exploration with a `data race on \`<label>\`` diagnostic. The
+/// fail the exploration with a ``data race on `<label>` `` diagnostic. The
 /// label names the cell in diagnostics.
 ///
 /// `T: Copy` keeps accesses to plain value moves, mirroring the word-sized

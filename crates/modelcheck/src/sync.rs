@@ -1,7 +1,7 @@
 //! Drop-in shims for `std::sync::atomic`.
 //!
 //! Each shim wraps the real std atomic and forwards every operation through
-//! [`crate::rt`]: outside an exploration that is a direct passthrough (the
+//! `crate::rt`: outside an exploration that is a direct passthrough (the
 //! closure runs immediately), inside an exploration it is a schedule point
 //! and a happens-before event. Code under test switches imports behind the
 //! `model-check` feature:

@@ -36,28 +36,41 @@
 //! post-phase distance of every node — and therefore the set of improved
 //! nodes, the bucket structure, and every counter below — is a pure function
 //! of the pre-phase state: the output is bit-identical at any thread count
-//! and matches the sequential reference of the property suite. The
-//! per-phase improved set is
-//! collected through a touched-bitmap into per-chunk buffers
-//! ([`cldiam_graph::atomic::ChunkBuffers`]) exactly like the Δ-growing
-//! scratch, and re-bucketed sequentially in ascending node order.
+//! and matches the sequential reference of the property suite.
+//!
+//! As in the Δ-growing wave, each chunk of a phase's scan collects in its
+//! own reused buffer ([`cldiam_graph::atomic::ChunkBuffers`]) the nodes it
+//! was the first in the phase to improve (claimed through a touched bitmap),
+//! sorted, and the nodes it reached for the first time in the run;
+//! [`merge_runs`] merges the sorted runs into the phase's ascending improved
+//! set. One sequential pass over that set then clears the phase marks and
+//! routes each node: one still in the current bucket joins the next light
+//! phase's frontier at once, its distance becoming that phase's snapshot,
+//! and any other is queued at its bucket. So only a bucket's first light
+//! phase reads the bucket's ring slot, and every later one relaxes an
+//! ascending frontier, which keeps the scan's memory accesses local on
+//! graphs with scattered node ids.
 //!
 //! In the MapReduce cost model adopted by the paper, each light-relaxation
 //! sub-phase and each heavy-relaxation phase is one round; the messages are
 //! the relaxation requests generated and the node updates are the tentative
-//! distance improvements applied. These are charged to an optional
-//! [`CostTracker`] and also returned in the [`DeltaSteppingOutcome`].
-//! `updates` counts *distinct nodes improved per phase* — a
-//! scheduling-independent quantity, the same semantics as the growing path's
-//! `StepStats::updates`. Distances and `phases` are pinned bit-identical to
-//! the original `BTreeMap`-bucketed implementation, which the property suite
+//! distance improvements applied. Every bucket that runs a light phase ends
+//! with one heavy phase, and counts it as a round even when no arc is
+//! heavier than `Δ` (`max_weight ≤ Δ`): such a heavy phase could generate
+//! no request, so it is counted without a scan. These counters are charged
+//! to an optional [`CostTracker`] and also returned in the
+//! [`DeltaSteppingOutcome`]. `updates` counts *distinct nodes improved per
+//! phase* — a scheduling-independent quantity, the same semantics as the
+//! growing path's `StepStats::updates`. Distances and all three counters
+//! are pinned bit-identical to the `BTreeMap`-bucketed implementation the
+//! engine replaced, which the property suite
 //! (`tests/prop_sssp_equivalence.rs`) keeps as its reference.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cldiam_mr::CostTracker;
 
-use cldiam_graph::atomic::ChunkBuffers;
+use cldiam_graph::atomic::{merge_runs, ChunkBuffers};
 use cldiam_graph::{Dist, MinDistCells, NeighborSource, NodeId, Weight, INFINITY};
 
 /// Result of a Δ-stepping run.
@@ -111,17 +124,17 @@ pub fn suggest_delta<G: NeighborSource>(graph: &G) -> Weight {
 
 /// Reusable state for the bucket-array Δ-stepping engine: atomic tentative
 /// distances, the cyclic bucket ring with its overflow list, and the
-/// touched/settled bookkeeping. One scratch serves any number of runs, on
-/// graphs of any size (buffers grow monotonically and resets touch only what
-/// the previous run reached) — allocate it once per worker and thread it
-/// through every [`delta_stepping_with_scratch`] call.
+/// per-phase and settled bookkeeping. One scratch serves any number of runs,
+/// on graphs of any size (buffers grow monotonically and resets touch only
+/// what the previous run reached) — allocate it once per worker and thread
+/// it through every [`delta_stepping_with_scratch`] call.
 #[derive(Debug, Default)]
 pub struct SsspScratch {
     /// Tentative distances in atomic fetch-min cells.
     dist: MinDistCells,
-    /// `true` while a node holds a finite tentative distance this run.
-    seen: Vec<bool>,
-    /// Every node reached this run, for the `O(reached)` reset.
+    /// Every node reached this run, each exactly once, for the `O(reached)`
+    /// reset. Its order depends on how phases were cut into chunks, so
+    /// nothing that reads it may depend on its order.
     reached: Vec<NodeId>,
     /// The cyclic bucket array: bucket `b` lives in slot `b % ring.len()`.
     ring: Vec<Vec<NodeId>>,
@@ -133,14 +146,16 @@ pub struct SsspScratch {
     touched: Vec<AtomicBool>,
     /// Per-chunk outputs of a relaxation phase.
     chunks: ChunkBuffers<PhaseChunk>,
-    /// Current phase's frontier after lazy deletion.
+    /// The current light phase's frontier.
     active: Vec<NodeId>,
-    /// Raw entries drained from the current bucket slot.
-    pending: Vec<NodeId>,
-    /// Sorted improved nodes of the last phase.
+    /// Improved nodes of the last phase, ascending, with the buffer and the
+    /// run ends their per-chunk runs are merged through.
     improved: Vec<NodeId>,
+    merge_buf: Vec<NodeId>,
+    run_ends: Vec<usize>,
     /// Nodes settled in the current bucket (relaxed at least once as light
-    /// frontier), deduplicated via `in_settled`.
+    /// frontier), deduplicated via `in_settled`. Kept only when the graph
+    /// has heavy arcs.
     settled: Vec<NodeId>,
     in_settled: Vec<bool>,
     /// Pre-phase distance snapshot of `active` / `settled`.
@@ -162,8 +177,7 @@ impl SsspScratch {
 
     fn ensure(&mut self, n: usize) {
         self.dist.ensure(n);
-        if self.seen.len() < n {
-            self.seen.resize(n, false);
+        if self.touched.len() < n {
             self.in_settled.resize(n, false);
             self.touched.resize_with(n, || AtomicBool::new(false));
         }
@@ -173,7 +187,6 @@ impl SsspScratch {
     fn reset(&mut self) {
         for v in self.reached.drain(..) {
             self.dist.store(v as usize, INFINITY);
-            self.seen[v as usize] = false;
         }
         for slot in &mut self.ring {
             slot.clear();
@@ -201,13 +214,34 @@ impl SsspScratch {
         (0..n).map(|v| self.dist.load(v)).collect()
     }
 
+    /// Starts bucket `base` of a run: drains its ring slot into the first
+    /// light phase's frontier and snapshot, dropping the entries whose node
+    /// has left the bucket since it was queued (lazy deletion).
+    fn drain_slot(&mut self, base: u64, delta_dist: Dist) {
+        let ring_size = self.ring.len() as u64;
+        let slot = &mut self.ring[(base % ring_size) as usize];
+        self.ring_len -= slot.len();
+        self.active.clear();
+        self.snap.clear();
+        for v in slot.drain(..) {
+            let d = self.dist.load(v as usize);
+            if d / delta_dist == base {
+                self.active.push(v);
+                self.snap.push(d);
+            }
+        }
+    }
+
     /// One parallel relaxation phase: relaxes the light edges of `active`
     /// (`heavy == false`) or the heavy edges of `settled` (`heavy == true`)
     /// from their pre-phase distances in `snap`, fetch-min-ing targets in
-    /// place and collecting first-improvements-of-the-phase through the
-    /// touched bitmap. Leaves the sorted improved nodes in `improved`, clears
-    /// their phase marks, registers first-time reaches, and returns the
-    /// number of relaxation requests generated.
+    /// place. Each chunk lists, sorted, the nodes it was the first in the
+    /// phase to improve (claimed through the touched marks), and the nodes
+    /// it reached first: a node is first reached by the one `fetch_min`
+    /// that returns [`INFINITY`], so exactly one chunk lists it. Leaves the
+    /// merged improved nodes, ascending and still marked, in `improved`,
+    /// appends the first reaches to `reached`, and returns the number of
+    /// relaxation requests generated.
     fn relax_phase<G: NeighborSource>(&mut self, graph: &G, delta_dist: Dist, heavy: bool) -> u64 {
         let nodes = if heavy { &self.settled } else { &self.active };
         let (snap, dist, touched) = (&self.snap, &self.dist, &self.touched);
@@ -224,36 +258,75 @@ impl SsspScratch {
                     out.requests += 1;
                     let cand = du + wd;
                     let prev = dist.fetch_min(v as usize, cand);
-                    if prev > cand && !touched[v as usize].swap(true, Ordering::Relaxed) {
-                        out.improved.push(v);
+                    if prev > cand {
+                        if prev == INFINITY {
+                            out.reached.push(v);
+                        }
+                        if !touched[v as usize].swap(true, Ordering::Relaxed) {
+                            out.improved.push(v);
+                        }
                     }
                 });
             }
+            out.improved.sort_unstable();
         });
         let mut requests = 0;
         self.improved.clear();
+        self.run_ends.clear();
         for chunk in chunks {
             requests += std::mem::take(&mut chunk.requests);
-            self.improved.append(&mut chunk.improved);
+            if !chunk.improved.is_empty() {
+                self.improved.append(&mut chunk.improved);
+                self.run_ends.push(self.improved.len());
+            }
+            self.reached.append(&mut chunk.reached);
         }
-        self.improved.sort_unstable();
+        merge_runs(&mut self.improved, &mut self.merge_buf, &mut self.run_ends);
+        requests
+    }
+
+    /// The one pass over a phase's improved nodes: clears each node's phase
+    /// mark, then appends it with its distance to the next light phase's
+    /// frontier and snapshot if it is still in bucket `base`, and otherwise
+    /// queues it at its bucket — in the ring below bucket `horizon`, in the
+    /// overflow list from there on.
+    fn route_improved(
+        &mut self,
+        base: u64,
+        horizon: u64,
+        delta_dist: Dist,
+        overflow_min: &mut u64,
+    ) {
+        let ring_size = self.ring.len() as u64;
+        self.active.clear();
+        self.snap.clear();
         for &v in &self.improved {
             self.touched[v as usize].store(false, Ordering::Relaxed);
-            if !self.seen[v as usize] {
-                self.seen[v as usize] = true;
-                self.reached.push(v);
+            let d = self.dist.load(v as usize);
+            let b = d / delta_dist;
+            debug_assert!(b >= base, "relaxation moved a node into a settled bucket");
+            if b == base {
+                self.active.push(v);
+                self.snap.push(d);
+            } else if b < horizon {
+                self.ring[(b % ring_size) as usize].push(v);
+                self.ring_len += 1;
+            } else {
+                self.overflow.push(v);
+                *overflow_min = (*overflow_min).min(b);
             }
         }
-        requests
     }
 }
 
-/// What one chunk of a relaxation phase collects, in a buffer reused across
+/// What one chunk of a relaxation phase collects, in buffers reused across
 /// phases.
 #[derive(Debug, Default)]
 struct PhaseChunk {
     /// Nodes this chunk was the first in the phase to improve.
     improved: Vec<NodeId>,
+    /// Nodes this chunk reached for the first time in the run.
+    reached: Vec<NodeId>,
     requests: u64,
 }
 
@@ -282,13 +355,16 @@ pub fn delta_stepping_with_scratch<G: NeighborSource>(
     assert!((source as usize) < n, "source {source} out of range (n = {n})");
     assert!(delta >= 1, "delta must be positive");
     let delta_dist = Dist::from(delta);
+    let max_weight = Dist::from(graph.max_weight().unwrap_or(1));
+    // Without an arc heavier than Δ, a heavy phase generates no request.
+    let heavy_arcs = max_weight > delta_dist;
 
     scratch.ensure(n);
     scratch.reset();
 
     // Size the ring to the largest single-relaxation bucket jump (capped);
     // a larger ring from an earlier run is kept — it only reduces overflow.
-    let max_jump = Dist::from(graph.max_weight().unwrap_or(1)) / delta_dist + 2;
+    let max_jump = max_weight / delta_dist + 2;
     let desired = usize::try_from(max_jump).unwrap_or(RING_CAP).min(RING_CAP);
     if scratch.ring.len() < desired {
         scratch.ring.resize_with(desired, Vec::new);
@@ -300,7 +376,6 @@ pub fn delta_stepping_with_scratch<G: NeighborSource>(
     let mut updates = 0u64;
 
     scratch.dist.store(source as usize, 0);
-    scratch.seen[source as usize] = true;
     scratch.reached.push(source);
     scratch.ring[0].push(source);
     scratch.ring_len = 1;
@@ -309,26 +384,6 @@ pub fn delta_stepping_with_scratch<G: NeighborSource>(
     // on the smallest bucket index present in the overflow list.
     let mut base: u64 = 0;
     let mut overflow_min: u64 = u64::MAX;
-
-    // Re-buckets an improved node at its post-phase distance.
-    fn rebucket(
-        scratch: &mut SsspScratch,
-        v: NodeId,
-        base: u64,
-        ring_size: u64,
-        delta_dist: Dist,
-        overflow_min: &mut u64,
-    ) {
-        let b = scratch.dist.load(v as usize) / delta_dist;
-        debug_assert!(b >= base, "relaxation moved a node into a settled bucket");
-        if b < base + ring_size {
-            scratch.ring[(b % ring_size) as usize].push(v);
-            scratch.ring_len += 1;
-        } else {
-            scratch.overflow.push(v);
-            *overflow_min = (*overflow_min).min(b);
-        }
-    }
 
     // Moves overflow entries whose bucket fell inside the ring horizon into
     // the ring; drops stale entries (node improved and re-bucketed earlier).
@@ -361,82 +416,61 @@ pub fn delta_stepping_with_scratch<G: NeighborSource>(
         }
         // Find the next non-empty bucket. All live ring entries sit in
         // [base, base + ring_size), so the scan is bounded by the ring.
-        let bucket_idx = if scratch.ring_len > 0 {
-            let mut b = base;
-            while scratch.ring[(b % ring_size) as usize].is_empty() {
-                b += 1;
+        if scratch.ring_len > 0 {
+            while scratch.ring[(base % ring_size) as usize].is_empty() {
+                base += 1;
             }
-            b
         } else if scratch.overflow.is_empty() {
             break;
         } else {
             base = overflow_min;
             overflow_min = drain_overflow(scratch, base, delta_dist);
             continue;
-        };
-        base = bucket_idx;
-        let slot = (bucket_idx % ring_size) as usize;
+        }
 
-        // Light phases: repeat until bucket `bucket_idx` stops receiving
-        // nodes. Nodes re-inserted into the same bucket by an improvement are
-        // relaxed again, exactly as in Meyer & Sanders.
-        loop {
-            let drained = scratch.ring[slot].len();
-            scratch.pending.clear();
-            let (pending, ring) = (&mut scratch.pending, &mut scratch.ring);
-            pending.append(&mut ring[slot]);
-            scratch.ring_len -= drained;
-            // Lazy deletion: keep only nodes whose tentative distance still
-            // falls in this bucket (stale entries are skipped).
-            scratch.active.clear();
-            let (active, pending, dist) = (&mut scratch.active, &scratch.pending, &scratch.dist);
-            active.extend(
-                pending.iter().copied().filter(|&v| dist.load(v as usize) / delta_dist == base),
-            );
-            if scratch.active.is_empty() {
-                break;
-            }
+        // Light phases on bucket `base`: repeat until it stops receiving
+        // nodes. Nodes an improvement leaves in the bucket are relaxed
+        // again, exactly as in Meyer & Sanders; they go straight into the
+        // next phase's frontier, so only the first phase reads the ring.
+        scratch.drain_slot(base, delta_dist);
+        if scratch.active.is_empty() {
+            // Only stale entries: the bucket runs no phase at all.
+            base += 1;
+            continue;
+        }
+        while !scratch.active.is_empty() {
             phases += 1;
-            scratch.snap.clear();
-            let (snap, active, dist) = (&mut scratch.snap, &scratch.active, &scratch.dist);
-            snap.extend(active.iter().map(|&u| dist.load(u as usize)));
-            for i in 0..scratch.active.len() {
-                let u = scratch.active[i];
-                if !scratch.in_settled[u as usize] {
-                    scratch.in_settled[u as usize] = true;
-                    scratch.settled.push(u);
+            if heavy_arcs {
+                for &u in &scratch.active {
+                    if !scratch.in_settled[u as usize] {
+                        scratch.in_settled[u as usize] = true;
+                        scratch.settled.push(u);
+                    }
                 }
             }
             relaxations += scratch.relax_phase(graph, delta_dist, false);
             updates += scratch.improved.len() as u64;
-            for i in 0..scratch.improved.len() {
-                let v = scratch.improved[i];
-                rebucket(scratch, v, base, ring_size, delta_dist, &mut overflow_min);
-            }
-            if scratch.ring[slot].is_empty() {
-                break;
-            }
+            scratch.route_improved(base, base + ring_size, delta_dist, &mut overflow_min);
         }
 
-        // Heavy phase: relax heavy edges of every node settled in the bucket.
-        if !scratch.settled.is_empty() {
-            phases += 1;
+        // Heavy phase: relax heavy edges of every node settled in the
+        // bucket. It is one round whether or not the graph has heavy arcs;
+        // without them it could generate no request, so it is not scanned.
+        phases += 1;
+        if heavy_arcs {
             scratch.snap.clear();
             let (snap, settled, dist) = (&mut scratch.snap, &scratch.settled, &scratch.dist);
             snap.extend(settled.iter().map(|&u| dist.load(u as usize)));
             relaxations += scratch.relax_phase(graph, delta_dist, true);
             updates += scratch.improved.len() as u64;
-            for i in 0..scratch.improved.len() {
-                let v = scratch.improved[i];
-                rebucket(scratch, v, base + 1, ring_size, delta_dist, &mut overflow_min);
-            }
-            for i in 0..scratch.settled.len() {
-                let u = scratch.settled[i];
+            // A heavy arc leaves the bucket, so nothing joins `active`.
+            scratch.route_improved(base, base + 1 + ring_size, delta_dist, &mut overflow_min);
+            for &u in &scratch.settled {
                 scratch.in_settled[u as usize] = false;
             }
             scratch.settled.clear();
         }
-        base = bucket_idx + 1;
+        base += 1;
     }
 
     if let Some(t) = tracker {
@@ -543,6 +577,58 @@ mod tests {
             assert_eq!(scratch.eccentricity(), fresh.eccentricity());
             assert_eq!(scratch.distance(source), 0);
         }
+    }
+
+    #[test]
+    fn a_bucket_without_heavy_arcs_still_counts_its_heavy_phase() {
+        // Four buckets either way. At Δ = 4 every arc is heavy: each light
+        // phase scans nothing and each heavy phase does the relaxing. At
+        // Δ = 5 every arc is light and no heavy phase is scanned. Both count
+        // a light and a heavy phase per bucket, six requests and three
+        // updates.
+        let g = Graph::from_edges(4, &[(0, 1, 5), (1, 2, 5), (2, 3, 5)]);
+        for delta in [4, 5] {
+            let outcome = delta_stepping(&g, 0, delta, None);
+            let counters = (outcome.phases, outcome.relaxations, outcome.updates);
+            assert_eq!(counters, (8, 6, 3), "delta {delta}");
+        }
+    }
+
+    #[test]
+    fn reached_lists_each_node_once_and_a_reused_scratch_resets_clean() {
+        // A hub with 600 spokes, a pendant on each and 49 isolated nodes.
+        // At Δ = 3 its light phases relax up to ~170 spokes, which a pool of
+        // four threads cuts into five chunks, and heavy arcs fill the
+        // settled bookkeeping.
+        let edges: Vec<(NodeId, NodeId, Weight)> =
+            (1..=600).flat_map(|i| [(0, i, 1 + i % 7), (i, 600 + i, 1 + i % 5)]).collect();
+        let hub = Graph::from_edges(1_250, &edges);
+        let small = mesh(6, WeightModel::UniformUnit, 2);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("thread pool");
+        let mut scratch = SsspScratch::new();
+        pool.install(|| {
+            let outcome = delta_stepping_with_scratch(&hub, 0, 3, None, &mut scratch);
+            let mut reached = scratch.reached.clone();
+            reached.sort_unstable();
+            let finite: Vec<NodeId> =
+                (0..1_250).filter(|&v| outcome.dist[v as usize] != INFINITY).collect();
+            assert_eq!(finite.len(), 1_201);
+            assert_eq!(reached, finite);
+
+            let reused = delta_stepping_with_scratch(&small, 3, 1_000, None, &mut scratch);
+            assert_eq!(reused, delta_stepping(&small, 3, 1_000, None));
+            assert_eq!(scratch.reached.len(), small.num_nodes());
+            // Nothing of the hub run is left: every cell past the mesh is
+            // unreached again, and every mark is clear.
+            for v in 0..hub.num_nodes() {
+                let expected = reused.dist.get(v).copied().unwrap_or(INFINITY);
+                assert_eq!(scratch.dist.load(v), expected, "node {v}");
+                assert!(!scratch.touched[v].load(Ordering::Relaxed), "node {v}");
+                assert!(!scratch.in_settled[v], "node {v}");
+            }
+            assert!(scratch.settled.is_empty() && scratch.overflow.is_empty());
+            assert_eq!(scratch.ring_len, 0);
+        });
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`dijkstra`] — sequential binary-heap Dijkstra returning distances;
-//!   no pipeline path calls it, it is the exactness oracle of the tests.
+//! * [`dijkstra`](mod@dijkstra) — sequential binary-heap Dijkstra
+//!   returning distances; no pipeline path calls it, it is the exactness
+//!   oracle of the tests.
 //! * [`batch`] — the batched multi-source engine: a reusable
 //!   [`DijkstraScratch`], the one Dijkstra kernel of every exact SSSP
 //!   (distances only, `O(1)` pushes into a 64-slot band ring that pops
@@ -23,12 +24,12 @@
 //!   the workers of a batch, and the [`multi_source_dijkstra`] /
 //!   [`batched_eccentricities`] drivers behind every iterated-SSSP consumer
 //!   in the workspace.
-//! * [`delta_stepping`] — the parallel Δ-stepping baseline on a cyclic
-//!   bucket-array engine with atomic fetch-min relaxation and a reusable
-//!   [`SsspScratch`], with the paper's cost model charged to a
-//!   [`cldiam_mr::CostTracker`] (one round per light/heavy relaxation phase,
-//!   messages = relaxation requests, node updates = distinct improved nodes
-//!   per phase).
+//! * [`delta_stepping`](mod@delta_stepping) — the parallel Δ-stepping
+//!   baseline on a cyclic bucket-array engine with atomic fetch-min
+//!   relaxation and a reusable [`SsspScratch`], with the paper's cost model
+//!   charged to a [`cldiam_mr::CostTracker`] (one round per light/heavy
+//!   relaxation phase, messages = relaxation requests, node updates =
+//!   distinct improved nodes per phase).
 //! * [`diameter`] — SSSP-based upper and lower bounds for the weighted
 //!   diameter (iterated farthest-node sweep chains), and an exact all-pairs
 //!   diameter for small graphs, all running through the batched engine.

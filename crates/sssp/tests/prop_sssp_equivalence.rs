@@ -4,14 +4,16 @@
 //! The acceptance bar for the bucket-array engine: on random weighted graphs
 //! — connected, disconnected, and with heavy weights driving the engine
 //! through its overflow path — the production engine
-//! ([`cldiam_sssp::delta_stepping`]), the original `BTreeMap`-bucketed
-//! implementation kept below as `delta_stepping_reference`, and Dijkstra
-//! must agree on
-//! every distance, the engine and the reference must agree on the phase
-//! count, and the engine's full outcome (distances *and* counters) must be
-//! bit-identical on thread pools of 1, 2 and 8 workers, with and without
-//! scratch reuse. The batched eccentricity driver is pinned against the
-//! sequential per-source Dijkstra loop under the same pools.
+//! ([`cldiam_sssp::delta_stepping()`]) and Dijkstra must agree on every
+//! distance, and the engine's full outcome (distances, phases, relaxation
+//! requests and distinct improved nodes per phase) must equal the
+//! `BTreeMap`-bucketed implementation kept below as
+//! `delta_stepping_reference`, on thread pools of 1, 2 and 8 workers, with
+//! and without scratch reuse. Those graphs are small enough for every phase
+//! to scan as one chunk, so road, R-MAT and hub graphs whose phases split
+//! into many chunks are pinned the same way at 1, 2, 3 and 8 threads. The
+//! batched eccentricity driver is pinned against the sequential per-source
+//! Dijkstra loop under the same pools.
 //!
 //! The kernel behind every exact SSSP, [`DijkstraScratch`], is pinned
 //! against the binary-heap [`dijkstra`] with one scratch reused across a
@@ -22,14 +24,17 @@
 //! when the graph's weights fit it and falls back to a radix heap
 //! otherwise, so the sequences mix graphs on both sides of that choice.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use cldiam_graph::{CompressedGraph, Dist, Graph, GraphBuilder, NodeId, Weight, INFINITY};
+use cldiam_gen::GraphSpec;
+use cldiam_graph::{
+    largest_component, CompressedGraph, Dist, Graph, GraphBuilder, NodeId, Weight, INFINITY,
+};
 use cldiam_sssp::{
     batched_eccentricities, delta_stepping, delta_stepping_with_scratch, dijkstra,
-    sweep_chain_lower_bound, DijkstraScratch, SsspDirection, SsspScratch,
+    sweep_chain_lower_bound, DeltaSteppingOutcome, DijkstraScratch, SsspDirection, SsspScratch,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -76,85 +81,170 @@ fn any_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// The original `BTreeMap`-bucketed Δ-stepping, kept as the reference for
-/// the bucket-array engine: this suite pins the distances and the phase
-/// count bit-identical between the two. Returns both.
-fn delta_stepping_reference(graph: &Graph, source: NodeId, delta: Weight) -> (Vec<Dist>, u64) {
-    let n = graph.num_nodes();
-    let delta_dist = Dist::from(delta);
-    let mut dist = vec![INFINITY; n];
-    let mut buckets: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-    let mut phases = 0u64;
-    dist[source as usize] = 0;
-    buckets.entry(0).or_default().push(source);
+/// The engine's cap on its bucket ring: a relaxation that jumps this many
+/// buckets or more ahead of the current one waits in the overflow list.
+const RING_CAP: u64 = 1024;
 
-    // The relaxation requests of `nodes` over their light or heavy edges,
-    // generated from the pre-phase distances.
-    let requests = |nodes: &[NodeId], dist: &[Dist], heavy: bool| -> Vec<(NodeId, Dist)> {
-        nodes
-            .iter()
-            .flat_map(|&u| {
-                let du = dist[u as usize];
-                graph
-                    .neighbors(u)
-                    .filter(move |&(_, w)| (Dist::from(w) > delta_dist) == heavy)
-                    .map(move |(v, w)| (v, du + Dist::from(w)))
-            })
-            .collect()
+/// The `BTreeMap`-bucketed Δ-stepping that the bucket-array engine replaced,
+/// kept as its sequential reference. Returns the outcome the engine must
+/// reproduce bit for bit (distances, phases, requests and distinct improved
+/// nodes per phase) and the widest frontier any phase relaxed.
+///
+/// Like the engine, it queues each improved node once per phase, at its
+/// post-phase bucket, and relaxes a node as often as it is queued in the
+/// bucket being settled. It also models the engine's ring horizon, because
+/// that decides how often a node is queued: an entry `RING_CAP` or more
+/// buckets ahead waits in a far list, and is re-queued at its node's bucket
+/// of the moment (or dropped, if that bucket is settled) when the horizon
+/// reaches the smallest bucket it was queued at.
+fn delta_stepping_reference(
+    graph: &Graph,
+    source: NodeId,
+    delta: Weight,
+) -> (DeltaSteppingOutcome, usize) {
+    let delta_dist = Dist::from(delta);
+    let horizon = (Dist::from(graph.max_weight().unwrap_or(1)) / delta_dist + 2).min(RING_CAP);
+    let mut state = Reference {
+        graph,
+        delta_dist,
+        dist: vec![INFINITY; graph.num_nodes()],
+        buckets: BTreeMap::new(),
+        far: Vec::new(),
+        far_min: u64::MAX,
+        widest: 0,
+        outcome: DeltaSteppingOutcome {
+            source,
+            delta,
+            dist: Vec::new(),
+            phases: 0,
+            relaxations: 0,
+            updates: 0,
+        },
     };
-    // Applies a batch of requests and re-buckets every improved node.
-    let apply = |requests: Vec<(NodeId, Dist)>,
-                 dist: &mut Vec<Dist>,
-                 buckets: &mut BTreeMap<u64, Vec<NodeId>>| {
-        for (v, d) in requests {
-            if d < dist[v as usize] {
-                dist[v as usize] = d;
-                buckets.entry(d / delta_dist).or_default().push(v);
-            }
-        }
-    };
+    state.dist[source as usize] = 0;
+    state.buckets.entry(0).or_default().push(source);
 
     // Marks nodes already recorded in the current bucket's settled set, so the
     // heavy phase relaxes each of them exactly once.
-    let mut in_settled = vec![false; n];
-    while let Some((&bucket_idx, _)) = buckets.iter().next() {
+    let mut in_settled = vec![false; graph.num_nodes()];
+    // All buckets below `base` are settled.
+    let mut base = 0;
+    loop {
+        if state.far_min < base + horizon {
+            state.pull_far(base, horizon);
+        }
+        let bucket_idx = match state.buckets.keys().next() {
+            Some(&b) => b,
+            None if state.far.is_empty() => break,
+            None => {
+                base = state.far_min;
+                state.pull_far(base, horizon);
+                continue;
+            }
+        };
         let mut settled: Vec<NodeId> = Vec::new();
         // Light phases: repeat until bucket `bucket_idx` stops receiving nodes.
-        while let Some(current) = buckets.remove(&bucket_idx) {
+        while let Some(current) = state.buckets.remove(&bucket_idx) {
             // Lazy deletion: skip entries whose distance left this bucket.
             let active: Vec<NodeId> = current
                 .into_iter()
-                .filter(|&v| {
-                    dist[v as usize] != INFINITY && dist[v as usize] / delta_dist == bucket_idx
-                })
+                .filter(|&v| state.dist[v as usize] / delta_dist == bucket_idx)
                 .collect();
             if active.is_empty() {
-                continue;
+                break;
             }
-            phases += 1;
-            let light = requests(&active, &dist, false);
             for &u in &active {
                 if !in_settled[u as usize] {
                     in_settled[u as usize] = true;
                     settled.push(u);
                 }
             }
-            apply(light, &mut dist, &mut buckets);
-            if !buckets.contains_key(&bucket_idx) {
-                break;
-            }
+            state.phase(&active, false, bucket_idx + horizon);
         }
         // Heavy phase: relax heavy edges of every node settled in the bucket.
         if !settled.is_empty() {
-            phases += 1;
-            let heavy = requests(&settled, &dist, true);
-            apply(heavy, &mut dist, &mut buckets);
+            state.phase(&settled, true, bucket_idx + 1 + horizon);
         }
         for u in settled {
             in_settled[u as usize] = false;
         }
+        base = bucket_idx + 1;
     }
-    (dist, phases)
+    state.outcome.dist = state.dist;
+    (state.outcome, state.widest)
+}
+
+/// The state of a [`delta_stepping_reference`] run.
+struct Reference<'g> {
+    graph: &'g Graph,
+    delta_dist: Dist,
+    dist: Vec<Dist>,
+    buckets: BTreeMap<u64, Vec<NodeId>>,
+    /// Entries queued beyond the horizon, and a lower bound on their buckets.
+    far: Vec<NodeId>,
+    far_min: u64,
+    widest: usize,
+    outcome: DeltaSteppingOutcome,
+}
+
+impl Reference<'_> {
+    /// One phase: relaxes the light or heavy arcs of `nodes` from the
+    /// pre-phase distances, then queues every improved node once at its
+    /// post-phase bucket, or in the far list from bucket `limit` on.
+    fn phase(&mut self, nodes: &[NodeId], heavy: bool, limit: u64) {
+        let delta_dist = self.delta_dist;
+        let requests: Vec<(NodeId, Dist)> = nodes
+            .iter()
+            .flat_map(|&u| {
+                let du = self.dist[u as usize];
+                self.graph
+                    .neighbors(u)
+                    .filter(move |&(_, w)| (Dist::from(w) > delta_dist) == heavy)
+                    .map(move |(v, w)| (v, du + Dist::from(w)))
+            })
+            .collect();
+        let mut improved = BTreeSet::new();
+        for &(v, d) in &requests {
+            if d < self.dist[v as usize] {
+                self.dist[v as usize] = d;
+                improved.insert(v);
+            }
+        }
+        for &v in &improved {
+            let b = self.dist[v as usize] / delta_dist;
+            if b < limit {
+                self.buckets.entry(b).or_default().push(v);
+            } else {
+                self.far.push(v);
+                self.far_min = self.far_min.min(b);
+            }
+        }
+        self.widest = self.widest.max(nodes.len());
+        self.outcome.phases += 1;
+        self.outcome.relaxations += requests.len() as u64;
+        self.outcome.updates += improved.len() as u64;
+    }
+
+    /// Re-queues the far entries whose node's bucket now lies in
+    /// `[base, base + horizon)`, and drops those whose bucket is settled.
+    fn pull_far(&mut self, base: u64, horizon: u64) {
+        let mut far_min = u64::MAX;
+        let delta_dist = self.delta_dist;
+        let (dist, buckets) = (&self.dist, &mut self.buckets);
+        self.far.retain(|&v| {
+            let b = dist[v as usize] / delta_dist;
+            if b < base {
+                false
+            } else if b < base + horizon {
+                buckets.entry(b).or_default().push(v);
+                false
+            } else {
+                far_min = far_min.min(b);
+                true
+            }
+        });
+        self.far_min = far_min;
+    }
 }
 
 /// Exercises one (graph, source, delta) case, asserting the
@@ -164,17 +254,13 @@ fn check_case(
     source: NodeId,
     delta: Weight,
     scratch: &mut SsspScratch,
-) -> cldiam_sssp::DeltaSteppingOutcome {
+) -> DeltaSteppingOutcome {
     let expected = dijkstra(graph, source);
     let engine = delta_stepping(graph, source, delta, None);
     let reused = delta_stepping_with_scratch(graph, source, delta, None, scratch);
-    let (reference_dist, reference_phases) = delta_stepping_reference(graph, source, delta);
+    let (reference, _) = delta_stepping_reference(graph, source, delta);
     assert_eq!(engine.dist, expected.dist, "engine vs dijkstra (source {source}, delta {delta})");
-    assert_eq!(engine.dist, reference_dist, "engine vs reference (source {source}, delta {delta})");
-    assert_eq!(
-        engine.phases, reference_phases,
-        "phase count diverged from the reference (source {source}, delta {delta})"
-    );
+    assert_eq!(engine, reference, "engine vs reference (source {source}, delta {delta})");
     assert_eq!(reused, engine, "scratch reuse changed the outcome");
     engine
 }
@@ -217,6 +303,71 @@ proptest! {
             let batched = with_pool(threads, || batched_eccentricities(&graph, &sources));
             prop_assert_eq!(&batched, &sequential, "diverged at {} threads", threads);
         }
+    }
+}
+
+/// A hub joined to 600 spokes, each spoke to the next around a cycle and to
+/// a pendant node: the hub's first phase improves 600 nodes at once.
+fn hub_graph() -> Graph {
+    const SPOKES: u32 = 600;
+    let mut builder = GraphBuilder::new(1 + 2 * SPOKES as usize);
+    for i in 1..=SPOKES {
+        builder.add_edge(0, i, 1 + i * 7_919 % 1_000);
+        builder.add_edge(i, i % SPOKES + 1, 1 + i * 1_031 % 3_000);
+        builder.add_edge(i, SPOKES + i, 1 + i * 613 % 500);
+    }
+    builder.build()
+}
+
+/// The engine against the reference on graphs whose phases span many
+/// chunks of its parallel scan (`ChunkBuffers::scan` cuts a phase of `len`
+/// nodes into at most `len / 32` chunks, so every graph of the property
+/// above runs one): a generated road lattice's largest component, a small
+/// R-MAT graph and a hub, with Δ from 1 (the overflow path) to
+/// `Weight::MAX` (one bucket), on pools of 1, 2, 3 and 8 threads with one
+/// scratch reused throughout.
+#[test]
+fn multi_chunk_phases_match_the_reference_on_every_pool() {
+    let road = largest_component(&GraphSpec::RoadNetwork { rows: 60, cols: 60 }.generate(1)).0;
+    let rmat = largest_component(&GraphSpec::RMat { scale: 10 }.generate(1)).0;
+    let hub = hub_graph();
+    let mut scratch = SsspScratch::new();
+    for (name, graph) in [("road", &road), ("rmat", &rmat), ("hub", &hub)] {
+        let avg = graph.avg_weight().unwrap_or(1).max(1);
+        let mut widest = 0;
+        for delta in [1, avg, avg.saturating_mul(8), Weight::MAX] {
+            let (reference, phase_widest) = delta_stepping_reference(graph, 0, delta);
+            assert_eq!(reference.dist, dijkstra(graph, 0).dist, "{name}, delta {delta}");
+            widest = widest.max(phase_widest);
+            for threads in [1, 2, 3, 8] {
+                let outcome = with_pool(threads, || {
+                    delta_stepping_with_scratch(graph, 0, delta, None, &mut scratch)
+                });
+                assert_eq!(outcome, reference, "{name}, delta {delta}, {threads} threads");
+            }
+        }
+        assert!(widest > 256, "{name}: the widest phase relaxed only {widest} nodes");
+    }
+}
+
+/// The case the reference's far list exists for. With Δ = 2 every arc but
+/// `v–d` is heavy and the ring is capped at 1,024 buckets. The source's heavy
+/// phase queues `v` at bucket 2,000, beyond the horizon; `a`'s heavy phase
+/// lowers it to bucket 1,500, inside it. Settling `c` at bucket 1,000 brings
+/// bucket 2,000 inside the horizon, so the far entry is re-queued at `v`'s
+/// bucket of the moment, next to the fresh entry, and `v`'s light arc is
+/// relaxed twice: 11 requests where one entry per bucket would make 10.
+#[test]
+fn a_far_entry_re_queued_beside_a_fresh_one_is_relaxed_twice() {
+    let (s, a, c, v, d) = (0, 1, 2, 3, 4);
+    let graph = Graph::from_edges(
+        5,
+        &[(s, a, 1_000), (s, c, 2_000), (s, v, 4_000), (a, v, 2_000), (v, d, 1)],
+    );
+    let (reference, _) = delta_stepping_reference(&graph, s, 2);
+    assert_eq!((reference.phases, reference.relaxations, reference.updates), (9, 11, 5));
+    for threads in [1, 2] {
+        assert_eq!(with_pool(threads, || delta_stepping(&graph, s, 2, None)), reference);
     }
 }
 
@@ -395,7 +546,7 @@ fn phases_fall_along_a_doubling_delta_grid() {
     let graph = cldiam_gen::mesh(12, cldiam_gen::WeightModel::UniformUnit, 3);
     let mut scratch = SsspScratch::with_capacity(graph.num_nodes());
     let mut delta: Weight = 50_000;
-    let mut first: Option<cldiam_sssp::DeltaSteppingOutcome> = None;
+    let mut first: Option<DeltaSteppingOutcome> = None;
     let mut previous_phases = u64::MAX;
     for _ in 0..8 {
         let outcome = delta_stepping_with_scratch(&graph, 0, delta, None, &mut scratch);
