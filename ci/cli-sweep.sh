@@ -12,10 +12,11 @@
 # tests/data/{roads.gr,social.tsv} and gen:{road:60x60,rmat:12,rmat:14,mesh:40}
 # × --algo cldiam|delta|bounds|both × {plain, --largest-component,
 # --compress, --timeout-checks 2, --cluster2, --no-quotient} × --threads 1|4,
-# plus the directed bounds engine on social.tsv. Then come --help and -h, and
-# the failing commands: an unknown flag, a missing file, each valued flag
-# without a value or with a value it rejects, and each rule between flags and
-# inputs. About 330 commands, ~20 s a side for release builds.
+# plus the directed bounds engine on social.tsv and on the strongly connected
+# ring.tsv. Then come --help and -h, and the failing commands: an unknown
+# flag, a missing file, each valued flag without a value or with a value it
+# rejects, and each rule between flags and inputs. About 340 commands, ~20 s
+# a side for release builds.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -42,9 +43,11 @@ for input in tests/data/roads.gr tests/data/social.tsv \
         done
     done
 done
-for flags in "" --largest-component "--timeout-checks 2"; do
-    for threads in 1 4; do
-        commands+=("tests/data/social.tsv --directed --algo bounds $flags --threads $threads $report")
+for input in tests/data/social.tsv tests/data/ring.tsv; do
+    for flags in "" --largest-component "--timeout-checks 2"; do
+        for threads in 1 4; do
+            commands+=("$input --directed --algo bounds $flags --threads $threads $report")
+        done
     done
 done
 roads=tests/data/roads.gr

@@ -7,7 +7,6 @@ use cldiam_core::{
     anytime_diameter, approximate_diameter, approximation_ratio, AnytimeConfig, ClusterConfig,
 };
 use cldiam_graph::{CancelToken, Dist, Graph, NeighborSource, NodeId};
-use cldiam_mr::CostTracker;
 use cldiam_sssp::{
     bounds_diameter_directed, delta_stepping_with_scratch, diameter_lower_bound_with_split,
     sssp_diameter_upper_bound, suggest_delta, BoundsConfig, BoundsOutcome, ComponentSplit,
@@ -183,9 +182,8 @@ fn run_delta_stepping_scratch<G: NeighborSource>(
     lower_bound: Dist,
     scratch: &mut SsspScratch,
 ) -> RunResult {
-    let tracker = CostTracker::new();
     let started = Instant::now();
-    let outcome = delta_stepping_with_scratch(graph, source, delta, Some(&tracker), scratch);
+    let outcome = delta_stepping_with_scratch(graph, source, delta, None, scratch);
     let time_s = started.elapsed().as_secs_f64();
     let estimate = outcome.eccentricity().saturating_mul(2);
     RunResult {

@@ -2,9 +2,11 @@
 //! its committed file under `tests/golden/` byte for byte.
 //!
 //! The commands cover every runner and both decompositions, the directed
-//! engine, the quotient oracle (converging, interrupted under a check-limited
-//! token, and once per component of a disconnected graph), the compressed
-//! tier and a run with the oracle switched off. A change meant to keep
+//! engine (its sweep fallback on a digraph that is not strongly connected,
+//! and its interval loop, converging and interrupted, on one that is), the
+//! quotient oracle (converging, interrupted under a check-limited token, and
+//! once per component of a disconnected graph), the compressed tier and a
+//! run with the oracle switched off. A change meant to keep
 //! behaviour must leave every golden as it is. There is no bless switch: a
 //! golden changes only by editing its file, next to the change that moves it.
 //!
@@ -31,6 +33,11 @@ const CASES: &[(&str, &[&str])] = &[
     (
         "social-directed-lcc-bounds",
         &["tests/data/social.tsv", "--directed", "--algo", "bounds", "--largest-component"],
+    ),
+    ("ring-directed-bounds", &["tests/data/ring.tsv", "--directed", "--algo", "bounds"]),
+    (
+        "ring-directed-bounds-checks3",
+        &["tests/data/ring.tsv", "--directed", "--algo", "bounds", "--timeout-checks", "3"],
     ),
     (
         "road60-lcc-both-cluster2",

@@ -42,7 +42,7 @@ impl DiameterOracle for QuotientOracle<'_> {
 /// Configuration of the anytime bound-tightening run ([`anytime_diameter`]).
 #[derive(Clone, Debug, Default)]
 pub struct AnytimeConfig {
-    /// Engine knobs: SSSP budget, tolerance, oracle timing.
+    /// Engine knobs: SSSP budget and tolerance.
     pub bounds: BoundsConfig,
     /// Clustering configuration for the quotient upper-bound oracle;
     /// `None` disables the oracle and runs pure interval tightening. The
@@ -106,18 +106,23 @@ pub fn anytime_diameter_with_split<G: NeighborSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cldiam_gen::{mesh, rmat, RmatParams, WeightModel};
+    use cldiam_gen::{mesh, WeightModel};
     use cldiam_sssp::exact_diameter;
+
+    /// Whether the quotient oracle capped the intervals during `outcome`.
+    fn consulted_the_oracle(outcome: &BoundsOutcome) -> bool {
+        outcome.iterations.iter().any(|it| it.source.is_none())
+    }
 
     #[test]
     fn oracle_run_still_brackets_the_exact_diameter() {
         let g = mesh(10, WeightModel::UniformUnit, 5);
         let exact = exact_diameter(&g);
         let config = AnytimeConfig::default()
-            .with_bounds(BoundsConfig { quotient_after: 2, ..BoundsConfig::default() })
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(7));
         let split = ComponentSplit::compute(&g);
         let outcome = anytime_diameter(&g, &config, &split, &CancelToken::never());
+        assert!(consulted_the_oracle(&outcome), "quotient oracle never consulted");
         assert!(outcome.lower <= exact && exact <= outcome.upper);
         for it in &outcome.iterations {
             assert!(it.lower <= exact && exact <= it.upper);
@@ -126,17 +131,15 @@ mod tests {
 
     #[test]
     fn oracle_appears_in_the_trace_when_budget_is_tight() {
-        // Two SSSPs will not close an rmat component; the oracle must fire.
-        let g = rmat(RmatParams::paper(8), WeightModel::UniformUnit, 3);
+        // Four SSSPs do not close this mesh, so the oracle must fire before
+        // the fifth and last.
+        let g = mesh(10, WeightModel::UniformUnit, 3);
         let config = AnytimeConfig::default()
-            .with_bounds(BoundsConfig { max_sssp: 3, quotient_after: 2, ..BoundsConfig::default() })
-            .with_cluster(ClusterConfig::default().with_tau(16).with_seed(3));
+            .with_bounds(BoundsConfig::default().with_max_sssp(5))
+            .with_cluster(ClusterConfig::default().with_tau(4).with_seed(3));
         let split = ComponentSplit::compute(&g);
         let outcome = anytime_diameter(&g, &config, &split, &CancelToken::never());
-        assert!(
-            outcome.iterations.iter().any(|it| it.source.is_none()),
-            "quotient oracle never consulted"
-        );
+        assert!(consulted_the_oracle(&outcome), "quotient oracle never consulted");
     }
 
     #[test]
@@ -166,7 +169,6 @@ mod tests {
         let g = mesh(10, WeightModel::UniformUnit, 5);
         let exact = exact_diameter(&g);
         let config = AnytimeConfig::default()
-            .with_bounds(BoundsConfig { quotient_after: 2, ..BoundsConfig::default() })
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(7));
         let token = CancelToken::never();
         token.cancel();
@@ -184,19 +186,16 @@ mod tests {
         let g = mesh(12, WeightModel::UniformUnit, 2);
         let exact = exact_diameter(&g);
         let config = AnytimeConfig::default()
-            .with_bounds(BoundsConfig {
-                max_sssp: 100,
-                quotient_after: 2,
-                ..BoundsConfig::default()
-            })
+            .with_bounds(BoundsConfig::default().with_max_sssp(100))
             .with_cluster(ClusterConfig::default().with_tau(4).with_seed(3));
         let split = ComponentSplit::compute(&g);
         let run =
             |limit| anytime_diameter(&g, &config, &split, &CancelToken::with_check_limit(limit));
-        let first = run(3);
+        let first = run(5);
+        assert!(consulted_the_oracle(&first), "quotient oracle never consulted");
         assert!(first.lower <= exact && exact <= first.upper);
         for _ in 0..4 {
-            assert_eq!(run(3), first, "check-limited anytime run not deterministic");
+            assert_eq!(run(5), first, "check-limited anytime run not deterministic");
         }
     }
 }

@@ -120,15 +120,7 @@ pub(crate) fn cluster_stages<G: NeighborSource>(
         // within distance Δ, doubling Δ whenever the goal cannot be met.
         let target = num_uncovered.div_ceil(2);
         loop {
-            let outcome = scratch.partial_growth(
-                graph,
-                run.delta,
-                run.delta,
-                Some(target),
-                config.max_growing_steps_per_phase,
-                Some(tracker),
-                cancel,
-            );
+            let outcome = scratch.partial_growth(graph, run.delta, Some(target), tracker, cancel);
             run.growing_steps += outcome.steps;
             if outcome.reached_unfrozen >= target {
                 break;
@@ -330,16 +322,6 @@ mod tests {
         // the same ballpark; both must exceed their starting value.
         assert!(from_min.delta_end >= Dist::from(g.min_weight().unwrap()));
         assert!(from_avg.delta_end >= Dist::from(g.avg_weight().unwrap()));
-    }
-
-    #[test]
-    fn step_cap_limits_growing_steps_per_phase() {
-        let g = mesh(20, WeightModel::UniformUnit, 4);
-        let config = ClusterConfig { max_growing_steps_per_phase: Some(2), ..default_config(2, 6) };
-        let capped = cluster(&g, &config, &CancelToken::never());
-        capped.validate(&g).expect("valid clustering");
-        // With a cap the algorithm still terminates and covers every node.
-        assert_eq!(capped.assignment.len(), g.num_nodes());
     }
 
     #[test]

@@ -109,16 +109,7 @@ pub fn cluster2<G: NeighborSource>(
         tracker.add_messages(num_uncovered as u64);
 
         // PartialGrowth2: grow until no state is updated.
-        let outcome = scratch.partial_growth(
-            graph,
-            threshold,
-            threshold,
-            None,
-            config.max_growing_steps_per_phase,
-            Some(&tracker),
-            cancel,
-        );
-        growing_steps += outcome.steps;
+        growing_steps += scratch.partial_growth(graph, threshold, None, &tracker, cancel).steps;
 
         // Contract2 (logical): freeze everything reached in this iteration.
         scratch.freeze_reached();

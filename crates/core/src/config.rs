@@ -44,10 +44,6 @@ pub struct ClusterConfig {
     /// Seed of the random center selection (the algorithm is deterministic
     /// given the seed).
     pub seed: u64,
-    /// Optional cap on the number of Δ-growing steps per `PartialGrowth`
-    /// invocation (the `O(n/τ)` limit discussed at the end of §4.1 for skewed
-    /// topologies). `None` means unlimited, as in Algorithm 1.
-    pub max_growing_steps_per_phase: Option<usize>,
     /// When `true`, `CL-DIAM` decomposes the graph with `CLUSTER2`
     /// (Algorithm 2) instead of `CLUSTER`; the paper's experiments use
     /// `CLUSTER` because the refined decomposition "does not seem to provide a
@@ -64,7 +60,6 @@ impl Default for ClusterConfig {
             tau: 64,
             initial_delta: InitialDelta::AvgWeight,
             seed: 1,
-            max_growing_steps_per_phase: None,
             use_cluster2: false,
             exact_quotient_threshold: 2_000,
         }

@@ -88,21 +88,11 @@ mod tests {
     use crate::growing::{partial_growth, GrowScratch};
     use cldiam_gen::{mesh, road_network, WeightModel};
     use cldiam_graph::{CancelToken, Dist};
+    use cldiam_mr::CostTracker;
 
-    fn grow(graph: &Graph, threshold: Dist, light_limit: Dist, state: &mut GrowState) {
-        let mut scratch = GrowScratch::new();
-        let never = CancelToken::never();
-        partial_growth(
-            graph,
-            threshold,
-            light_limit,
-            state,
-            None,
-            None,
-            None,
-            &mut scratch,
-            &never,
-        );
+    fn grow(graph: &Graph, threshold: Dist, state: &mut GrowState) {
+        let (tracker, never) = (CostTracker::new(), CancelToken::never());
+        partial_growth(graph, threshold, state, None, &tracker, &mut GrowScratch::new(), &never);
     }
 
     /// Grows clusters from `centers` with threshold Δ, and checks that growing
@@ -115,7 +105,7 @@ mod tests {
         for &c in centers {
             state.set_center(c);
         }
-        grow(graph, delta, delta, &mut state);
+        grow(graph, delta, &mut state);
         let contracted = contract(graph, &state);
 
         // Logical second stage on the original graph: freeze, reset credits.
@@ -126,7 +116,7 @@ mod tests {
                 logical.eff[u] = 0;
             }
         }
-        grow(graph, delta, delta, &mut logical);
+        grow(graph, delta, &mut logical);
 
         // Physical second stage on the contracted graph: centers restart at 0.
         let mut physical = GrowState::new(contracted.graph.num_nodes());
@@ -135,7 +125,7 @@ mod tests {
                 physical.set_center(i as NodeId);
             }
         }
-        grow(&contracted.graph, delta, delta, &mut physical);
+        grow(&contracted.graph, delta, &mut physical);
 
         // Every surviving uncovered node must have the same effective distance
         // in both executions.
@@ -156,7 +146,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 10), (3, 4, 1)]);
         let mut state = GrowState::new(5);
         state.set_center(0);
-        grow(&g, 3, 3, &mut state);
+        grow(&g, 3, &mut state);
         // Nodes 0,1,2 covered by cluster 0 (the weight-10 edge is heavy);
         // nodes 3,4 uncovered.
         let c = contract(&g, &state);
@@ -177,7 +167,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 9), (2, 3, 4)]);
         let mut state = GrowState::new(4);
         state.set_center(0);
-        grow(&g, 2, 2, &mut state);
+        grow(&g, 2, &mut state);
         let c = contract(&g, &state);
         assert_eq!(c.orig, vec![0, 3]);
         assert_eq!(c.graph.edge_weight(0, 1), Some(4));

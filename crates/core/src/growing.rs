@@ -1,9 +1,10 @@
 //! The Δ-growing step and the `PartialGrowth` procedure (Section 3).
 //!
 //! A Δ-growing step performs, in parallel, one wave of Bellman-Ford-style
-//! relaxations restricted to *light* edges and to tentative distances that
-//! stay within the threshold `Δ`: for each node `u` with `d_u < Δ` and each
-//! light edge `(u, v)`, if `d_u + w(u, v) ≤ Δ` and the state of `v` improves,
+//! relaxations restricted to *light* edges (weight at most the threshold
+//! `Δ`) and to tentative distances that stay within `Δ`: for each node `u`
+//! with `d_u < Δ` and each light edge `(u, v)`, if `d_u + w(u, v) ≤ Δ` and
+//! the state of `v` improves,
 //! set `d_v = d_u + w(u, v)` and `c_v = c_u`. When several nodes can update
 //! `v`, the update with the smallest distance — and, secondarily, the one
 //! whose center has the smallest index — wins, which makes the outcome
@@ -12,7 +13,7 @@
 //! `PartialGrowth` repeats Δ-growing steps until no state changes or until a
 //! caller-provided coverage goal is reached (half of the uncovered nodes for
 //! `CLUSTER`; `CLUSTER2`'s `PartialGrowth2` is the same procedure without the
-//! goal). The optional step cap implements the `O(n/τ)` limit of §4.1.
+//! goal).
 //!
 //! # The resident hot path
 //!
@@ -54,13 +55,12 @@
 //! caller's [`GrowState`], which they load into the cells and store back
 //! around the growth; their first wave snapshots the caller's whole frontier.
 //!
-//! The cost model is charged exactly as before — one round per wave, one
-//! message per relaxation proposal, one node update per node whose state
-//! changed. `StepStats::updates` counts *nodes whose state changed in the
-//! wave* (the quantity the MR reducer charges as node updates); the
-//! equivalence proptests pin the in-place path and the literal MR execution
-//! (`cldiam-testkit`'s `mr_impl`) to identical states *and* identical
-//! counters.
+//! Each wave charges the caller's [`CostTracker`] itself, once: one round,
+//! one message per relaxation proposal and one node update per node whose
+//! state changed in the wave (the quantity the MR reducer charges as node
+//! updates). The equivalence proptests pin the in-place path and the literal
+//! MR execution (`cldiam-testkit`'s `mr_impl`) to identical states *and*
+//! identical charges.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -74,24 +74,12 @@ use cldiam_graph::{CancelToken, Dist, NeighborSource, NodeId};
 use crate::atomic_state::{AtomicGrowCells, Proposed};
 use crate::state::{eff_below_threshold, eff_within_threshold, GrowState, NO_CENTER};
 
-/// Counters produced by a single Δ-growing step.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StepStats {
-    /// Relaxation proposals generated (messages in the MR cost model).
-    pub proposals: u64,
-    /// Nodes whose state changed (node updates in the MR cost model).
-    pub updates: u64,
-}
-
-/// Counters produced by a `PartialGrowth` invocation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// What a `PartialGrowth` invocation reports back to its stage loop; its
+/// MR costs go to the caller's [`CostTracker`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GrowthOutcome {
     /// Number of Δ-growing steps executed (one MR round each).
     pub steps: u64,
-    /// Total relaxation proposals generated.
-    pub proposals: u64,
-    /// Total state updates applied.
-    pub updates: u64,
     /// Number of unfrozen nodes reached (tentatively covered) when the
     /// procedure stopped.
     pub reached_unfrozen: usize,
@@ -118,7 +106,7 @@ struct WaveChunk {
     /// neighbour.
     interior: Vec<NodeId>,
     proposals: u64,
-    newly_reached: u64,
+    newly_reached: usize,
 }
 
 /// Reusable state of the in-place Δ-growing hot path.
@@ -217,18 +205,15 @@ impl GrowScratch {
 
     /// `PartialGrowth` over the resident state: [`partial_growth`]'s contract,
     /// with the stage's sources and reached nodes as the initial frontier.
-    #[allow(clippy::too_many_arguments)] // mirrors partial_growth
     pub(crate) fn partial_growth<G: NeighborSource>(
         &mut self,
         graph: &G,
         threshold: Dist,
-        light_limit: Dist,
         stop_at_reached: Option<usize>,
-        max_steps: Option<usize>,
-        tracker: Option<&CostTracker>,
+        tracker: &CostTracker,
         cancel: &CancelToken,
     ) -> GrowthOutcome {
-        let idle = GrowthOutcome { reached_unfrozen: self.reached, ..GrowthOutcome::default() };
+        let idle = GrowthOutcome { steps: 0, reached_unfrozen: self.reached };
         if stop_at_reached.is_some_and(|target| self.reached >= target) {
             return idle;
         }
@@ -255,17 +240,8 @@ impl GrowScratch {
             return idle;
         }
         self.snapshot_frontier();
-        let outcome = self.grow(
-            graph,
-            threshold,
-            light_limit,
-            true,
-            self.reached,
-            stop_at_reached,
-            max_steps,
-            tracker,
-            cancel,
-        );
+        let outcome =
+            self.grow(graph, threshold, true, self.reached, stop_at_reached, tracker, cancel);
         self.reached = outcome.reached_unfrozen;
         if !self.interior.is_empty() {
             self.pruned = true;
@@ -335,49 +311,32 @@ impl GrowScratch {
     /// Repeats waves from `self.frontier`, and from the live sources first
     /// if `scan_live` — the `PartialGrowth` loop shared by every entry point.
     /// `reached` is the unfrozen reached count the growth starts from.
-    #[allow(clippy::too_many_arguments)] // mirrors partial_growth
+    #[allow(clippy::too_many_arguments)] // partial_growth's inputs plus the start
     fn grow<G: NeighborSource>(
         &mut self,
         graph: &G,
         threshold: Dist,
-        light_limit: Dist,
         mut scan_live: bool,
         mut reached: usize,
         stop_at_reached: Option<usize>,
-        max_steps: Option<usize>,
-        tracker: Option<&CostTracker>,
+        tracker: &CostTracker,
         cancel: &CancelToken,
     ) -> GrowthOutcome {
-        let mut outcome = GrowthOutcome::default();
+        let mut steps = 0;
         loop {
-            if max_steps.is_some_and(|cap| outcome.steps as usize >= cap) {
-                break;
-            }
             // Wave boundary: every relaxation of the previous wave is committed.
             if cancel.checkpoint() {
                 break;
             }
-            let (stats, newly_reached) = self.wave(graph, threshold, light_limit, scan_live);
+            reached += self.wave(graph, threshold, scan_live, tracker);
             scan_live = false;
-            outcome.steps += 1;
-            outcome.proposals += stats.proposals;
-            outcome.updates += stats.updates;
-            reached += newly_reached as usize;
-            if let Some(t) = tracker {
-                t.add_round();
-                t.add_messages(stats.proposals);
-                t.add_node_updates(stats.updates);
-            }
-            if self.next.is_empty() {
-                break;
-            }
-            if stop_at_reached.is_some_and(|target| reached >= target) {
+            steps += 1;
+            if self.next.is_empty() || stop_at_reached.is_some_and(|target| reached >= target) {
                 break;
             }
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
-        outcome.reached_unfrozen = reached;
-        outcome
+        GrowthOutcome { steps, reached_unfrozen: reached }
     }
 
     /// Snapshots the frontier's state for the coming wave.
@@ -388,16 +347,17 @@ impl GrowScratch {
     /// Executes one wave from `self.frontier` (and from the live sources
     /// first, if `scan_live`), leaving the sorted updated nodes in
     /// `self.next`, settled, with their snapshot in `self.snap`, and
-    /// appending the interior sources it found to `self.interior`. Returns
-    /// the step counters and how many previously-unreached nodes were
+    /// appending the interior sources it found to `self.interior`. Charges
+    /// `tracker` one round, the proposals as messages and the updated nodes
+    /// as node updates. Returns how many previously-unreached nodes were
     /// assigned for the first time.
     fn wave<G: NeighborSource>(
         &mut self,
         graph: &G,
         threshold: Dist,
-        light_limit: Dist,
         scan_live: bool,
-    ) -> (StepStats, u64) {
+        tracker: &CostTracker,
+    ) -> usize {
         let live: &[NodeId] = if scan_live { &self.live } else { &[] };
         let (frontier, snap, cells, touched) =
             (&self.frontier, &self.snap, &self.cells, &self.touched);
@@ -414,8 +374,10 @@ impl GrowScratch {
                         return;
                     }
                     open = true;
+                    // Light edges only: under `CLUSTER2`'s negative credits
+                    // `eff_u + w ≤ Δ` does not imply `w ≤ Δ`.
                     let wd = Dist::from(w);
-                    if wd > light_limit {
+                    if wd > threshold {
                         return;
                     }
                     let cand = eff_u.saturating_add(wd as i64);
@@ -427,7 +389,7 @@ impl GrowScratch {
                     if let Proposed::Improved { newly_reached } =
                         cells.propose(v as usize, cand, center_u, src_plus, true_v)
                     {
-                        out.newly_reached += u64::from(newly_reached);
+                        out.newly_reached += usize::from(newly_reached);
                         if !touched[v as usize].swap(true, Ordering::Relaxed) {
                             out.updated.push(v);
                         }
@@ -457,12 +419,11 @@ impl GrowScratch {
         // arrive in order. The updated nodes arrive as one ascending run per
         // chunk; merging the runs gives the canonical ascending frontier
         // order every tie-break relies on.
-        let mut stats = StepStats::default();
-        let mut newly_reached = 0;
+        let (mut proposals, mut newly_reached) = (0, 0);
         self.next.clear();
         self.run_ends.clear();
         for chunk in chunks {
-            stats.proposals += std::mem::take(&mut chunk.proposals);
+            proposals += std::mem::take(&mut chunk.proposals);
             newly_reached += std::mem::take(&mut chunk.newly_reached);
             if !chunk.updated.is_empty() {
                 self.next.append(&mut chunk.updated);
@@ -478,8 +439,10 @@ impl GrowScratch {
             touched[v].store(false, Ordering::Relaxed);
             cells.settle(v);
         });
-        stats.updates = self.next.len() as u64;
-        (stats, newly_reached)
+        tracker.add_round();
+        tracker.add_messages(proposals);
+        tracker.add_node_updates(self.next.len() as u64);
+        newly_reached
     }
 }
 
@@ -504,18 +467,19 @@ fn snapshot(
     );
 }
 
-/// Executes one Δ-growing step from `frontier`.
+/// Executes one Δ-growing step from `frontier`, charging it to `tracker` as
+/// one MR round.
 ///
-/// * `threshold` — the growth threshold `Δ`, an unsigned distance. Effective
-///   distances stay signed (`CLUSTER2` sources carry a rescaled, possibly
-///   negative credit) and are compared across the signedness boundary with
-///   [`eff_below_threshold`] / [`eff_within_threshold`], so a `Δ` past
-///   `i64::MAX` — reachable via Δ-doubling on massive heavy graphs — no
-///   longer wraps negative and silently stops growth.
-/// * `light_limit` — the maximum weight of a traversable (light) edge.
+/// `threshold` is the growth threshold `Δ`, an unsigned distance, and also
+/// the heaviest traversable (light) edge weight. Effective distances stay
+/// signed (`CLUSTER2` sources carry a rescaled, possibly negative credit)
+/// and are compared across the signedness boundary with
+/// [`eff_below_threshold`] / [`eff_within_threshold`], so a `Δ` past
+/// `i64::MAX` — reachable via Δ-doubling on massive heavy graphs — no longer
+/// wraps negative and silently stops growth.
 ///
-/// Returns the nodes whose state changed (the next frontier) and the step
-/// counters. Frozen nodes are never updated; they only act as sources.
+/// Returns the nodes whose state changed (the next frontier). Frozen nodes
+/// are never updated; they only act as sources.
 ///
 /// `frontier` must be sorted ascending (the order every frontier in this
 /// workspace is produced in: initial frontiers scan node ids upward and each
@@ -535,11 +499,11 @@ fn snapshot(
 pub fn delta_growing_step<G: NeighborSource>(
     graph: &G,
     threshold: Dist,
-    light_limit: Dist,
     state: &mut GrowState,
     frontier: &[NodeId],
+    tracker: &CostTracker,
     scratch: &mut GrowScratch,
-) -> (Vec<NodeId>, StepStats) {
+) -> Vec<NodeId> {
     debug_assert!(
         frontier.windows(2).all(|pair| pair[0] <= pair[1]),
         "delta_growing_step requires a sorted frontier"
@@ -549,17 +513,16 @@ pub fn delta_growing_step<G: NeighborSource>(
     scratch.frontier.clear();
     scratch.frontier.extend_from_slice(frontier);
     scratch.snapshot_frontier();
-    let (stats, _) = scratch.wave(graph, threshold, light_limit, false);
+    scratch.wave(graph, threshold, false, tracker);
     scratch.interior.clear();
     scratch.cells.store_into(state);
-    (scratch.next.clone(), stats)
+    scratch.next.clone()
 }
 
 /// Repeats Δ-growing steps until no state is updated, until
-/// `stop_at_reached` unfrozen nodes have been reached, until `max_steps`
-/// steps have been executed, or until `cancel` fires. Each step is charged as
-/// one MR round to `tracker`, with its proposals as messages and its updates
-/// as node updates.
+/// `stop_at_reached` unfrozen nodes have been reached, or until `cancel`
+/// fires. Each step is charged as one MR round to `tracker`, with its
+/// proposals as messages and its updates as node updates.
 ///
 /// The initial frontier is every node with a finite effective distance below
 /// the threshold (centers and, in `CLUSTER2`, rescaled covered sources). The
@@ -573,8 +536,6 @@ pub fn delta_growing_step<G: NeighborSource>(
 /// true center distances, and nodes the growth never reached stay uncovered —
 /// the callers' singleton fallback turns that into a valid (if coarse)
 /// clustering.
-// The paper's parameter list plus the scratch and the token.
-#[allow(clippy::too_many_arguments)]
 // lint:allow(dead-pub): test entry point that grows a caller's `GrowState`;
 // this crate's and `cldiam-testkit`'s unit tests, `prop_cluster_equivalence.rs`
 // and the root cluster suite drive it. CLUSTER and CLUSTER2 grow the
@@ -582,11 +543,9 @@ pub fn delta_growing_step<G: NeighborSource>(
 pub fn partial_growth<G: NeighborSource>(
     graph: &G,
     threshold: Dist,
-    light_limit: Dist,
     state: &mut GrowState,
     stop_at_reached: Option<usize>,
-    max_steps: Option<usize>,
-    tracker: Option<&CostTracker>,
+    tracker: &CostTracker,
     scratch: &mut GrowScratch,
     cancel: &CancelToken,
 ) -> GrowthOutcome {
@@ -594,7 +553,7 @@ pub fn partial_growth<G: NeighborSource>(
     // keep the count incrementally — a node's first assignment is a unique
     // event, so it stays exact without O(n) recounts between waves.
     let reached = state.count_reached_unfrozen();
-    let idle = GrowthOutcome { reached_unfrozen: reached, ..GrowthOutcome::default() };
+    let idle = GrowthOutcome { steps: 0, reached_unfrozen: reached };
     if stop_at_reached.is_some_and(|target| reached >= target) {
         return idle;
     }
@@ -611,17 +570,7 @@ pub fn partial_growth<G: NeighborSource>(
     }
     scratch.cells.load_from(state);
     scratch.snapshot_frontier();
-    let outcome = scratch.grow(
-        graph,
-        threshold,
-        light_limit,
-        false,
-        reached,
-        stop_at_reached,
-        max_steps,
-        tracker,
-        cancel,
-    );
+    let outcome = scratch.grow(graph, threshold, false, reached, stop_at_reached, tracker, cancel);
     scratch.interior.clear();
     scratch.cells.store_into(state);
     outcome
@@ -632,6 +581,7 @@ mod tests {
     use super::*;
     use crate::state::EFF_INFINITY;
     use cldiam_graph::{Graph, Weight};
+    use cldiam_mr::CostMetrics;
 
     /// The path `0 - 1 - … - k` whose edge `{i, i+1}` weighs `weights[i]`.
     fn weighted_path(weights: &[Weight]) -> Graph {
@@ -646,38 +596,65 @@ mod tests {
         s
     }
 
+    /// `partial_growth` from a fresh scratch; returns the outcome and the
+    /// costs it charged.
     fn grow(
-        graph: &cldiam_graph::Graph,
+        graph: &Graph,
         threshold: Dist,
-        light_limit: Dist,
         state: &mut GrowState,
         stop_at_reached: Option<usize>,
-        max_steps: Option<usize>,
-        tracker: Option<&CostTracker>,
-    ) -> GrowthOutcome {
-        let mut scratch = GrowScratch::new();
-        partial_growth(
+    ) -> (GrowthOutcome, CostMetrics) {
+        let tracker = CostTracker::new();
+        let never = CancelToken::never();
+        let outcome = partial_growth(
             graph,
             threshold,
-            light_limit,
             state,
             stop_at_reached,
-            max_steps,
-            tracker,
-            &mut scratch,
-            &CancelToken::never(),
-        )
+            &tracker,
+            &mut GrowScratch::new(),
+            &never,
+        );
+        (outcome, tracker.snapshot())
     }
 
+    /// One Δ-growing step from a fresh scratch; returns the updated nodes and
+    /// the costs it charged.
     fn step(
-        graph: &cldiam_graph::Graph,
+        graph: &Graph,
         threshold: Dist,
-        light_limit: Dist,
         state: &mut GrowState,
         frontier: &[NodeId],
-    ) -> (Vec<NodeId>, StepStats) {
-        let mut scratch = GrowScratch::new();
-        delta_growing_step(graph, threshold, light_limit, state, frontier, &mut scratch)
+    ) -> (Vec<NodeId>, CostMetrics) {
+        let tracker = CostTracker::new();
+        let updated = delta_growing_step(
+            graph,
+            threshold,
+            state,
+            frontier,
+            &tracker,
+            &mut GrowScratch::new(),
+        );
+        (updated, tracker.snapshot())
+    }
+
+    /// `GrowScratch::partial_growth` over the resident state, never
+    /// cancelled; returns the outcome and the costs it charged.
+    fn grow_resident(
+        scratch: &mut GrowScratch,
+        graph: &Graph,
+        threshold: Dist,
+        stop_at_reached: Option<usize>,
+    ) -> (GrowthOutcome, CostMetrics) {
+        let tracker = CostTracker::new();
+        let outcome = scratch.partial_growth(
+            graph,
+            threshold,
+            stop_at_reached,
+            &tracker,
+            &CancelToken::never(),
+        );
+        (outcome, tracker.snapshot())
     }
 
     #[test]
@@ -710,9 +687,9 @@ mod tests {
         // must not be traversed.
         let g = weighted_path(&[1, 5, 1]);
         let mut s = init_state_with_center(4, 0);
-        let (updated, stats) = step(&g, 3, 3, &mut s, &[0]);
+        let (updated, costs) = step(&g, 3, &mut s, &[0]);
         assert_eq!(updated, vec![1]);
-        assert_eq!(stats.updates, 1);
+        assert_eq!((costs.rounds, costs.messages, costs.node_updates), (1, 1, 1));
         assert_eq!(s.center[1], 0);
         assert_eq!(s.eff[1], 1);
         assert_eq!(s.eff[2], EFF_INFINITY);
@@ -723,9 +700,9 @@ mod tests {
         // Edges all light (weight 2) but Δ = 3 allows only one hop.
         let g = weighted_path(&[2, 2, 2]);
         let mut s = init_state_with_center(4, 0);
-        let (updated, _) = step(&g, 3, 3, &mut s, &[0]);
+        let (updated, _) = step(&g, 3, &mut s, &[0]);
         assert_eq!(updated, vec![1]);
-        let (updated2, _) = step(&g, 3, 3, &mut s, &updated);
+        let (updated2, _) = step(&g, 3, &mut s, &updated);
         // 0 -> 1 costs 2; 1 -> 2 would cost 4 > 3: no growth.
         assert!(updated2.is_empty());
     }
@@ -737,7 +714,7 @@ mod tests {
         let mut s = GrowState::new(3);
         s.set_center(0);
         s.set_center(2);
-        let (_, _) = step(&g, 10, 10, &mut s, &[0, 2]);
+        step(&g, 10, &mut s, &[0, 2]);
         assert_eq!(s.center[1], 2);
         assert_eq!(s.eff[1], 2);
 
@@ -746,7 +723,7 @@ mod tests {
         let mut s2 = GrowState::new(3);
         s2.set_center(0);
         s2.set_center(2);
-        let (_, _) = step(&g2, 10, 10, &mut s2, &[0, 2]);
+        step(&g2, 10, &mut s2, &[0, 2]);
         assert_eq!(s2.center[1], 0);
     }
 
@@ -762,7 +739,7 @@ mod tests {
         // New stage: node 1 is a frozen source with credit 0; node 0 frozen too.
         s.eff[0] = 0;
         s.eff[1] = 0;
-        let (updated, _) = step(&g, 5, 5, &mut s, &[0, 1]);
+        let (updated, _) = step(&g, 5, &mut s, &[0, 1]);
         assert_eq!(updated, vec![2]);
         // Node 2 inherits node 1's cluster (center 0) and accumulates the true
         // distance through it.
@@ -777,7 +754,7 @@ mod tests {
     fn partial_growth_runs_to_fixpoint() {
         let g = weighted_path(&[1, 1, 1, 1]);
         let mut s = init_state_with_center(5, 0);
-        let outcome = grow(&g, 10, 10, &mut s, None, None, None);
+        let (outcome, _) = grow(&g, 10, &mut s, None);
         assert_eq!(outcome.reached_unfrozen, 5);
         assert!(outcome.steps >= 4);
         assert_eq!(s.true_dist[4], 4);
@@ -787,7 +764,7 @@ mod tests {
     fn partial_growth_stops_at_coverage_target() {
         let g = weighted_path(&[1, 1, 1, 1, 1, 1, 1, 1]);
         let mut s = init_state_with_center(9, 0);
-        let outcome = grow(&g, 100, 100, &mut s, Some(3), None, None);
+        let (outcome, _) = grow(&g, 100, &mut s, Some(3));
         assert!(outcome.reached_unfrozen >= 3);
         assert!(
             outcome.reached_unfrozen < 9,
@@ -797,24 +774,14 @@ mod tests {
     }
 
     #[test]
-    fn partial_growth_honors_step_cap() {
-        let g = weighted_path(&[1; 20]);
-        let mut s = init_state_with_center(21, 0);
-        let outcome = grow(&g, 1000, 1000, &mut s, None, Some(3), None);
-        assert_eq!(outcome.steps, 3);
-        assert_eq!(outcome.reached_unfrozen, 4);
-    }
-
-    #[test]
     fn partial_growth_charges_tracker() {
+        // From center 0 on the path 0 - 1 - 2 - 3, wave k reaches node k and
+        // proposes back to node k - 1 too; the fourth wave reaches nothing.
         let g = weighted_path(&[1, 1, 1]);
         let mut s = init_state_with_center(4, 0);
-        let tracker = CostTracker::new();
-        let outcome = grow(&g, 10, 10, &mut s, None, None, Some(&tracker));
-        let snap = tracker.snapshot();
-        assert_eq!(snap.rounds, outcome.steps);
-        assert_eq!(snap.messages, outcome.proposals);
-        assert_eq!(snap.node_updates, outcome.updates);
+        let (outcome, costs) = grow(&g, 10, &mut s, None);
+        assert_eq!(outcome.steps, 4);
+        assert_eq!((costs.rounds, costs.messages, costs.node_updates), (4, 6, 3));
     }
 
     #[test]
@@ -828,14 +795,14 @@ mod tests {
         let g = weighted_path(&[1, 1, 1]);
         let threshold: Dist = i64::MAX as Dist + 12_345;
         let mut s = init_state_with_center(4, 0);
-        let outcome = grow(&g, threshold, Dist::MAX, &mut s, None, None, None);
+        let (outcome, _) = grow(&g, threshold, &mut s, None);
         assert_eq!(outcome.reached_unfrozen, 4, "growth stopped under a Δ past i64::MAX");
         assert_eq!(s.true_dist[3], 3);
         // CLUSTER2-style negative credits keep working against the same Δ.
         let mut s2 = init_state_with_center(4, 0);
         s2.freeze_reached();
         s2.eff[0] = -7;
-        let outcome2 = grow(&g, threshold, Dist::MAX, &mut s2, None, None, None);
+        let (outcome2, _) = grow(&g, threshold, &mut s2, None);
         assert_eq!(outcome2.reached_unfrozen, 3);
         assert_eq!(s2.eff[3], -4);
     }
@@ -846,9 +813,8 @@ mod tests {
         for n in [4usize, 9, 4] {
             let g = weighted_path(&vec![1; n - 1]);
             let mut s = init_state_with_center(n, 0);
-            let never = CancelToken::never();
-            let outcome =
-                partial_growth(&g, 100, 100, &mut s, None, None, None, &mut scratch, &never);
+            let (tracker, never) = (CostTracker::new(), CancelToken::never());
+            let outcome = partial_growth(&g, 100, &mut s, None, &tracker, &mut scratch, &never);
             assert_eq!(outcome.reached_unfrozen, n);
             assert_eq!(s.true_dist[n - 1], (n - 1) as Dist);
         }
@@ -859,18 +825,17 @@ mod tests {
         // Component {0, 1, 2} is covered in the first iteration; the isolated
         // node 3 is never drawn as a center.
         let g = cldiam_graph::Graph::from_edges(4, &[(0, 1, 1), (1, 2, 1)]);
-        let never = CancelToken::never();
         let mut scratch = GrowScratch::new();
         scratch.start(4);
         scratch.set_center(0);
-        let first = scratch.partial_growth(&g, 10, 10, None, None, None, &never);
+        let (first, _) = grow_resident(&mut scratch, &g, 10, None);
         assert_eq!(first.reached_unfrozen, 3);
         scratch.freeze_reached();
         // Second iteration: the first wave scans the three sources and finds
         // them interior.
         scratch.credit_sources(|_, _| 0);
-        let second = scratch.partial_growth(&g, 10, 10, None, None, None, &never);
-        assert_eq!((second.steps, second.proposals), (1, 0));
+        let (second, costs) = grow_resident(&mut scratch, &g, 10, None);
+        assert_eq!((second.steps, costs.messages), (1, 0));
         assert!(scratch.live.is_empty());
         scratch.freeze_reached();
         // Third iteration: no new center and no live source, but the unpruned
@@ -882,27 +847,19 @@ mod tests {
             let tracker = CostTracker::new();
             let token = CancelToken::with_check_limit(3);
             let outcome = if pruned {
-                scratch.partial_growth(&g, 10, 10, None, None, Some(&tracker), &token)
+                scratch.partial_growth(&g, 10, None, &tracker, &token)
             } else {
-                partial_growth(
-                    &g,
-                    10,
-                    10,
-                    &mut unpruned_state,
-                    None,
-                    None,
-                    Some(&tracker),
-                    &mut GrowScratch::new(),
-                    &token,
-                )
+                let state = &mut unpruned_state;
+                partial_growth(&g, 10, state, None, &tracker, &mut GrowScratch::new(), &token)
             };
             // The budget of three trips on the second checkpoint after the
             // growth: the growth itself used exactly one.
             let checks = (token.checkpoint(), token.checkpoint());
-            (outcome, tracker.snapshot().rounds, checks)
+            let costs = tracker.snapshot();
+            (outcome, (costs.rounds, costs.messages, costs.node_updates), checks)
         });
-        let expected = GrowthOutcome { steps: 1, proposals: 0, updates: 0, reached_unfrozen: 0 };
-        assert_eq!(runs[0], (expected, 1, (false, true)));
+        let expected = GrowthOutcome { steps: 1, reached_unfrozen: 0 };
+        assert_eq!(runs[0], (expected, (1, 0, 0), (false, true)));
         assert_eq!(runs[1], runs[0]);
     }
 
@@ -910,23 +867,22 @@ mod tests {
     fn a_source_behind_a_heavy_edge_stays_live_until_delta_grows() {
         // 0 -1- 1 -8- 2 -9- 3: stage 1 covers {0, 1} from center 0 at Δ = 2.
         let g = cldiam_graph::Graph::from_edges(4, &[(0, 1, 1), (1, 2, 8), (2, 3, 9)]);
-        let never = CancelToken::never();
         let mut scratch = GrowScratch::new();
         scratch.start(4);
         scratch.set_center(0);
-        scratch.partial_growth(&g, 2, 2, None, None, None, &never);
+        grow_resident(&mut scratch, &g, 2, None);
         scratch.freeze_reached();
         // Stage 2 at Δ = 2: source 0 is interior, but source 1 still has an
         // unfrozen neighbour across its (for now heavy) edge.
         scratch.credit_sources(|_, _| 0);
         scratch.set_center(3);
-        let stalled = scratch.partial_growth(&g, 2, 2, Some(2), None, None, &never);
-        assert_eq!((stalled.proposals, stalled.reached_unfrozen), (0, 1));
+        let (stalled, costs) = grow_resident(&mut scratch, &g, 2, Some(2));
+        assert_eq!((costs.messages, stalled.reached_unfrozen), (0, 1));
         assert_eq!(scratch.live, vec![1]);
         // Once Δ has doubled past the edge, source 1 claims node 2 for
         // cluster 0 before center 3 can.
-        let grown = scratch.partial_growth(&g, 8, 8, Some(2), None, None, &never);
-        assert_eq!((grown.proposals, grown.reached_unfrozen), (1, 2));
+        let (grown, costs) = grow_resident(&mut scratch, &g, 8, Some(2));
+        assert_eq!((costs.messages, grown.reached_unfrozen), (1, 2));
         assert_eq!(scratch.cells.read(2), (8, 0, 9));
     }
 
@@ -936,7 +892,6 @@ mod tests {
         // until half of the uncovered nodes are reached.
         let g = cldiam_gen::mesh(12, cldiam_gen::WeightModel::UniformUnit, 5);
         let n = g.num_nodes();
-        let never = CancelToken::never();
         let mut scratch = GrowScratch::new();
         scratch.start(n);
         let mut delta = Dist::from(cldiam_graph::WEIGHT_SCALE);
@@ -947,11 +902,7 @@ mod tests {
             let target = uncovered.len().div_ceil(2);
             scratch.credit_sources(|_, _| 0);
             scratch.set_center(uncovered[uncovered.len() / 2]);
-            while scratch
-                .partial_growth(&g, delta, delta, Some(target), None, None, &never)
-                .reached_unfrozen
-                < target
-            {
+            while grow_resident(&mut scratch, &g, delta, Some(target)).0.reached_unfrozen < target {
                 delta *= 2;
             }
             for &u in &scratch.live {
@@ -972,7 +923,7 @@ mod tests {
         // exact shortest-path distances.
         let g = cldiam_gen::mesh(8, cldiam_gen::WeightModel::UniformUnit, 3);
         let mut s = init_state_with_center(g.num_nodes(), 0);
-        grow(&g, Dist::MAX, Dist::MAX, &mut s, None, None, None);
+        grow(&g, Dist::MAX, &mut s, None);
         let sp = cldiam_sssp::dijkstra(&g, 0);
         for u in 0..g.num_nodes() {
             assert_eq!(s.true_dist[u], sp.dist[u], "node {u}");

@@ -59,7 +59,7 @@ pub use cluster2::cluster2;
 pub use clustering::Clustering;
 pub use config::{ClusterConfig, InitialDelta};
 pub use diameter::{approximate_diameter, approximation_ratio, ClDiam, DiameterEstimate};
-pub use growing::{delta_growing_step, partial_growth, GrowScratch, GrowthOutcome, StepStats};
+pub use growing::{delta_growing_step, partial_growth, GrowScratch, GrowthOutcome};
 pub use quotient::{quotient_graph, QuotientGraph};
 pub use state::{eff_below_threshold, eff_within_threshold, GrowState, EFF_INFINITY, NO_CENTER};
 

@@ -8,9 +8,8 @@
 //! keep the state resident in the growing scratch and prune interior sources
 //! (the lazy `Contract`). Both must return the same [`Clustering`] —
 //! assignment, distances, centers, radius, `Δ_end`, growing steps, stages
-//! and every MR cost counter — with and without a step cap, under logical
-//! check budgets of 1 to 8 checkpoints, and on thread pools of 1, 2 and 8
-//! workers.
+//! and every MR cost counter — under logical check budgets of 1 to 8
+//! checkpoints, and on thread pools of 1, 2 and 8 workers.
 
 use std::sync::OnceLock;
 
@@ -145,11 +144,9 @@ fn oracle_cluster_state(
             let outcome = partial_growth(
                 graph,
                 delta,
-                delta,
                 &mut state,
                 Some(target),
-                config.max_growing_steps_per_phase,
-                Some(tracker),
+                tracker,
                 &mut scratch,
                 cancel,
             );
@@ -241,17 +238,8 @@ fn oracle_cluster2(graph: &Graph, config: &ClusterConfig, cancel: &CancelToken) 
         }
         tracker.add_round();
         tracker.add_messages(uncovered.len() as u64);
-        let outcome = partial_growth(
-            graph,
-            threshold,
-            threshold,
-            &mut state,
-            None,
-            config.max_growing_steps_per_phase,
-            Some(&tracker),
-            &mut scratch,
-            cancel,
-        );
+        let outcome =
+            partial_growth(graph, threshold, &mut state, None, &tracker, &mut scratch, cancel);
         growing_steps += outcome.steps;
         state.freeze_reached();
         tracker.add_round();
@@ -288,35 +276,32 @@ proptest! {
         // 8·τ·log n < n for every n ≥ 130 and τ ≤ 2, so stages actually run.
         prop_assert!(8.0 * tau as f64 * (n as f64).log2() < n as f64);
         let graph = random_graph(family, n, graph_seed);
-        for step_cap in [None, Some(2)] {
-            let mut config = ClusterConfig::default().with_tau(tau).with_seed(algo_seed);
-            config.max_growing_steps_per_phase = step_cap;
-            for budget in std::iter::once(None).chain((1..=8).map(Some)) {
-                let expected = (
-                    oracle_cluster(&graph, &config, &token(budget)),
-                    oracle_cluster2(&graph, &config, &token(budget)),
+        let config = ClusterConfig::default().with_tau(tau).with_seed(algo_seed);
+        for budget in std::iter::once(None).chain((1..=8).map(Some)) {
+            let expected = (
+                oracle_cluster(&graph, &config, &token(budget)),
+                oracle_cluster2(&graph, &config, &token(budget)),
+            );
+            if budget.is_none() {
+                prop_assert!(expected.0.stages >= 1, "no stage ran");
+            }
+            for (pool, threads) in pools().iter().zip(THREAD_COUNTS) {
+                let got = pool.install(|| {
+                    (
+                        cluster(&graph, &config, &token(budget)),
+                        cluster2(&graph, &config, &token(budget)),
+                    )
+                });
+                prop_assert_eq!(
+                    &got.0, &expected.0,
+                    "CLUSTER, family {family}, n {n}, τ {tau}, budget {budget:?}, \
+                     {threads} threads"
                 );
-                if budget.is_none() {
-                    prop_assert!(expected.0.stages >= 1, "no stage ran");
-                }
-                for (pool, threads) in pools().iter().zip(THREAD_COUNTS) {
-                    let got = pool.install(|| {
-                        (
-                            cluster(&graph, &config, &token(budget)),
-                            cluster2(&graph, &config, &token(budget)),
-                        )
-                    });
-                    prop_assert_eq!(
-                        &got.0, &expected.0,
-                        "CLUSTER, family {family}, n {n}, τ {tau}, cap {step_cap:?}, \
-                         budget {budget:?}, {threads} threads"
-                    );
-                    prop_assert_eq!(
-                        &got.1, &expected.1,
-                        "CLUSTER2, family {family}, n {n}, τ {tau}, cap {step_cap:?}, \
-                         budget {budget:?}, {threads} threads"
-                    );
-                }
+                prop_assert_eq!(
+                    &got.1, &expected.1,
+                    "CLUSTER2, family {family}, n {n}, τ {tau}, budget {budget:?}, \
+                     {threads} threads"
+                );
             }
         }
     }

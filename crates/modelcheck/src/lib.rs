@@ -2,7 +2,7 @@
 //! lock-free primitives.
 //!
 //! Every correctness claim the reproduction makes — bit-identical pipelines
-//! at any thread count, scheduling-independent `StepStats` counters,
+//! at any thread count, scheduling-independent Δ-growing cost counters,
 //! crash-safe snapshots — ultimately rests on a handful of hand-rolled
 //! concurrent protocols: the seqlock fetch-min behind Δ-growing
 //! (`cldiam_graph::atomic::SeqMinCells`), the single-word fetch-min behind

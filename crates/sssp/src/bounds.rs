@@ -56,6 +56,10 @@ use crate::batch::{DijkstraScratch, SsspDirection};
 use crate::diameter::ComponentSplit;
 
 /// Tuning knobs of the bounds engine.
+///
+/// An oracle, when one is supplied, is consulted once per component, after
+/// the fourth SSSP if those four have not closed the interval; a budget
+/// below four SSSPs never reaches it.
 #[derive(Clone, Copy, Debug)]
 pub struct BoundsConfig {
     /// Maximum number of SSSP runs per connected component (a directed
@@ -64,16 +68,16 @@ pub struct BoundsConfig {
     /// Stop once `upper ≤ tolerance · lower`; `1.0` demands the exact
     /// diameter, `1.1` a 10%-tight interval.
     pub tolerance: f64,
-    /// Consult the oracle (when one is supplied) once this many SSSP runs
-    /// have not closed the interval.
-    pub quotient_after: usize,
 }
 
 impl Default for BoundsConfig {
     fn default() -> Self {
-        BoundsConfig { max_sssp: 64, tolerance: 1.0, quotient_after: 4 }
+        BoundsConfig { max_sssp: 64, tolerance: 1.0 }
     }
 }
+
+/// SSSP runs after which an interval still open consults the oracle.
+const ORACLE_AFTER_SSSP: usize = 4;
 
 impl BoundsConfig {
     /// Sets the per-component SSSP budget.
@@ -306,7 +310,7 @@ fn bound_connected<G: NeighborSource, O: DiameterOracle>(
         }
         // Mid-run oracle consult: cap every interval with the clustering
         // upper bound once plain SSSPs have had their chance.
-        if !oracle_spent && runs >= config.quotient_after {
+        if !oracle_spent && runs >= ORACLE_AFTER_SSSP {
             oracle_spent = true;
             if let Some(oracle) = oracle {
                 state.apply_cap(oracle.diameter_upper_bound(graph));
@@ -502,6 +506,10 @@ pub fn bounds_diameter_directed(
 /// whole graph is the pointwise max (the paper's convention: the diameter
 /// of a disconnected graph is the largest intra-component distance).
 ///
+/// A component whose first four SSSPs leave its interval open consults
+/// `oracle` once and caps every eccentricity bound with its answer, which
+/// the trace records as an iteration with `source: None`.
+///
 /// Every component gets its own *child* [`CancelToken`] (fresh checkpoint
 /// counter over the shared flag/deadline), so a logical check budget stops
 /// each component after the same number of phase boundaries at any thread
@@ -653,7 +661,7 @@ mod tests {
         let exact = exact_diameter(&g);
         // An exact oracle must close the interval the moment it fires.
         let oracle = Fixed(exact);
-        let config = BoundsConfig { quotient_after: 1, ..BoundsConfig::default() };
+        let config = BoundsConfig::default();
         let split = ComponentSplit::compute(&g);
         let outcome = bounds_diameter(&g, &config, Some(&oracle), &split, &CancelToken::never());
         assert!(outcome.converged);

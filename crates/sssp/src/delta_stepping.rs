@@ -61,7 +61,7 @@
 //! to an optional [`CostTracker`] and also returned in the
 //! [`DeltaSteppingOutcome`]. `updates` counts *distinct nodes improved per
 //! phase* — a scheduling-independent quantity, the same semantics as the
-//! growing path's `StepStats::updates`. Distances and all three counters
+//! node updates a Δ-growing wave charges. Distances and all three counters
 //! are pinned bit-identical to the `BTreeMap`-bucketed implementation the
 //! engine replaced, which the property suite
 //! (`tests/prop_sssp_equivalence.rs`) keeps as its reference.

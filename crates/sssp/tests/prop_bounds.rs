@@ -6,15 +6,18 @@
 //! the exact diameter (`lb ≤ Φ(G) ≤ ub`), bounds must tighten monotonically,
 //! a converged run must land exactly on `exact_diameter`, and the whole
 //! outcome (bounds, run counts, iteration trace) must be bit-identical on
-//! thread pools of 1, 2 and 8 workers. On random digraphs the backward
-//! Dijkstra must equal a forward Dijkstra on the explicitly reversed graph.
+//! thread pools of 1, 2 and 8 workers. The directed engine is held to the
+//! same bar on random strongly connected digraphs, against the largest
+//! forward eccentricity, with a finite upper bound on every run. On random
+//! digraphs the backward Dijkstra must equal a forward Dijkstra on the
+//! explicitly reversed graph.
 
 use proptest::prelude::*;
 
-use cldiam_graph::{CancelToken, Graph, GraphBuilder, NodeId, Weight};
+use cldiam_graph::{CancelToken, Dist, Graph, GraphBuilder, NodeId, Weight, INFINITY};
 use cldiam_sssp::{
-    bounds_diameter, dijkstra, exact_diameter, BoundsConfig, BoundsOutcome, ComponentSplit,
-    DijkstraScratch, SsspDirection, NO_ORACLE,
+    bounds_diameter, bounds_diameter_directed, dijkstra, exact_diameter, BoundsConfig,
+    BoundsOutcome, ComponentSplit, DijkstraScratch, SsspDirection, NO_ORACLE,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -83,6 +86,32 @@ fn digraph_strategy() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A random strongly connected digraph of 2..=16 nodes: the one-way ring
+/// `0 → 1 → … → n-1 → 0` plus random one-way chords.
+fn strongly_connected_digraph() -> impl Strategy<Value = Graph> {
+    (2usize..=16).prop_flat_map(|n| {
+        let ring = proptest::collection::vec(1..=60u32, n);
+        let chords = proptest::collection::vec((0..n as u32, 0..n as u32, 1..=60u32), 0..(2 * n));
+        (ring, chords).prop_map(move |(ring, chords)| {
+            let mut builder = GraphBuilder::new_directed(n);
+            for (i, w) in ring.into_iter().enumerate() {
+                builder.add_arc(i as u32, ((i + 1) % n) as u32, w);
+            }
+            for (u, v, w) in chords {
+                if u != v {
+                    builder.add_arc(u, v, w);
+                }
+            }
+            builder.build()
+        })
+    })
+}
+
+/// The directed diameter: the largest forward eccentricity.
+fn exact_directed_diameter(graph: &Graph) -> Dist {
+    (0..graph.num_nodes() as NodeId).map(|s| dijkstra(graph, s).eccentricity()).max().unwrap_or(0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -126,6 +155,42 @@ proptest! {
 
         for &threads in &THREAD_COUNTS[1..] {
             let outcome = with_pool(threads, || run(&graph, &config));
+            prop_assert_eq!(&outcome, &reference, "bounds diverged at {} threads", threads);
+        }
+    }
+
+    #[test]
+    fn directed_iterations_bracket_the_exact_diameter_on_every_pool(
+        graph in strongly_connected_digraph(),
+        budget_sel in 0usize..3,
+    ) {
+        let exact = exact_directed_diameter(&graph);
+        // Each iteration spends two SSSPs, a forward and a backward one.
+        let budget = [2, 6, 4 * graph.num_nodes()][budget_sel];
+        let config = BoundsConfig::default().with_max_sssp(budget);
+        let run = || bounds_diameter_directed(&graph, &config, &CancelToken::never());
+
+        let reference = with_pool(THREAD_COUNTS[0], run);
+        prop_assert!(reference.upper != INFINITY, "no upper bound on a strongly connected input");
+        prop_assert!(reference.lower <= exact, "final lb {} above {exact}", reference.lower);
+        prop_assert!(reference.upper >= exact, "final ub {} below {exact}", reference.upper);
+        if reference.converged {
+            prop_assert_eq!(reference.lower, exact);
+            prop_assert_eq!(reference.upper, exact);
+        }
+        let mut prev_lower = 0;
+        let mut prev_upper = INFINITY;
+        for it in &reference.iterations {
+            prop_assert!(it.lower <= exact, "iteration lb {} above {exact}", it.lower);
+            prop_assert!(it.upper >= exact, "iteration ub {} below {exact}", it.upper);
+            prop_assert!(it.lower >= prev_lower, "lower bound regressed");
+            prop_assert!(it.upper <= prev_upper, "upper bound regressed");
+            prev_lower = it.lower;
+            prev_upper = it.upper;
+        }
+
+        for &threads in &THREAD_COUNTS[1..] {
+            let outcome = with_pool(threads, run);
             prop_assert_eq!(&outcome, &reference, "bounds diverged at {} threads", threads);
         }
     }

@@ -4,10 +4,11 @@
 //! Section 4.1 argues that a Δ-growing step can be implemented with a constant
 //! number of rounds of basic key-value primitives, regardless of how many
 //! clusters are active. This module spells that mapping out: the map phase
-//! emits one relaxation proposal per light edge of the frontier, keyed by the
-//! target node; the reduce phase keeps, per target, the proposal with the
-//! smallest distance (ties broken by the smaller center index); the output is
-//! then joined with the node states. The result is bit-for-bit identical to
+//! emits one relaxation proposal per light edge (weight at most the
+//! threshold) of the frontier, keyed by the target node; the reduce phase
+//! keeps, per target, the proposal with the smallest distance (ties broken
+//! by the smaller center index); the output is then joined with the node
+//! states. The result is bit-for-bit identical to
 //! the shared-memory fast path in [`cldiam_core::growing`], which the tests
 //! verify — the fast path simply avoids materializing the key-value pairs.
 
@@ -37,14 +38,13 @@ impl Proposal {
 ///
 /// Returns the nodes whose state changed. The engine charges one round, the
 /// proposals as messages and the nodes whose state changed as node updates —
-/// the exact counters the in-place shared-memory implementation reports in
-/// its `StepStats`; the equivalence proptests pin the two executions to
+/// the exact charges the in-place shared-memory implementation makes to its
+/// cost tracker; the equivalence proptests pin the two executions to
 /// identical states *and* identical charges.
 pub fn mr_delta_growing_step(
     engine: &MrEngine,
     graph: &Graph,
     threshold: Dist,
-    light_limit: Dist,
     state: &mut GrowState,
     frontier: &[NodeId],
 ) -> Vec<NodeId> {
@@ -60,7 +60,7 @@ pub fn mr_delta_growing_step(
         }
         for (v, w) in graph.neighbors(u) {
             let wd = Dist::from(w);
-            if wd > light_limit || state.frozen[v as usize] {
+            if wd > threshold || state.frozen[v as usize] {
                 continue;
             }
             let cand = eff_u.saturating_add(wd as i64);
@@ -117,7 +117,6 @@ pub fn mr_partial_growth(
     engine: &MrEngine,
     graph: &Graph,
     threshold: Dist,
-    light_limit: Dist,
     state: &mut GrowState,
 ) -> u64 {
     let mut frontier: Vec<NodeId> = (0..state.len() as NodeId)
@@ -129,7 +128,7 @@ pub fn mr_partial_growth(
     let mut rounds = 0;
     while !frontier.is_empty() {
         rounds += 1;
-        frontier = mr_delta_growing_step(engine, graph, threshold, light_limit, state, &frontier);
+        frontier = mr_delta_growing_step(engine, graph, threshold, state, &frontier);
     }
     rounds
 }
@@ -141,33 +140,31 @@ mod tests {
     use cldiam_core::growing::{partial_growth, GrowScratch};
     use cldiam_gen::{mesh, road_network, WeightModel};
     use cldiam_graph::CancelToken;
+    use cldiam_mr::CostTracker;
 
     fn engines() -> MrEngine {
         MrEngine::new(MrConfig::with_machines(4))
     }
 
-    fn assert_equivalent(graph: &Graph, centers: &[NodeId], threshold: Dist, light_limit: Dist) {
+    fn assert_equivalent(graph: &Graph, centers: &[NodeId], threshold: Dist) {
         let mut fast = GrowState::new(graph.num_nodes());
         let mut slow = GrowState::new(graph.num_nodes());
         for &c in centers {
             fast.set_center(c);
             slow.set_center(c);
         }
-        let mut scratch = GrowScratch::new();
-        let never = CancelToken::never();
+        let (tracker, never) = (CostTracker::new(), CancelToken::never());
         partial_growth(
             graph,
             threshold,
-            light_limit,
             &mut fast,
             None,
-            None,
-            None,
-            &mut scratch,
+            &tracker,
+            &mut GrowScratch::new(),
             &never,
         );
         let engine = engines();
-        mr_partial_growth(&engine, graph, threshold, light_limit, &mut slow);
+        mr_partial_growth(&engine, graph, threshold, &mut slow);
         assert_eq!(fast.eff, slow.eff);
         assert_eq!(fast.center, slow.center);
         assert_eq!(fast.true_dist, slow.true_dist);
@@ -177,13 +174,13 @@ mod tests {
     #[test]
     fn matches_fast_path_on_mesh() {
         let g = mesh(8, WeightModel::UniformUnit, 3);
-        assert_equivalent(&g, &[0, 37], 400_000, 400_000);
+        assert_equivalent(&g, &[0, 37], 400_000);
     }
 
     #[test]
     fn matches_fast_path_on_road_network() {
         let g = road_network(10, 10, 2);
-        assert_equivalent(&g, &[0, 50, 99], 1_200, 1_200);
+        assert_equivalent(&g, &[0, 50, 99], 1_200);
     }
 
     #[test]
@@ -192,7 +189,7 @@ mod tests {
         let engine = engines();
         let mut state = GrowState::new(4);
         state.set_center(0);
-        let updated = mr_delta_growing_step(&engine, &g, 10, 10, &mut state, &[0]);
+        let updated = mr_delta_growing_step(&engine, &g, 10, &mut state, &[0]);
         assert_eq!(updated, vec![1]);
         let metrics = engine.metrics();
         assert_eq!(metrics.rounds, 1);
@@ -207,7 +204,7 @@ mod tests {
         let mut state = GrowState::new(3);
         state.set_center(0);
         // Threshold 3 makes every edge heavy: nothing to do.
-        let rounds = mr_partial_growth(&engine, &g, 3, 3, &mut state);
+        let rounds = mr_partial_growth(&engine, &g, 3, &mut state);
         assert_eq!(rounds, 1);
         assert_eq!(state.center[1], NO_CENTER);
     }

@@ -29,7 +29,7 @@ fn main() {
     }
 
     let threshold = 8 * u64::from(cldiam::graph::WEIGHT_SCALE);
-    let rounds = mr_partial_growth(&engine, &graph, threshold, threshold, &mut state);
+    let rounds = mr_partial_growth(&engine, &graph, threshold, &mut state);
     let covered = state.center.iter().filter(|&&c| c != cldiam_core::NO_CENTER).count();
 
     println!("\ngrowth finished after {rounds} MapReduce rounds; {covered} nodes covered");

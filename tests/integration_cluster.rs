@@ -92,27 +92,6 @@ fn tau_controls_cluster_count_monotonically_in_expectation() {
 }
 
 #[test]
-fn step_cap_reduces_growing_steps() {
-    let (graph, _) = largest_component(&GraphSpec::RoadNetwork { rows: 20, cols: 20 }.generate(8));
-    let unbounded =
-        cluster(&graph, &ClusterConfig::default().with_tau(2).with_seed(8), &CancelToken::never());
-    let capped = cluster(
-        &graph,
-        &ClusterConfig {
-            max_growing_steps_per_phase: Some(4),
-            ..ClusterConfig::default().with_tau(2).with_seed(8)
-        },
-        &CancelToken::never(),
-    );
-    capped.validate(&graph).expect("capped clustering is valid");
-    // The capped variant still terminates, covers everything, and performs
-    // work of the same order (the cap bounds steps *per phase*, so the total
-    // can shift either way — §4.1 trades approximation for round complexity).
-    assert!(capped.growing_steps > 0);
-    assert!(unbounded.growing_steps > 0);
-}
-
-#[test]
 fn decomposition_reuse_is_consistent_with_full_run() {
     let (graph, _) = largest_component(&GraphSpec::Mesh { side: 14 }.generate(2));
     let driver = ClDiam::new(ClusterConfig::default().with_tau(4).with_seed(2));
@@ -127,6 +106,7 @@ fn decomposition_reuse_is_consistent_with_full_run() {
 
 #[test]
 fn mapreduce_growth_matches_shared_memory_growth() {
+    use cldiam::mr::CostTracker;
     use cldiam_core::{partial_growth, GrowScratch, GrowState};
     use cldiam_testkit::mr_impl::mr_partial_growth;
 
@@ -140,11 +120,10 @@ fn mapreduce_growth_matches_shared_memory_growth() {
         fast.set_center(c);
         slow.set_center(c);
     }
-    let mut scratch = GrowScratch::new();
-    let never = CancelToken::never();
-    partial_growth(&graph, threshold, threshold, &mut fast, None, None, None, &mut scratch, &never);
+    let (tracker, never) = (CostTracker::new(), CancelToken::never());
+    partial_growth(&graph, threshold, &mut fast, None, &tracker, &mut GrowScratch::new(), &never);
     let engine = MrEngine::new(MrConfig::with_machines(3));
-    mr_partial_growth(&engine, &graph, threshold, threshold, &mut slow);
+    mr_partial_growth(&engine, &graph, threshold, &mut slow);
     assert_eq!(fast.eff, slow.eff);
     assert_eq!(fast.center, slow.center);
     assert_eq!(fast.true_dist, slow.true_dist);

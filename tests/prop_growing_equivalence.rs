@@ -5,8 +5,10 @@
 //! and the literal MapReduce execution
 //! ([`cldiam_testkit::mr_impl::mr_delta_growing_step`]) must produce
 //! identical `GrowState`s, identical per-wave updated sets and identical
-//! `StepStats` counters — the MR engine's message / node-update charges —
-//! wave by wave until fixpoint, on thread pools of 1, 2 and 8 workers.
+//! per-wave message and node-update charges, each read as the difference of
+//! two cost snapshots (the in-place step's `CostTracker`, the MR engine's
+//! metrics), wave by wave until fixpoint, on thread pools of 1, 2 and 8
+//! workers.
 //!
 //! The scenario also exercises the frozen-source path: after a first growth
 //! phase, reached nodes are frozen and re-seeded as sources with a (possibly
@@ -17,6 +19,7 @@ use proptest::prelude::*;
 use cldiam_core::{delta_growing_step, GrowScratch, GrowState, NO_CENTER};
 use cldiam_gen::{mesh, WeightModel};
 use cldiam_graph::{Dist, Graph, GraphBuilder, NodeId, WEIGHT_SCALE};
+use cldiam_mr::{CostMetrics, CostTracker};
 use cldiam_testkit::mr_impl::mr_delta_growing_step;
 use cldiam_testkit::{MrConfig, MrEngine};
 
@@ -47,7 +50,7 @@ fn arbitrary_graph() -> impl Strategy<Value = Graph> {
 }
 
 /// Everything a wave-by-wave growth produces: the per-wave updated sets with
-/// their counters, and the final state vectors.
+/// their messages and node updates, and the final state vectors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Trace {
     waves: Vec<(Vec<NodeId>, u64, u64)>,
@@ -76,15 +79,15 @@ fn init_state(
     if prefreeze {
         // Deterministic phase 0: grow a little, freeze what was reached,
         // re-seed as credited sources.
-        let mut scratch = GrowScratch::new();
+        let (tracker, mut scratch) = (CostTracker::new(), GrowScratch::new());
         let mut frontier = centers.clone();
         for _ in 0..2 {
-            let (updated, _) = delta_growing_step(
+            let updated = delta_growing_step(
                 graph,
                 threshold / 2,
-                (threshold / 2).max(1),
                 &mut state,
                 &frontier,
+                &tracker,
                 &mut scratch,
             );
             if updated.is_empty() {
@@ -111,24 +114,31 @@ fn initial_frontier(state: &GrowState, threshold: Dist) -> Vec<NodeId> {
         .collect()
 }
 
-fn run_in_place(graph: &Graph, threshold: Dist, light_limit: Dist, init: &GrowState) -> Trace {
+/// The messages and node updates charged between two cost snapshots.
+fn charged(before: CostMetrics, after: CostMetrics) -> (u64, u64) {
+    (after.messages - before.messages, after.node_updates - before.node_updates)
+}
+
+fn run_in_place(graph: &Graph, threshold: Dist, init: &GrowState) -> Trace {
     let mut state = init.clone();
-    let mut scratch = GrowScratch::new();
+    let (tracker, mut scratch) = (CostTracker::new(), GrowScratch::new());
     let mut frontier = initial_frontier(&state, threshold);
     let mut waves = Vec::new();
     for _ in 0..MAX_WAVES {
         if frontier.is_empty() {
             break;
         }
-        let (updated, stats) =
-            delta_growing_step(graph, threshold, light_limit, &mut state, &frontier, &mut scratch);
-        waves.push((updated.clone(), stats.proposals, stats.updates));
+        let before = tracker.snapshot();
+        let updated =
+            delta_growing_step(graph, threshold, &mut state, &frontier, &tracker, &mut scratch);
+        let (messages, node_updates) = charged(before, tracker.snapshot());
+        waves.push((updated.clone(), messages, node_updates));
         frontier = updated;
     }
     Trace { waves, eff: state.eff, center: state.center, true_dist: state.true_dist }
 }
 
-fn run_mapreduce(graph: &Graph, threshold: Dist, light_limit: Dist, init: &GrowState) -> Trace {
+fn run_mapreduce(graph: &Graph, threshold: Dist, init: &GrowState) -> Trace {
     let mut state = init.clone();
     let engine = MrEngine::new(MrConfig::with_machines(4));
     let mut frontier = initial_frontier(&state, threshold);
@@ -138,14 +148,9 @@ fn run_mapreduce(graph: &Graph, threshold: Dist, light_limit: Dist, init: &GrowS
             break;
         }
         let before = engine.metrics();
-        let updated =
-            mr_delta_growing_step(&engine, graph, threshold, light_limit, &mut state, &frontier);
-        let after = engine.metrics();
-        waves.push((
-            updated.clone(),
-            after.messages - before.messages,
-            after.node_updates - before.node_updates,
-        ));
+        let updated = mr_delta_growing_step(&engine, graph, threshold, &mut state, &frontier);
+        let (messages, node_updates) = charged(before, engine.metrics());
+        waves.push((updated.clone(), messages, node_updates));
         frontier = updated;
     }
     Trace { waves, eff: state.eff, center: state.center, true_dist: state.true_dist }
@@ -169,13 +174,12 @@ proptest! {
         let threshold: Dist = threshold_raw;
         let prefreeze = prefreeze_raw == 1;
         let credit = -(credit_raw as i64);
-        let light_limit = threshold;
         let init = init_state(&graph, &center_sel, prefreeze, credit, threshold);
 
         let reference = with_pool(THREAD_COUNTS[0], || {
             (
-                run_in_place(&graph, threshold, light_limit, &init),
-                run_mapreduce(&graph, threshold, light_limit, &init),
+                run_in_place(&graph, threshold, &init),
+                run_mapreduce(&graph, threshold, &init),
             )
         });
         let (in_place, mapreduce) = &reference;
@@ -190,8 +194,8 @@ proptest! {
         for &threads in &THREAD_COUNTS[1..] {
             let wide = with_pool(threads, || {
                 (
-                    run_in_place(&graph, threshold, light_limit, &init),
-                    run_mapreduce(&graph, threshold, light_limit, &init),
+                    run_in_place(&graph, threshold, &init),
+                    run_mapreduce(&graph, threshold, &init),
                 )
             });
             prop_assert_eq!(&wide, &reference, "diverged at {} threads", threads);
@@ -207,7 +211,7 @@ fn in_place_step_matches_the_mr_formulation_on_a_mesh() {
         init.set_center(c);
     }
     let threshold = 3 * Dist::from(WEIGHT_SCALE);
-    let in_place = run_in_place(&g, threshold, threshold, &init);
+    let in_place = run_in_place(&g, threshold, &init);
     assert!(in_place.waves.len() > 1, "the growth must run several waves");
-    assert_eq!(in_place, run_mapreduce(&g, threshold, threshold, &init));
+    assert_eq!(in_place, run_mapreduce(&g, threshold, &init));
 }

@@ -196,10 +196,10 @@ fn assert_bounds_bracket<G: NeighborSource>(graph: &G, exact: Dist, seed: u64) {
         }
     }
     let anytime = AnytimeConfig::default()
-        .with_bounds(BoundsConfig { max_sssp: 3, quotient_after: 1, ..BoundsConfig::default() })
+        .with_bounds(BoundsConfig::default().with_max_sssp(5))
         .with_cluster(ClusterConfig::default().with_tau(n).with_seed(seed));
     for (name, cancel) in
-        [("never", CancelToken::never()), ("check limit 2", CancelToken::with_check_limit(2))]
+        [("never", CancelToken::never()), ("check limit 4", CancelToken::with_check_limit(4))]
     {
         let outcome = anytime_diameter(graph, &anytime, &split, &cancel);
         assert!(
